@@ -27,6 +27,8 @@ defined in checkouts that are not git repositories.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import hashlib
 import json
 import math
@@ -34,6 +36,7 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -49,6 +52,8 @@ WORK = ROOT / ".perfbench_work"
 # so traced and untraced rounds both cover the two graph versions that
 # serve-20k-w2 alternates between; four rounds hold one traced pair.
 MIN_ROUNDS = 4
+PR_SET_CHILD_SUBREAPER = 36  # prctl option, <linux/prctl.h>
+CHILD_EXIT_SECONDS = 20.0    # wait this long at exit before killing children
 
 END_TO_END = {
     "setup_s": "s",
@@ -178,14 +183,19 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, scale: str):
                 setups.append(time.perf_counter() - start)
             if not last:
                 workload.close()
+                # A closed session lingers in garbage cycles: collect it,
+                # so peak RSS does not grow with the number of set-ups.
+                gc.collect()
         tracer.probe = workload.counters
         workload.round()  # warm-up: lazy set-up finishes before timing
 
         answers, rounds = [], 0
+        # The quality metrics score the first quality_rounds rounds.
+        min_rounds = max(MIN_ROUNDS, workload.cfg["quality_rounds"])
         wall = {True: 0.0, False: 0.0}
         done = {True: 0, False: 0}
         start = time.perf_counter()
-        while rounds < MIN_ROUNDS or time.perf_counter() - start < seconds:
+        while rounds < min_rounds or time.perf_counter() - start < seconds:
             traced = trace and rounds % 4 >= 2
             began = time.perf_counter()
             with tracer.traced() if traced else nullcontext():
@@ -200,7 +210,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, scale: str):
 
         answer_problems = [check_answer(ans, workload.n) for ans in answers]
         workload_problems = workload.checks()
-        quality = {} if trace else workload.quality(answers)
+        quality = {} if trace else workload.quality()
     finally:
         workload.close()
         shutil.rmtree(workdir, ignore_errors=True)
@@ -293,6 +303,75 @@ def main_all(args) -> int:
     return 0 if correct else 1
 
 
+# ----------------------------------------------------------------------
+# Child processes
+# ----------------------------------------------------------------------
+def adopt_orphans() -> None:
+    """Make this process the reaper of its orphaned descendants (Linux).
+
+    A forked pool worker that ships a result through shared memory
+    starts a multiprocessing resource tracker of its own, and that
+    tracker outlives the worker; adopted, it can be waited for."""
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):  # not Linux
+        return
+    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    prctl.restype = ctypes.c_int
+    prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+
+
+def child_pids() -> list:
+    """Pids of this process's children, exited ones included (Linux)."""
+    me, found = os.getpid(), []
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except (OSError, ValueError):
+            continue
+        # The command name is in parentheses and may hold spaces.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            found.append(int(entry))
+    return found
+
+
+def stop_children() -> None:
+    """Stop every process the run started and wait for each to end.
+
+    Registered to run last at exit, after the program's own exit handlers
+    have shut its pools down.  What remains then are resource trackers:
+    this process's own, which ends once its pipe is closed, and the
+    adopted ones of exited workers.  Any still alive at the deadline is
+    killed."""
+    tracker_module = sys.modules.get("multiprocessing.resource_tracker")
+    tracker = getattr(tracker_module, "_resource_tracker", None)
+    if tracker is not None and tracker._fd is not None:
+        os.close(tracker._fd)  # end of file on its pipe: the tracker exits
+        tracker._fd = tracker._pid = None
+    deadline = time.monotonic() + CHILD_EXIT_SECONDS
+    while True:
+        alive = []
+        for pid in child_pids():
+            try:
+                done, _status = os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            if not done:
+                alive.append(pid)
+        if not alive:
+            return
+        if time.monotonic() > deadline:
+            for pid in alive:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        time.sleep(0.02)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
@@ -306,6 +385,10 @@ def main(argv=None) -> int:
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program to measure under {ROOT / 'src'}", file=sys.stderr)
         return 2
+    adopt_orphans()
+    # Registered before the program is imported, so it runs after the
+    # program's own exit handlers.
+    atexit.register(stop_children)
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     if args.workload == "all":

@@ -8,6 +8,7 @@ Run from the root of a checkout::
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import types
@@ -24,12 +25,31 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
+def session_members(sid: int) -> list:
+    """Live processes of session ``sid``, orphans included (Linux)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                state, _ppid, _pgrp, session = handle.read().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):
+            continue
+        if int(session) == sid and state != "Z":
+            found.append(int(entry))
+    return found
+
+
 def bench(name: str, trace: int) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", "5",
-         "--seconds", "1", "--trace", str(trace), "--scale", "tiny"],
-        cwd=ROOT, stdout=subprocess.PIPE, text=True, timeout=300,
-    )
+    """One tiny run in a session of its own; ``left`` lists the processes
+    of that session still alive after it exited."""
+    cmd = [sys.executable, str(HERE / "run.py"), "--workload", name, "--seed", "5",
+           "--seconds", "1", "--trace", str(trace), "--scale", "tiny"]
+    with subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        stdout, _ = proc.communicate(timeout=300)
+    done = subprocess.CompletedProcess(cmd, proc.returncode, stdout)
+    done.left = session_members(proc.pid) if os.path.isdir("/proc") else []
+    return done
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -37,6 +57,7 @@ def bench(name: str, trace: int) -> subprocess.CompletedProcess:
 def test_every_workload_emits_each_metric_with_its_unit(name, trace):
     proc = bench(name, trace)
     assert proc.returncode == 0
+    assert proc.left == [], "the run left processes behind"
     *rows, last = proc.stdout.strip().splitlines()
     result = json.loads(last)
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
@@ -64,7 +85,8 @@ def test_answer_checks_catch_bad_answers():
     assert workloads.check_answer(workloads.Answer(query, 0.1, good), 10) == []
     for bad in ({"selected": [2, 2, 4]}, {"selected": [1, 3, 4]}, {"selected": [2, 3, 40]},
                 {"estimates": {"boost": 0.5, "mu": 1.0}},
-                {"estimates": {"boost": float("nan"), "mu": 1.0}}):
+                {"estimates": {"boost": float("nan"), "mu": 1.0}},
+                {"extra": {"degraded": True}}, {"extra": {"error": "timeout"}}):
         assert workloads.check_answer(workloads.Answer(query, 0.1, {**good, **bad}), 10)
 
 

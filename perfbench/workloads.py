@@ -6,15 +6,17 @@ workload seed; the program only ever receives the generated inputs.
 Query-type counts are kept unequal and cache hits well under half of a
 round, so a median never lands on a type or hit/miss boundary.
 
-Each workload's graph has one fixed shape and node numbering, drawn from
-``RECIPE_SEED`` by its recipe in ``CONFIG``; the workload seed orders its
-edge list (which fixes the edge ids, the sampling streams they hash into
-and the store layout) and picks every query's ``rng_seed``.  How much work
-a query does and how good its answer is depend on the particular hubs and
-strong edges of a graph, and selection breaks ties toward the smallest
-node id: with a graph drawn afresh per seed, or its nodes renumbered per
-seed, one seed's run differed from another's by more than the metric
-bounds in median query time and in answer quality.
+Each workload runs on one of the program's named graphs, built by the
+program's own generators from a fixed recipe seed (``graph_shape``): the
+digg-like dataset, the 10k/52k bench graph and the 20k/130k serving
+graph.  The workload seed orders the edge list (which fixes the edge ids,
+the sampling streams they hash into and the store layout) and picks
+every query's ``rng_seed``.  How much work a query does and how good its
+answer is depend on the particular hubs and strong edges of a graph, and
+selection breaks ties toward the smallest node id: with a graph drawn
+afresh per seed, or its nodes renumbered per seed, one seed's run
+differed from another's by more than the metric bounds in median query
+time and in answer quality.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import io
 import json
 import math
 import os
-import random
 import select
 import subprocess
 import sys
@@ -46,83 +47,76 @@ WHY = {
                       "dist-worker hosts",
 }
 
-# Sizes per scale; "tiny" exists for the self-test only.
+# The graphs: the digg-like dataset as ``load_dataset`` and the CLI build
+# it by default, and the preferential-attachment graphs with log-normal
+# probabilities of the repository's micro-benchmarks (10k/52k as in
+# bench_lanes, 20k/130k as in bench_serve).  The tiny ones exist for the
+# self-test only.
+DIGG = dict(dataset="digg-like", seed=7)
+BENCH_10K = dict(n=10000, m=4, mean_p=0.1, seed=2017)
+SERVE_20K = dict(n=20000, m=5, mean_p=0.1, seed=11)
+TINY_10K = dict(n=600, m=3, mean_p=0.1, seed=2017)
+TINY_20K = dict(n=800, m=3, mean_p=0.1, seed=11)
+
+# Sizes per scale; "tiny" exists for the self-test only.  quality_rounds
+# is the number of leading rounds whose answers the quality metrics
+# score; every run plays at least that many.
 CONFIG = {
     "prr-digg-w1": {
-        "full": dict(n=1000, m=5, mean_p=0.239, seeds=20, k=20, samples=1000,
-                     quality_answers=16, mc_runs=200),
-        "tiny": dict(n=300, m=3, mean_p=0.2, seeds=5, k=5, samples=200,
-                     quality_answers=2, mc_runs=20),
+        "full": dict(graph=DIGG, seeds=20, k=20, samples=1000, quality_rounds=16,
+                     mc_runs=200),
+        "tiny": dict(graph=DIGG, seeds=5, k=5, samples=200, quality_rounds=2,
+                     mc_runs=20),
     },
     "lbimm-10k-w1": {
-        "full": dict(n=10000, m=4, mean_p=0.1, seeds=20, k=20, k_imm=50,
-                     lb_samples=12000, imm_samples=40000, quality_answers=16,
-                     mc_runs=100),
-        "tiny": dict(n=600, m=3, mean_p=0.1, seeds=5, k=5, k_imm=5,
-                     lb_samples=600, imm_samples=800, quality_answers=2, mc_runs=20),
+        "full": dict(graph=BENCH_10K, seeds=20, k=20, k_imm=50, lb_samples=12000,
+                     imm_samples=40000, quality_rounds=6, mc_runs=100),
+        "tiny": dict(graph=TINY_10K, seeds=5, k=5, k_imm=5, lb_samples=600,
+                     imm_samples=800, quality_rounds=1, mc_runs=20),
     },
     "serve-20k-w2": {
-        "full": dict(n=20000, m=5, mean_p=0.1, seeds=10, k=20, k_imm=50,
-                     k_small=5, k_rank=1, lb_samples=1500, imm_samples=2000,
-                     pb_samples=300, ssa_samples=4000, eval_runs=100, rank_runs=10,
-                     quality_answers=16, mc_runs=100),
-        "tiny": dict(n=800, m=3, mean_p=0.1, seeds=4, k=2, k_imm=4, k_small=2,
-                     k_rank=1, lb_samples=1200, imm_samples=600, pb_samples=600,
+        "full": dict(graph=SERVE_20K, seeds=10, k=20, k_imm=50, k_small=5, k_rank=1,
+                     lb_samples=1500, imm_samples=2000, pb_samples=300,
+                     ssa_samples=4000, eval_runs=100, rank_runs=50,
+                     quality_rounds=6, mc_runs=100),
+        "tiny": dict(graph=TINY_20K, seeds=4, k=2, k_imm=4, k_small=2, k_rank=1,
+                     lb_samples=1200, imm_samples=600, pb_samples=600,
                      ssa_samples=600, eval_runs=20, rank_runs=4,
-                     quality_answers=2, mc_runs=20),
+                     quality_rounds=1, mc_runs=20),
     },
     "dist-20k-2host": {
-        "full": dict(n=20000, m=5, mean_p=0.1, seeds=10, k=20, k_imm=50,
-                     k_small=5, lb_samples=2000, imm_samples=4000,
-                     pb_samples=600, quality_answers=16, mc_runs=100),
-        "tiny": dict(n=800, m=3, mean_p=0.1, seeds=4, k=2, k_imm=4, k_small=2,
+        "full": dict(graph=SERVE_20K, seeds=10, k=20, k_imm=50, k_small=5,
+                     lb_samples=2000, imm_samples=4000, pb_samples=600,
+                     quality_rounds=4, mc_runs=100),
+        "tiny": dict(graph=TINY_20K, seeds=4, k=2, k_imm=4, k_small=2,
                      lb_samples=1200, imm_samples=600, pb_samples=600,
-                     quality_answers=2, mc_runs=20),
+                     quality_rounds=1, mc_runs=20),
     },
 }
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-RECIPE_SEED = 2017        # fixes each workload's graph shape
 QUALITY_SEED = 20170401   # the one Monte-Carlo stream of the quality metrics
 WRITE_SCALE = 0.9         # serve writes alternate p and WRITE_SCALE * p
+BETA = 2.0                # boosting parameter of every graph
 HOST_READY_TIMEOUT = 60.0  # seconds for dist-worker hosts to print their ready line
 
 
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
-def boosted(p: np.ndarray) -> np.ndarray:
-    """The paper's boosted probability p' = 1 - (1 - p)^2."""
-    return 1.0 - (1.0 - p) ** 2
+def graph_shape(recipe: dict):
+    """A workload's graph as ``(n, src, dst, p, pp)``, the ``DiGraph``
+    constructor arguments, built by the program's own generators."""
+    from repro.datasets import load_dataset
+    from repro.graphs import learned_like, preferential_attachment
 
-
-def pa_graph(rng: np.random.Generator, n: int, m: int, mean_p: float,
-             reciprocity: float = 0.3):
-    """Directed preferential-attachment edges with log-normal probabilities.
-
-    Each new node links to ``m`` earlier nodes drawn by degree, and each
-    link gains its reverse with probability ``reciprocity``.  Returns
-    ``(n, src, dst, p, pp)``, the ``DiGraph`` constructor arguments.
-    """
-    draw = random.Random(int(rng.integers(2**63))).random
-    ends = [0]
-    src: List[int] = []
-    dst: List[int] = []
-    for v in range(1, n):
-        targets = set()
-        while len(targets) < min(m, v):
-            targets.add(ends[int(draw() * len(ends))])
-        for t in sorted(targets):
-            src.append(v)
-            dst.append(t)
-            ends += (t, v)
-            if draw() < reciprocity:
-                src.append(t)
-                dst.append(v)
-    raw = rng.lognormal(0.0, 1.0, size=len(src))
-    p = np.clip(raw / raw.mean() * mean_p, 1e-6, 0.999)
-    p = np.clip(p * (mean_p / p.mean()), 1e-6, 0.999)
-    return n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), p, boosted(p)
+    if "dataset" in recipe:
+        graph = load_dataset(recipe["dataset"], seed=recipe["seed"], beta=BETA)
+    else:
+        rng = np.random.default_rng(recipe["seed"])
+        graph = learned_like(preferential_attachment(recipe["n"], recipe["m"], rng),
+                             rng, recipe["mean_p"], beta=BETA)
+    return (graph.n, *graph.edge_arrays())
 
 
 def reorder(graph_args, order: np.ndarray):
@@ -156,9 +150,14 @@ class Answer:
 
     @property
     def failed(self) -> bool:
+        """The call raised, or its envelope is an error (rejected, timeout,
+        failed, degraded) or was computed on a degraded runtime's serial
+        fallback, which measures that fallback instead of the pool or the
+        hosts."""
         if self.envelope is None:
             return True
-        return bool(self.envelope.get("error") or self.envelope.get("extra", {}).get("error"))
+        extra = self.envelope.get("extra", {})
+        return bool(self.envelope.get("error") or extra.get("error") or extra.get("degraded"))
 
 
 def check_answer(ans: Answer, n: int) -> List[str]:
@@ -195,11 +194,10 @@ def same_answer(a: Optional[dict], b: Optional[dict]) -> bool:
     return strip(a) == strip(b)
 
 
-def mean_quality(graphs, answers: List[Answer], algorithm: str, limit: int,
+def mean_quality(graphs, answers: List[Answer], algorithm: str,
                  runs: int) -> Dict[str, float]:
-    """Mean MC Δ_S(B) over the first ``limit`` distinct boost answers of
-    ``algorithm`` and mean σ(S) over the first ``limit`` distinct seed
-    answers.
+    """Mean MC Δ_S(B) over the distinct boost answers of ``algorithm`` and
+    mean σ(S) over the distinct seed answers.
 
     Each answer is scored on the graph version it was computed on, with
     the edges in the shape's order and always the same MC stream.  The
@@ -211,7 +209,7 @@ def mean_quality(graphs, answers: List[Answer], algorithm: str, limit: int,
     picked: Dict[str, list] = {"boost": [], "seed": []}
     for ans in answers:
         bucket = picked.get(ans.kind)
-        if bucket is None or ans.failed or len(bucket) >= limit:
+        if bucket is None or ans.failed:
             continue
         if ans.kind == "boost" and ans.algorithm != algorithm:
             continue
@@ -240,7 +238,10 @@ class Workload:
     """Shared scaffolding; subclasses define the session and the rounds."""
 
     name = ""
-    setup_repeats = 15
+    # setup_s is the median of this many set-ups.  The cheaper the set-up,
+    # the more of them: one of a few milliseconds moves with every
+    # scheduler hiccup on a shared host.
+    setup_repeats = 41
     # boost_quality scores this algorithm's answers only: the small
     # prr_boost and degree_global answers of the mixed rounds differ in
     # quality by more than the metric's bound, so a mean over the mix
@@ -259,9 +260,8 @@ class Workload:
     # -- inputs -------------------------------------------------------
     def generate(self) -> None:
         cfg = self.cfg
-        self.n = cfg["n"]
-        self.shape = pa_graph(np.random.default_rng(RECIPE_SEED), cfg["n"], cfg["m"],
-                              cfg["mean_p"])
+        self.shape = graph_shape(cfg["graph"])
+        self.n = self.shape[0]
         self.order = self.input_rng.permutation(len(self.shape[1]))
         self.graph_args = reorder(self.shape, self.order)
         # Nodes by out-degree, highest first.
@@ -345,13 +345,19 @@ class Workload:
 
         return [DiGraph(*self.shape)]
 
-    def quality(self, answers: List[Answer]) -> Dict[str, float]:
+    def quality(self) -> Dict[str, float]:
+        """Quality of the answers of the first ``quality_rounds`` rounds.
+
+        Every run plays those rounds whatever its speed, so a change that
+        only makes queries faster or slower scores the same answers."""
+        answers = [ans for played in self.rounds[: self.cfg["quality_rounds"]]
+                   for ans in played]
         return mean_quality(self.quality_graphs(), answers, self.quality_algorithm,
-                            self.cfg["quality_answers"], self.cfg["mc_runs"])
+                            self.cfg["mc_runs"])
 
 
 class PrrDigg(Workload):
-    """``prr_boost`` (k=20, top-20 out-degree seeds) on a digg-like graph,
+    """``prr_boost`` (k=20, top-20 out-degree seeds) on digg-like,
     workers=1, one query a round."""
 
     name = "prr-digg-w1"
@@ -363,10 +369,10 @@ class PrrDigg(Workload):
 
 
 class LbImm(Workload):
-    """``prr_boost_lb`` and ``imm`` at 3:1 on a 10k/52k graph, workers=1."""
+    """``prr_boost_lb`` and ``imm`` at 3:1 on the 10k/52k graph, workers=1."""
 
     name = "lbimm-10k-w1"
-    setup_repeats = 9
+    setup_repeats = 21
 
     def round(self) -> List[Answer]:
         cfg = self.cfg
@@ -376,9 +382,9 @@ class LbImm(Workload):
 
 
 class StoreWorkload(Workload):
-    """A workload on a 20k/130k graph, opened from a graph store."""
+    """A workload on the 20k/130k graph, opened from a graph store."""
 
-    setup_repeats = 9
+    setup_repeats = 15
 
     def generate(self) -> None:
         from repro.graphs import DiGraph
@@ -398,11 +404,13 @@ class Serve(StoreWorkload):
     name = "serve-20k-w2"
 
     def generate(self) -> None:
+        from repro.graphs import boost_probability
+
         super().generate()
-        p = self.shape[3]
+        p, pp = self.shape[3:]
         scaled = np.clip(p * WRITE_SCALE, 1e-6, 0.999)
         # Both versions' (p, pp) in the shape's edge order.
-        self.probabilities = [(p, boosted(p)), (scaled, boosted(scaled))]
+        self.probabilities = [(p, pp), (scaled, boost_probability(scaled, BETA))]
         self.version = 0
         # The eval query scores the top out-degree non-seed nodes.
         taken = set(self.seed_set)
