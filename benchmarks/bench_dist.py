@@ -168,8 +168,8 @@ def sampling_digest(arrays) -> str:
 
 
 def run_workload(session, cfg: dict, *, workers=None) -> dict:
-    """The e2e query pair, timed; ``workers`` pins the local comparator
-    to the chunked stream the distributed merge reproduces."""
+    """The e2e query pair, timed; ``workers`` sets the local
+    comparator's pool size (envelopes are the same at any count)."""
     from repro.api import BoostQuery, SamplingBudget, SeedQuery
 
     budget = SamplingBudget(max_samples=cfg["max_samples"], workers=workers)

@@ -98,10 +98,10 @@ def make_seeds(cfg, graph):
     )
 
 
-def _collect(graph, seeds, cfg, master_seed=7):
+def _collect(graph, seeds, cfg, rng=7):
     return parallel_prr_collection(
         graph, seeds, cfg["k"], cfg["count"],
-        master_seed=master_seed, workers=cfg["workers"],
+        rng=rng, workers=cfg["workers"],
     )
 
 
@@ -115,7 +115,7 @@ def time_arm(graph, seeds, cfg, supervised: bool) -> float:
     try:
         shutdown_runtime()
         get_runtime(graph, cfg["workers"])
-        _collect(graph, seeds, cfg, master_seed=0)  # warm the workers
+        _collect(graph, seeds, cfg, rng=0)  # warm the workers
         best = float("inf")
         for _ in range(cfg["repeats"]):
             start = time.perf_counter()
@@ -149,13 +149,13 @@ def measure_recovery(graph, seeds, cfg) -> dict:
     """Kill one worker mid-run; measure the recovered run and assert the
     payload identity + supervision-counter contract."""
     reference = parallel_prr_collection(
-        graph, seeds, cfg["k"], cfg["count"], master_seed=7, workers=1
+        graph, seeds, cfg["k"], cfg["count"], rng=7, workers=1
     )
     reference_roots = [p.root for p in reference]
 
     shutdown_runtime()
     get_runtime(graph, cfg["workers"])
-    _collect(graph, seeds, cfg, master_seed=0)  # warm
+    _collect(graph, seeds, cfg, rng=0)  # warm
     start = time.perf_counter()
     healthy = _collect(graph, seeds, cfg)
     healthy_s = time.perf_counter() - start

@@ -323,7 +323,7 @@ def bench_scaling(cfg, results):
     for workers in (1, 2, 4, 8):
         runtime_s = best_seconds(
             lambda: parallel_prr_collection(
-                graph, seeds, k, count, master_seed=1, workers=workers
+                graph, seeds, k, count, rng=1, workers=workers
             ),
             cfg["repeats"],
         )

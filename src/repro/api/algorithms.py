@@ -96,7 +96,6 @@ def _boost_envelope(query, res) -> QueryResult:
             "delta": res.delta_estimate,
         },
         num_samples=res.num_samples,
-        timings={"select": res.elapsed_seconds},
         extra=extra,
         raw=res,
     )

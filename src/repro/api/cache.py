@@ -5,7 +5,7 @@ issued again and again against a slowly-changing graph.  A
 :class:`ResultCache` makes the repeat near-free by memoizing whole
 :class:`~repro.api.result.QueryResult` envelopes, keyed on
 
-``(query fingerprint, graph version, model, rng_seed, effective workers)``
+``(query fingerprint, graph version, model, rng_seed)``
 
 * the **fingerprint** already binds algorithm, parameters, budget
   (minus the ``workers`` execution hint), diffusion model, RNG seed and
@@ -13,12 +13,12 @@ issued again and again against a slowly-changing graph.  A
   the query,
 * the **graph version** (:attr:`repro.graphs.DiGraph.version`) is the
   invalidation signal: any in-place probability update bumps it and
-  every cached entry for the old graph silently becomes unreachable,
-* the **effective worker count** is in the key (but *not* the
-  fingerprint) because the samplers draw a different — equally valid —
-  stream through the chunked parallel path than through the serial one;
-  caching across worker counts would return a result the uncached run
-  could not reproduce.
+  every cached entry for the old graph silently becomes unreachable.
+
+Worker and host counts are not in the key: every sample is drawn from
+the query's RNG, so they change where an answer is computed, never the
+answer.  An entry cached at ``workers=1`` serves the same query at
+``workers=2`` or in a ``hosts=`` session.
 
 Only queries with an explicit ``rng_seed`` are cacheable: without one
 the query consumes ambient entropy and two runs are *supposed* to
@@ -43,7 +43,7 @@ from .result import QueryResult
 
 __all__ = ["ResultCache"]
 
-CacheKey = Tuple[str, int, str, int, int]
+CacheKey = Tuple[str, int, str, int]
 
 
 class ResultCache:
@@ -72,7 +72,7 @@ class ResultCache:
 
     @staticmethod
     def key_for(
-        fingerprint: str, graph_version: int, query, workers: int
+        fingerprint: str, graph_version: int, query
     ) -> Optional[CacheKey]:
         """The cache key of a stamped query, or ``None`` if uncacheable.
 
@@ -81,13 +81,7 @@ class ResultCache:
         """
         if query.rng_seed is None:
             return None
-        return (
-            fingerprint,
-            int(graph_version),
-            query.model,
-            int(query.rng_seed),
-            int(workers),
-        )
+        return (fingerprint, int(graph_version), query.model, int(query.rng_seed))
 
     def get(self, key: Optional[CacheKey]) -> Optional[QueryResult]:
         """The cached envelope under ``key`` (bumped to most-recent), or
@@ -129,8 +123,7 @@ class ResultCache:
         One line per entry, LRU order (least recent first, so a later
         :meth:`load` reconstructs the same eviction order)::
 
-            {"key": [fingerprint, graph_version, model, rng_seed,
-                     workers],
+            {"key": [fingerprint, graph_version, model, rng_seed],
              "result": {...QueryResult.to_dict()...}}
 
         The write is atomic (temp file + rename): a SIGTERM snapshot
@@ -161,7 +154,10 @@ class ResultCache:
         version: entries snapshotted under any other version are
         **dropped** — their results describe probabilities that no
         longer exist, and version-keyed lookups could never hit them
-        anyway.  Returns ``{"loaded": ..., "dropped": ...}``.  Entries
+        anyway.  So are entries of any other key shape, such as the
+        five-field keys (with a worker count) of older snapshots, which
+        may hold answers of the retired chunk-seeded sample stream.
+        Returns ``{"loaded": ..., "dropped": ...}``.  Entries
         beyond capacity evict LRU as usual; a missing file loads
         nothing.
         """
@@ -178,12 +174,12 @@ class ResultCache:
                     continue
                 entry = json.loads(line)
                 raw_key = entry["key"]
-                if len(raw_key) != 5:
+                if len(raw_key) != 4:
                     dropped += 1
                     continue
                 key: CacheKey = (
                     str(raw_key[0]), int(raw_key[1]), str(raw_key[2]),
-                    int(raw_key[3]), int(raw_key[4]),
+                    int(raw_key[3]),
                 )
                 if graph_version is not None and key[1] != int(graph_version):
                     dropped += 1

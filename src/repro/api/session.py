@@ -37,7 +37,7 @@ On top of that sits the serving tier:
   tag-multiplexed ``submit``/``gather`` — one query's selection phase
   runs while the others' samples are still being drawn.  Results are
   bit-identical to the serial path because every seeded query's
-  collection is a pure function of ``(count, rng_seed)``.
+  samples are drawn from its own ``rng_seed``-built generator.
 
 Queries are typed objects (:mod:`repro.api.queries`) dispatched through
 the string-keyed registry (:mod:`repro.api.registry`); every answer is a
@@ -172,8 +172,9 @@ class Session:
         per-call session never kills the warm pool between calls.
     cache:
         Optional :class:`ResultCache`.  Seeded queries whose fingerprint,
-        graph version, model, seed and effective worker count match a
-        previous run return the cached envelope without sampling.
+        graph version, model and seed match a previous run — at any
+        worker or host count — return the cached envelope without
+        sampling.
     admission:
         Optional :class:`AdmissionPolicy`.  Every query is priced before
         it runs; rejection raises :exc:`AdmissionRejected` (or yields a
@@ -347,12 +348,11 @@ class Session:
 
         Binds the query dict, its resolved budget *minus the ``workers``
         execution hint*, the graph signature and the package version.
-        Workers are excluded deliberately: the chunked parallel path and
-        the serial path draw different (equally valid) streams, so the
-        worker count is an execution detail tracked by the result cache's
-        key, not part of the query's semantic identity — fingerprints
-        are stable across worker counts, fresh sessions, and cache
-        on/off.
+        Workers are excluded because they only decide where samples are
+        evaluated: every sample is drawn from the query's RNG, so a
+        seeded query gets the same answer at any worker or host count.
+        Fingerprints are stable across worker counts, hosts, fresh
+        sessions, and cache on/off.
         """
         budget = self.resolve_budget(query).to_dict()
         budget.pop("workers", None)
@@ -550,20 +550,8 @@ class Session:
         """The result-cache key for ``query`` (None when uncacheable)."""
         if self.cache is None or query.rng_seed is None:
             return None
-        from ..core.parallel import resolve_sampler_workers
-
-        workers = resolve_sampler_workers(self.resolve_budget(query).workers)
-        if self._dist is not None:
-            # A hosts= session always samples through the chunked path,
-            # whose stream equals any local workers>1 run — key it as
-            # such so persisted entries stay honest about which stream
-            # they hold (host *count* never changes the stream).
-            workers = max(2, workers)
         return ResultCache.key_for(
-            self.fingerprint_for(query),
-            getattr(self.graph, "version", 0),
-            query,
-            workers,
+            self.fingerprint_for(query), getattr(self.graph, "version", 0), query
         )
 
     def _run_admitted(

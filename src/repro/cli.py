@@ -122,7 +122,7 @@ def _cmd_boost(args: argparse.Namespace) -> int:
     print(f"boost set      : {result.selected}")
     print(f"spread w/o B   : {sigma0:.1f}")
     print(f"boost (MC)     : {boost:.1f}  (+{100 * boost / sigma0:.1f}%)")
-    print(f"selection time : {result.timings['select']:.2f}s")
+    print(f"boost time     : {result.timings['total']:.2f}s")
     return 0
 
 

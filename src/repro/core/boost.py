@@ -34,11 +34,11 @@ from typing import FrozenSet, List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..engine import SamplingEngine
 from ..engine.coverage import CoverageIndex, csr_to_frozensets
 from ..graphs.digraph import DiGraph
 from ..im.greedy import legacy_greedy_max_coverage
 from ..im.imm import imm_sampling
+from . import parallel
 from .estimator import (
     CollectionStats,
     collection_stats,
@@ -48,8 +48,10 @@ from .estimator import (
     legacy_estimate_delta,
     legacy_greedy_delta_selection,
 )
-from .parallel import PARALLEL_MIN_SAMPLES, resolve_sampler_workers
-from .prr import PRRArena, PRRGraph, sample_prr_lanes
+from .parallel import resolve_sampler_workers
+from .prr import PRRArena, PRRGraph
+# Unused here, but perfbench/spans.py patches this name on this module.
+from .prr import sample_prr_lanes  # noqa: F401
 
 __all__ = [
     "BoostResult",
@@ -72,12 +74,13 @@ class PRRSampler:
     :class:`PRRGraph` views for object-based callers (e.g. the sandwich
     ratio experiments).
 
-    Sampling runs on the lane kernels (:func:`sample_prr_lanes`); with
-    ``workers > 1`` large extensions dispatch chunk jobs to the
-    shared-memory runtime (:mod:`repro.core.parallel`) and merge the
-    returned arena payloads.  All sampling forms consume the RNG
-    identically for a given request size, so the legacy and vectorized
-    selection arms stay sample-for-sample in sync either way.
+    Every draw goes through
+    :func:`~repro.core.parallel.parallel_prr_payloads`: the samples'
+    roots and world seeds come from ``rng``, and the lane kernels
+    evaluate them in process, on the shared-memory pool or on worker
+    hosts — the same arena payloads either way.  All sampling forms
+    consume the RNG identically for a given request size, so the legacy
+    and vectorized selection arms stay sample-for-sample in sync.
     """
 
     def __init__(
@@ -105,23 +108,10 @@ class PRRSampler:
     def _draw(self, rng: np.random.Generator, count: int) -> int:
         """Grow the arena by ``count`` samples; returns the start index."""
         start = len(self.arena)
-        from .parallel import distributed_sampling_active
-
-        # Distributed-bound graphs always take the chunked path (see
-        # RRSampler._draw_csr) so host counts cannot change the stream.
-        chunked = self.workers > 1 or distributed_sampling_active(self.graph)
-        if chunked and count >= PARALLEL_MIN_SAMPLES:
-            from .parallel import parallel_prr_payloads
-
-            base = int(rng.integers(np.iinfo(np.int64).max))
-            payloads = parallel_prr_payloads(
-                self.graph, self.seeds, self.k, count, base, self.workers
-            )
-            self.arena.extend_arena(PRRArena.from_payloads(payloads))
-        else:
-            sample_prr_lanes(
-                self.graph, self.seeds, self.k, rng, count, arena=self.arena
-            )
+        payloads = parallel.parallel_prr_payloads(
+            self.graph, self.seeds, self.k, count, rng, self.workers
+        )
+        self.arena.extend_arena(PRRArena.from_payloads(payloads))
         return start
 
     def sample(self, rng: np.random.Generator) -> FrozenSet[int]:
@@ -151,9 +141,9 @@ class PRRSampler:
 class CriticalSetSampler:
     """Sampler that generates only critical sets (PRR-Boost-LB fast path).
 
-    Lane-driven like :class:`PRRSampler`; with ``workers > 1`` large
-    extensions run on the shared-memory runtime.  ``statuses`` and
-    ``explored_edges`` keep the per-collection diagnostics either way.
+    Draws through :func:`~repro.core.parallel.parallel_critical_csr`,
+    like :class:`PRRSampler`.  ``statuses`` and ``explored_edges`` keep
+    the per-collection diagnostics.
     """
 
     def __init__(
@@ -168,25 +158,13 @@ class CriticalSetSampler:
         self.explored_edges = 0
         self.statuses = {"activated": 0, "hopeless": 0, "boostable": 0}
         self.workers = resolve_sampler_workers(workers)
-        self._engine = SamplingEngine.for_graph(graph)
 
     def _draw(self, rng: np.random.Generator, count: int):
         """``count`` samples as ``(status_codes, counts, values)`` CSR,
         with the diagnostics accumulated."""
-        from .parallel import distributed_sampling_active
-
-        chunked = self.workers > 1 or distributed_sampling_active(self.graph)
-        if chunked and count >= PARALLEL_MIN_SAMPLES:
-            from .parallel import parallel_critical_csr
-
-            base = int(rng.integers(np.iinfo(np.int64).max))
-            status, counts, values, explored = parallel_critical_csr(
-                self.graph, self.seeds, count, base, self.workers
-            )
-        else:
-            status, counts, values, explored = self._engine.critical_lane_csr(
-                self.seeds, rng, count
-            )
+        status, counts, values, explored = parallel.parallel_critical_csr(
+            self.graph, self.seeds, count, rng, self.workers
+        )
         self.explored_edges += int(explored.sum())
         tallies = np.bincount(status, minlength=3)
         for code, name in enumerate(PRRArena.status_names):

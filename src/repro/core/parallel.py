@@ -28,12 +28,18 @@ repeated use:
   segment — bytes, not pickled object graphs; small ones ride the result
   queue directly, which is cheaper than a segment round-trip.
 
-Determinism: chunking is a pure function of ``count`` and each chunk's
-RNG seed is spawned from its chunk id, so a collection depends only on
-``(count, master_seed)`` — not on worker count, scheduling, or whether
-the serial fallback ran.  The serial fallback (``workers <= 1``, or a
-platform without ``fork``) iterates the same chunks in-process without
-touching any pool machinery.
+Determinism: one sampling stream.  Every draw first takes all of its
+samples' ``(root, world_seed)`` pairs from the query's RNG, in the
+order the in-process lane kernels consume it
+(:func:`~repro.engine.lanes.draw_lane_inputs`), and evaluating a pair
+is a pure function.  Only then does :func:`_run_chunks` decide where
+the pairs are evaluated: in one in-process call (the default, and
+always below :data:`PARALLEL_MIN_SAMPLES`), or sliced into
+``(chunk_id, roots, world_seeds)`` jobs of at most :data:`CHUNK_SIZE`
+samples on the local pool or a bound distributed runtime, merged in
+chunk-id order.  A collection therefore depends only on the RNG state
+and ``count`` — never on worker count, host count, chunk size,
+scheduling, or whether a fallback ran.
 
 Fault tolerance: the same determinism contract is what makes the
 runtime *supervised* rather than merely fail-fast.  Workers announce
@@ -41,9 +47,9 @@ each chunk they pull (a claim message ahead of the result), so the
 collector knows chunk ownership; a liveness sweep detects dead workers,
 re-enqueues their unacknowledged chunks with bounded retries and
 exponential backoff (re-executing a chunk is bit-identical — it is a
-pure function of its id and seed), and respawns replacements against
-the already-published shared graph.  After too many consecutive worker
-deaths the runtime **degrades** instead of raising: remaining chunks run
+pure function of its roots and world seeds), and respawns replacements
+against the already-published shared graph.  After too many consecutive
+worker deaths the runtime **degrades** instead of raising: remaining chunks run
 serially in-process inside :meth:`SharedGraphRuntime.gather`, and later
 dispatches bypass the pool entirely — same results, no recovery storm.
 :meth:`SharedGraphRuntime.health` snapshots the supervision counters
@@ -75,8 +81,9 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import SamplingEngine
+from ..engine import LANE_WIDTH, SamplingEngine
 from ..engine.coverage import csr_to_frozensets
+from ..engine.lanes import draw_lane_inputs
 from ..graphs.digraph import CSRView, DiGraph
 from ..testing import faults
 from .prr import PRRArena, sample_prr_arena, sample_prr_lanes
@@ -91,7 +98,6 @@ __all__ = [
     "bind_distributed_runtime",
     "unbind_distributed_runtime",
     "distributed_runtime_for",
-    "distributed_sampling_active",
     "run_chunks_local",
     "get_runtime",
     "shutdown_runtime",
@@ -106,9 +112,9 @@ __all__ = [
 ]
 
 # Samples per streamed chunk: small enough that stragglers rebalance,
-# large enough that per-chunk overhead (seed spawn + one result ship)
-# stays negligible.  Chunks are lane batches, so CHUNK_SIZE is a multiple
-# of the lane width.
+# large enough that per-chunk overhead (one task and one result ship)
+# stays negligible.  Only where samples are evaluated depends on it,
+# never their values.
 CHUNK_SIZE = 256
 
 # Results below this many bytes ride the queue; larger ones go through a
@@ -162,25 +168,31 @@ def _resolve_workers(workers: int | None) -> int:
     return workers or min(os.cpu_count() or 1, 8)
 
 
-def _chunk_jobs(count: int, master_seed: int) -> List[Tuple[int, int, int]]:
-    """``(chunk_id, seed, size)`` jobs of at most :data:`CHUNK_SIZE` samples.
+Job = Tuple[int, np.ndarray, np.ndarray]  # (chunk_id, roots, world_seeds)
 
-    The chunking is a pure function of ``count`` (never of the worker
-    count), and each chunk's RNG seed is spawned from its chunk id — so
-    the merged collection depends only on ``(count, master_seed)``, no
-    matter how many workers ran or in which order chunks finished.
-    """
-    if count <= 0:
+
+def _draw(kind: str, n: int, rng, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``(root, world_seed)`` pair of a ``kind`` draw, taken from
+    ``rng`` (a Generator, or an int seed) in the order the in-process
+    lane kernel would take them: critical lanes draw per
+    :data:`~repro.engine.LANE_WIDTH` block, RR and PRR lanes in one."""
+    block = LANE_WIDTH if kind == "critical" else None
+    return draw_lane_inputs(np.random.default_rng(rng), n, count, block=block)
+
+
+def _chunk_jobs(roots: np.ndarray, world_seeds: np.ndarray) -> List[Job]:
+    """Contiguous ``(chunk_id, roots, world_seeds)`` slices of one draw,
+    each at most :data:`CHUNK_SIZE` samples.  Results merged in chunk-id
+    order equal one in-process evaluation of the whole draw."""
+    if roots.size == 0:
         return []
-    num_chunks = math.ceil(count / CHUNK_SIZE)
-    base, extra = divmod(count, num_chunks)
-    sizes = [base + (1 if i < extra else 0) for i in range(num_chunks)]
-    seq = np.random.SeedSequence(master_seed)
-    seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(num_chunks)]
+    num_chunks = math.ceil(roots.size / CHUNK_SIZE)
     return [
-        (cid, seed, size)
-        for cid, (seed, size) in enumerate(zip(seeds, sizes))
-        if size > 0
+        (cid, r, s)
+        for cid, (r, s) in enumerate(
+            zip(np.array_split(roots, num_chunks),
+                np.array_split(world_seeds, num_chunks))
+        )
     ]
 
 
@@ -429,25 +441,28 @@ def _graph_arrays(graph: DiGraph) -> Dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-def _run_task(graph, kind: str, seed: int, size: int, params) -> List[np.ndarray]:
-    """Sample one chunk on ``graph`` (a view in workers, the real graph in
-    the serial fallback) and return the result as a flat array list."""
-    rng = np.random.default_rng(seed)
+def _run_task(graph, kind: str, roots, world_seeds, params) -> List[np.ndarray]:
+    """Evaluate the samples of ``(roots, world_seeds)`` on ``graph`` (a
+    view in workers, the real graph in process) as a flat array list —
+    a pure function of its arguments."""
+    size = len(roots)
     if kind == "prr":
         seed_set, k = params
-        arena = sample_prr_lanes(graph, frozenset(seed_set), k, rng, size)
+        arena = sample_prr_lanes(
+            graph, frozenset(seed_set), k, None, size,
+            roots=roots, world_seeds=world_seeds,
+        )
         return list(arena.payload()[1:])  # n is implicit
+    engine = SamplingEngine.for_graph(graph)
     if kind == "critical":
         (seed_set,) = params
-        engine = SamplingEngine.for_graph(graph)
-        status, counts, values, explored = engine.critical_lane_csr(
-            frozenset(seed_set), rng, size
-        )
-        return [status, counts, values, explored]
+        return list(engine.critical_lane_csr(
+            frozenset(seed_set), None, size, roots=roots, world_seeds=world_seeds
+        ))
     if kind == "rr":
-        engine = SamplingEngine.for_graph(graph)
-        counts, values = engine.rr_lane_csr(rng, size)
-        return [counts, values]
+        return list(engine.rr_lane_csr(
+            None, size, roots=roots, world_seeds=world_seeds
+        ))
     raise ValueError(f"unknown task kind: {kind}")
 
 
@@ -473,7 +488,7 @@ def _worker_main(
         task = task_queue.get()
         if task is None:
             break
-        task_id, kind, seed, size, params = task
+        task_id, kind, roots, world_seeds, params = task
         chunk_index += 1
         if supervised:
             # Claim before computing: the collector learns chunk
@@ -500,7 +515,7 @@ def _worker_main(
         if action.drop:
             continue  # simulated lost result message
         try:
-            msg = _ship_result(_run_task(view, kind, seed, size, params))
+            msg = _ship_result(_run_task(view, kind, roots, world_seeds, params))
             result_queue.put(("res", worker_id, task_id, True, msg))
         except Exception as exc:  # surface, don't hang the master
             result_queue.put(("res", worker_id, task_id, False, repr(exc)))
@@ -572,10 +587,9 @@ class SharedGraphRuntime:
     :meth:`shutdown` (or interpreter exit) releases processes and shared
     memory.
 
-    Determinism is untouched by the multiplexing: chunking stays a pure
-    function of ``count`` and each chunk's RNG seed of its chunk id, so
-    a collection depends only on ``(count, master_seed)`` no matter how
-    many tags interleaved on the pool.
+    Determinism is untouched by the multiplexing: a job carries its
+    samples' roots and world seeds, and results come back in submission
+    order no matter how many tags interleaved on the pool.
     """
 
     def __init__(
@@ -627,9 +641,10 @@ class SharedGraphRuntime:
         self._pending: Dict[int, set] = {}      # tag -> outstanding cids
         self._order: Dict[int, List[int]] = {}  # tag -> submission cid order
         self._stash: Dict[int, Dict[int, List[np.ndarray]]] = {}
-        # tag -> (kind, params, {cid: (seed, size)}): what re-enqueue and
-        # the degraded serial fallback need to re-execute a chunk.
-        self._specs: Dict[int, Tuple[str, tuple, Dict[int, Tuple[int, int]]]] = {}
+        # tag -> (kind, params, {cid: (roots, world_seeds)}): what
+        # re-enqueue and the degraded serial fallback need to re-execute
+        # a chunk.
+        self._specs: Dict[int, Tuple[str, tuple, Dict[int, tuple]]] = {}
         self._inflight: Dict[int, Tuple[tuple, float]] = {}  # slot -> (task, t)
         self._task_retries: Dict[tuple, int] = {}
         self._deferred: List[tuple] = []  # heap of (due, seq, task_tuple)
@@ -678,10 +693,9 @@ class SharedGraphRuntime:
     # ------------------------------------------------------------------
     # Tagged submission API
     # ------------------------------------------------------------------
-    def submit(
-        self, kind: str, jobs: Sequence[Tuple[int, int, int]], params: tuple
-    ) -> int:
-        """Enqueue ``jobs`` (``(chunk_id, seed, size)``) under a fresh tag.
+    def submit(self, kind: str, jobs: Sequence[Job], params: tuple) -> int:
+        """Enqueue ``jobs`` (``(chunk_id, roots, world_seeds)``) under a
+        fresh tag.
 
         Non-blocking: returns the tag immediately; workers start pulling
         the chunks as soon as they go idle.  Thread-safe.
@@ -693,14 +707,14 @@ class SharedGraphRuntime:
                 raise RuntimeError(self._failure)
             tag = self._next_tag
             self._next_tag += 1
-            self._pending[tag] = {cid for cid, _seed, _size in jobs}
-            self._order[tag] = [cid for cid, _seed, _size in jobs]
+            self._pending[tag] = {cid for cid, _r, _s in jobs}
+            self._order[tag] = [cid for cid, _r, _s in jobs]
             self._stash[tag] = {}
             self._specs[tag] = (
-                kind, params, {cid: (seed, size) for cid, seed, size in jobs}
+                kind, params, {cid: (r, s) for cid, r, s in jobs}
             )
-        for cid, seed, size in jobs:
-            self._tasks.put(((tag, cid), kind, seed, size, params))
+        for cid, roots, world_seeds in jobs:
+            self._tasks.put(((tag, cid), kind, roots, world_seeds, params))
         return tag
 
     def gather(self, tag: int) -> List[List[np.ndarray]]:
@@ -721,7 +735,7 @@ class SharedGraphRuntime:
         raising."""
         failure = None
         while True:
-            serial: List[Tuple[int, int, int]] = []
+            serial: List[Job] = []
             with self._cv:
                 if self._failure is not None:
                     failure = self._failure
@@ -745,15 +759,15 @@ class SharedGraphRuntime:
                     pending.clear()
                 else:
                     self._cv.wait(timeout=0.5)
-            for cid, seed, size in serial:
-                arrays = _run_task(self.graph, kind, seed, size, params)
+            for cid, roots, world_seeds in serial:
+                arrays = _run_task(self.graph, kind, roots, world_seeds, params)
                 with self._cv:
                     self._stash[tag][cid] = arrays
         self.shutdown()
         raise RuntimeError(failure)
 
     def run(
-        self, kind: str, jobs: Sequence[Tuple[int, int, int]], params: tuple
+        self, kind: str, jobs: Sequence[Job], params: tuple
     ) -> List[List[np.ndarray]]:
         """Execute ``jobs`` and return their results in submission order
         (one-shot :meth:`submit` + :meth:`gather`)."""
@@ -791,11 +805,12 @@ class SharedGraphRuntime:
         if spec is None:  # pragma: no cover - tag abandoned meanwhile
             return
         kind, params, chunkmap = spec
-        seed, size = chunkmap[cid]
+        roots, world_seeds = chunkmap[cid]
         due = time.monotonic() + self.retry_backoff * (2 ** (retries - 1))
         heapq.heappush(
             self._deferred,
-            (due, next(self._deferred_seq), (task_id, kind, seed, size, params)),
+            (due, next(self._deferred_seq),
+             (task_id, kind, roots, world_seeds, params)),
         )
 
     def _service_deferred(self) -> None:
@@ -1086,8 +1101,8 @@ def runtime_health(graph=None) -> Optional[RuntimeHealth]:
 # Graphs with a multi-host sampling runtime attached (repro.dist) are
 # registered here so the chunk executor below can route batch work to
 # the coordinator without this module ever importing repro.dist (dist
-# imports parallel for the chunking/payload contract — the dependency
-# only points one way).  The registry holds anything duck-typed like
+# imports parallel for the job/payload contract — the dependency only
+# points one way).  The registry holds anything duck-typed like
 # DistributedRuntime: ``.run(kind, jobs, params)``, ``.active``,
 # ``.degraded`` and ``.health()``.
 _DIST_RUNTIMES: Dict[int, Any] = {}
@@ -1097,9 +1112,9 @@ _DIST_LOCK = threading.Lock()
 def bind_distributed_runtime(graph, runtime) -> None:
     """Route ``graph``'s chunked sampling through ``runtime``.
 
-    Subsequent multi-chunk dispatches (``parallel_rr_csr`` and friends)
-    go to the distributed coordinator instead of the local pool while
-    the binding holds.  One binding per graph; rebinding replaces."""
+    Subsequent dispatched draws (``parallel_rr_csr`` and friends) go to
+    the distributed coordinator instead of the local pool while the
+    binding holds.  One binding per graph; rebinding replaces."""
     with _DIST_LOCK:
         _DIST_RUNTIMES[id(graph)] = runtime
 
@@ -1112,23 +1127,9 @@ def unbind_distributed_runtime(graph) -> bool:
 
 def distributed_runtime_for(graph) -> Optional[Any]:
     """The distributed runtime bound to ``graph``, if any (even a
-    degraded one — the sampler dispatch gate keys off the *binding* so a
-    session keeps drawing the chunked stream after degradation)."""
+    degraded one, so health reports keep describing it)."""
     with _DIST_LOCK:
         return _DIST_RUNTIMES.get(id(graph))
-
-
-def distributed_sampling_active(graph) -> bool:
-    """Whether samplers should take the chunked path for ``graph``
-    regardless of their local ``workers`` setting.
-
-    True whenever a distributed runtime is bound — including after it
-    degraded to the local fallback — so every query of a ``hosts=``
-    session draws the same chunk-seeded sample stream.  (Chunked results
-    are a pure function of ``(count, master_seed)``, so this stream is
-    identical to any local ``workers > 1`` run.)
-    """
-    return distributed_runtime_for(graph) is not None
 
 
 # LIFO atexit: the reaper is registered first so it runs *after* the
@@ -1139,27 +1140,33 @@ atexit.register(shutdown_runtime)
 
 
 def _run_chunks(
-    graph: DiGraph,
-    kind: str,
-    jobs: Sequence[Tuple[int, int, int]],
-    params: tuple,
-    workers: int,
+    graph: DiGraph, kind: str, rng, count: int, params: tuple, workers: int
 ) -> List[List[np.ndarray]]:
-    """Run chunk jobs on the distributed runtime (when one is bound to
-    ``graph``), else the local shared runtime, else serially in-process —
-    same chunks, same seeds, same results on every path.  A **degraded**
-    runtime (supervision gave up on its hosts/pool) is bypassed the same
-    way: the next tier down is the graceful floor."""
-    dist = distributed_runtime_for(graph)
-    if dist is not None and len(jobs) > 1 and getattr(dist, "active", False):
-        return dist.run(kind, jobs, params)
-    return run_chunks_local(graph, kind, jobs, params, workers)
+    """Draw ``count`` samples of ``kind`` from ``rng`` and evaluate them.
+
+    The one dispatch decision of every sampler.  The whole draw runs as
+    one in-process call, unless it has at least
+    :data:`PARALLEL_MIN_SAMPLES` samples and either a distributed
+    runtime is active for ``graph`` or ``workers > 1`` with fork; then
+    its :func:`_chunk_jobs` run there and come back in chunk order.  The
+    pairs are drawn before the decision, so every path returns the same
+    arrays; a degraded runtime is bypassed the same way.
+    """
+    roots, world_seeds = _draw(kind, graph.n, rng, count)
+    if count >= PARALLEL_MIN_SAMPLES:
+        dist = distributed_runtime_for(graph)
+        jobs = _chunk_jobs(roots, world_seeds)
+        if dist is not None and dist.active:
+            return dist.run(kind, jobs, params)
+        if workers > 1 and fork_available():
+            return run_chunks_local(graph, kind, jobs, params, workers)
+    return [_run_task(graph, kind, roots, world_seeds, params)]
 
 
 def run_chunks_local(
     graph: DiGraph,
     kind: str,
-    jobs: Sequence[Tuple[int, int, int]],
+    jobs: Sequence[Job],
     params: tuple,
     workers: int,
 ) -> List[List[np.ndarray]]:
@@ -1174,76 +1181,54 @@ def run_chunks_local(
         if not rt.degraded:
             return rt.run(kind, jobs, params)
     return [
-        _run_task(graph, kind, seed, size, params) for _cid, seed, size in jobs
+        _run_task(graph, kind, roots, world_seeds, params)
+        for _cid, roots, world_seeds in jobs
     ]
+
+
+def _columns(parts: List[List[np.ndarray]]) -> tuple:
+    """Chunk results joined array by array, in chunk order."""
+    if len(parts) == 1:
+        return tuple(parts[0])
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ----------------------------------------------------------------------
 # Public sampling entry points
 # ----------------------------------------------------------------------
+# Each takes the query's RNG (a Generator, or an int seed) and returns
+# the samples the in-process lane kernel draws from it, at any worker
+# count, host count or chunk size.  ``workers=None`` means one per core.
+def parallel_prr_payloads(
+    graph: DiGraph,
+    seeds,
+    k: int,
+    count: int,
+    rng=0,
+    workers: int | None = None,
+) -> List[tuple]:
+    """Chunk-ordered arena payloads for ``count`` PRR-graphs — the form
+    :class:`repro.core.boost.PRRSampler` merges into its arena."""
+    params = (tuple(frozenset(int(s) for s in seeds)), k)
+    parts = _run_chunks(
+        graph, "prr", rng, count, params, _resolve_workers(workers)
+    )
+    return [(graph.n, *arrays) for arrays in parts]
+
+
 def parallel_prr_collection(
     graph: DiGraph,
     seeds,
     k: int,
     count: int,
-    master_seed: int = 0,
+    rng=0,
     workers: int | None = None,
 ) -> PRRArena:
-    """Sample ``count`` PRR-graphs into one arena across the runtime.
-
-    The collection is a pure function of ``(count, master_seed)`` —
-    independent of worker count, including the serial fallback.  The
-    result is a :class:`PRRArena`; index it for :class:`PRRGraph` views
-    or feed it directly to the vectorized estimators.
-    """
-    seed_set = frozenset(int(s) for s in seeds)
-    jobs = _chunk_jobs(count, master_seed)
-    if not jobs:
-        return PRRArena(graph.n)
-    parts = _run_chunks(
-        graph, "prr", jobs, (tuple(seed_set), k), _resolve_workers(workers)
-    )
-    return PRRArena.from_payloads([(graph.n, *arrays) for arrays in parts])
-
-
-def parallel_critical_sets(
-    graph: DiGraph,
-    seeds,
-    count: int,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> List[FrozenSet[int]]:
-    """Sample ``count`` critical sets (the PRR-Boost-LB payload) in parallel."""
-    seed_set = frozenset(int(s) for s in seeds)
-    jobs = _chunk_jobs(count, master_seed)
-    parts = _run_chunks(
-        graph, "critical", jobs, (tuple(seed_set),), _resolve_workers(workers)
-    )
-    out: List[FrozenSet[int]] = []
-    for _status, counts, values, _explored in parts:
-        out.extend(csr_to_frozensets(counts, values))
-    return out
-
-
-def parallel_rr_csr(
-    graph: DiGraph,
-    count: int,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sample ``count`` RR-sets as one ``(counts, values)`` CSR.
-
-    The shape :meth:`repro.engine.coverage.CoverageIndex.extend_csr`
-    ingests — the parallel backend of
-    :meth:`repro.im.rr.RRSampler.sample_into`.
-    """
-    jobs = _chunk_jobs(count, master_seed)
-    if not jobs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    parts = _run_chunks(graph, "rr", jobs, (), _resolve_workers(workers))
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
+    """Sample ``count`` PRR-graphs into one :class:`PRRArena`; index it
+    for :class:`PRRGraph` views or feed it directly to the vectorized
+    estimators."""
+    return PRRArena.from_payloads(
+        parallel_prr_payloads(graph, seeds, k, count, rng, workers)
     )
 
 
@@ -1251,48 +1236,43 @@ def parallel_critical_csr(
     graph: DiGraph,
     seeds,
     count: int,
-    master_seed: int = 0,
+    rng=0,
     workers: int | None = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` critical sets as ``(status_codes, counts, values,
-    explored)`` — the array-shaped sibling of
-    :func:`parallel_critical_sets` used by the samplers."""
-    seed_set = frozenset(int(s) for s in seeds)
-    jobs = _chunk_jobs(count, master_seed)
-    if not jobs:
-        return (
-            np.empty(0, dtype=np.int8),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    parts = _run_chunks(
-        graph, "critical", jobs, (tuple(seed_set),), _resolve_workers(workers)
-    )
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-        np.concatenate([p[3] for p in parts]),
-    )
+    """``count`` critical sets (the PRR-Boost-LB payload) as
+    ``(status_codes, counts, values, explored)``."""
+    params = (tuple(frozenset(int(s) for s in seeds)),)
+    return _columns(_run_chunks(
+        graph, "critical", rng, count, params, _resolve_workers(workers)
+    ))
 
 
-def parallel_prr_payloads(
+def parallel_critical_sets(
     graph: DiGraph,
     seeds,
-    k: int,
     count: int,
-    master_seed: int = 0,
+    rng=0,
     workers: int | None = None,
-) -> List[tuple]:
-    """Chunk-ordered arena payloads for ``count`` PRR-graphs — the form
-    :meth:`repro.core.boost.PRRSampler.sample_into` merges incrementally."""
-    seed_set = frozenset(int(s) for s in seeds)
-    jobs = _chunk_jobs(count, master_seed)
-    parts = _run_chunks(
-        graph, "prr", jobs, (tuple(seed_set), k), _resolve_workers(workers)
+) -> List[FrozenSet[int]]:
+    """:func:`parallel_critical_csr` as one frozenset per sample."""
+    _status, counts, values, _explored = parallel_critical_csr(
+        graph, seeds, count, rng, workers
     )
-    return [(graph.n, *arrays) for arrays in parts]
+    return csr_to_frozensets(counts, values)
+
+
+def parallel_rr_csr(
+    graph: DiGraph,
+    count: int,
+    rng=0,
+    workers: int | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample ``count`` RR-sets as one ``(counts, values)`` CSR — the
+    shape :meth:`repro.engine.coverage.CoverageIndex.extend_csr`
+    ingests."""
+    return _columns(
+        _run_chunks(graph, "rr", rng, count, (), _resolve_workers(workers))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,7 @@ from ..engine import SamplingEngine
 from ..engine import world as engine_world
 from ..engine.batch import ACTIVATED, BOOSTABLE, HOPELESS, PhaseOneResult
 from ..engine.hashing import hash_draw as _hash_draw
+from ..engine.lanes import draw_lane_inputs
 from ..engine.traversal import grow_reachable
 
 from ..graphs.digraph import DiGraph
@@ -368,33 +369,17 @@ def sample_prr_lanes(
     fixed by hashing a per-lane seed, so sample ``i`` is bit-for-bit the
     graph :func:`sample_prr_graph` returns for ``root=roots[i],
     world_seed=world_seeds[i]`` (``tests/test_lanes.py`` pins this).
-    Roots and world seeds default to two upfront draws from ``rng``
-    (uniform roots, uniform seeds) — a different, equally valid stream
-    than :func:`sample_prr_arena`, which stays the RNG-consumption oracle.
-    Compression lands straight in the arena; no per-sample Python objects.
+    Roots and world seeds not passed in are two upfront draws from
+    ``rng`` (:func:`~repro.engine.lanes.draw_lane_inputs`) — a different,
+    equally valid stream than :func:`sample_prr_arena`, which stays the
+    RNG-consumption oracle.  Compression lands straight in the arena; no
+    per-sample Python objects.
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)
     if arena is None:
         arena = PRRArena(graph.n)
-    if roots is None:
-        if rng is None:
-            raise ValueError("rng is required when roots are not given")
-        all_roots = rng.integers(graph.n, size=count)
-    else:
-        if len(roots) < count:
-            raise ValueError(f"need {count} roots, got {len(roots)}")
-        all_roots = np.asarray(roots, dtype=np.int64)[:count]
-    if world_seeds is None:
-        if rng is None:
-            raise ValueError("rng is required when world_seeds are not given")
-        all_seeds = rng.integers(
-            np.iinfo(np.int64).max, size=count, dtype=np.int64
-        ).astype(np.uint64)
-    else:
-        if len(world_seeds) < count:
-            raise ValueError(f"need {count} world_seeds, got {len(world_seeds)}")
-        all_seeds = np.asarray(world_seeds).astype(np.uint64)[:count]
+    all_roots, all_seeds = draw_lane_inputs(rng, graph.n, count, roots, world_seeds)
     done = 0
     while done < count:
         b = min(lane_width, count - done)

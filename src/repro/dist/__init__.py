@@ -18,11 +18,12 @@ sample chunks across worker *hosts*:
   (bounded re-assignment on loss, degraded fallback to the local
   runtime) and merges results deterministically.
 
-The determinism contract is the same ``(count, master_seed)`` purity the
-local runtime guarantees: every chunk is a pure function of its
-``(chunk_id, seed)``, the gatherer restores submission order, so results
-are bit-identical to the serial and single-host paths regardless of host
-count, chunk interleaving, or which host computed what.
+The determinism contract is the one the local runtime keeps: every
+chunk carries the roots and world seeds its samples were drawn with
+from the query's RNG, evaluating them is a pure function, and the
+gatherer restores submission order — so results are bit-identical to
+the in-process and single-host paths regardless of host count, chunk
+interleaving, or which host computed what.
 """
 
 from .coordinator import DistributedRuntime, parse_hosts

@@ -10,10 +10,12 @@ workers:
   to the worker capacity it reported at handshake, refilled as results
   stream back, so fast hosts naturally take more of the tail (the same
   dynamic balance the local runtime's shared queue gives).
-* **Deterministic merge** — results are stashed by ``chunk_id`` and
-  reassembled in submission order, so the merged payload is
-  bit-identical to the serial and single-host paths regardless of host
-  count, chunk interleaving, or which host computed what.
+* **Deterministic merge** — every job carries its samples' roots and
+  world seeds, drawn from the query's RNG before dispatch; results are
+  stashed by ``chunk_id`` and reassembled in submission order, so the
+  merged payload is bit-identical to the in-process and single-host
+  paths regardless of host count, chunk interleaving, or which host
+  computed what.
 * **Supervision** (the host-level analogue of the local pool's worker
   supervision) — a lost connection re-assigns that host's outstanding
   chunks to the survivors, each chunk at most ``max_chunk_retries``
@@ -37,6 +39,7 @@ import numpy as np
 
 from ..core.parallel import (
     MAX_TASK_RETRIES,
+    Job,
     RuntimeHealth,
     _resolve_workers,
     run_chunks_local,
@@ -306,8 +309,7 @@ class DistributedRuntime:
                     if assigned >= host.window:
                         continue
                     task = self._queue.popleft()
-                    tag, cid, _seed, _size, _kind, _params = task
-                    host.outstanding[(tag, cid)] = task
+                    host.outstanding[(task[0], task[1])] = task
                     batches.setdefault(idx, []).append(task)
                     progress = True
             assignments = [
@@ -321,16 +323,14 @@ class DistributedRuntime:
             try:
                 with host.send_lock:
                     for tag, tasks in by_tag.items():
-                        _t, _c, _s, _z, kind, params = tasks[0]
+                        _t, _c, _r, _s, kind, params = tasks[0]
                         send_msg(host.sock, {
                             "type": "chunks",
                             "tag": tag,
                             "kind": kind,
                             "params": list(params),
-                            "jobs": [[cid, seed, size]
-                                     for _tag, cid, seed, size, _k, _p
-                                     in tasks],
-                        })
+                            "jobs": [task[1] for task in tasks],
+                        }, [a for task in tasks for a in task[2:4]])
             except (OSError, ValueError):
                 self._host_lost(host)
 
@@ -355,23 +355,24 @@ class DistributedRuntime:
     def alive_capacity(self) -> int:
         return sum(h.workers for h in self._hosts if h.alive)
 
-    def submit(self, kind: str, jobs: Sequence[Tuple[int, int, int]],
-               params: tuple) -> int:
-        """Queue chunk jobs for the hosts; returns the gather tag."""
+    def submit(self, kind: str, jobs: Sequence[Job], params: tuple) -> int:
+        """Queue ``(chunk_id, roots, world_seeds)`` jobs for the hosts;
+        returns the gather tag."""
         with self._cv:
             if self._closed:
                 raise RuntimeError("distributed runtime is shut down")
             tag = self._next_tag
             self._next_tag += 1
-            self._order[tag] = [cid for cid, _seed, _size in jobs]
-            self._pending[tag] = {cid for cid, _seed, _size in jobs}
+            self._order[tag] = [cid for cid, _r, _s in jobs]
+            self._pending[tag] = {cid for cid, _r, _s in jobs}
             self._stash[tag] = {}
             self._specs[tag] = (
-                kind, params,
-                {cid: (seed, size) for cid, seed, size in jobs},
+                kind, params, {cid: (r, s) for cid, r, s in jobs},
             )
-            for cid, seed, size in jobs:
-                self._queue.append((tag, cid, seed, size, kind, params))
+            for cid, roots, world_seeds in jobs:
+                self._queue.append(
+                    (tag, cid, roots, world_seeds, kind, params)
+                )
         self._dispatch()
         return tag
 
@@ -404,7 +405,7 @@ class DistributedRuntime:
                     self._fallback_workers,
                 )
                 with self._cv:
-                    for (cid, _seed, _size), arrays in zip(claimed, parts):
+                    for (cid, _roots, _seeds), arrays in zip(claimed, parts):
                         self._stash[tag][cid] = arrays
                         self._pending[tag].discard(cid)
                     self._cv.notify_all()
@@ -415,7 +416,7 @@ class DistributedRuntime:
             self._specs.pop(tag)
         return [stash[cid] for cid in order]
 
-    def _claim_locked(self, tag: int) -> List[Tuple[int, int, int]]:
+    def _claim_locked(self, tag: int) -> List[Job]:
         """Claim ``tag``'s unanswered chunks for local execution
         (degraded path).  Rebuilt from the submission spec — complete
         even for a chunk lost in a send race — and purged from the
@@ -431,7 +432,7 @@ class DistributedRuntime:
         )
         return claimed
 
-    def run(self, kind: str, jobs: Sequence[Tuple[int, int, int]],
+    def run(self, kind: str, jobs: Sequence[Job],
             params: tuple) -> List[List[np.ndarray]]:
         """submit + gather in one call (what the chunk executor uses)."""
         return self.gather(self.submit(kind, jobs, params))

@@ -10,9 +10,10 @@ describing the raw, C-contiguous numpy buffers concatenated after it —
 the same flat-array payloads :func:`repro.core.parallel._ship_result`
 moves between local worker processes, reused here so a remote chunk
 result is byte-for-byte the array list the local runtime would have
-produced.  Numbers stay exact: seeds and sizes are plain ints (chunk
-seeds are ``SeedSequence`` 32-bit words), and array payloads never round
-through JSON.
+produced.  A ``chunks`` frame's header lists the job ids; its arrays are
+each job's sample inputs, roots (int64) then world seeds (uint64), two
+per job in job order.  Array payloads never round through JSON, so the
+world seeds stay exact 64-bit words.
 
 Handshake: the coordinator opens with ``hello`` carrying the protocol
 version, a **graph fingerprint** (``n``, ``m`` and the rounded
@@ -32,6 +33,10 @@ Message types
 ``chunk_error``  worker → coordinator: a chunk raised (deterministic
                  failures fail fast — retrying elsewhere reproduces them)
 ``bye``          coordinator → worker: session over, close the connection
+
+A worker answers a malformed ``chunks`` frame (missing keys, unknown
+kind, bad params, job arrays that do not match the jobs, roots outside
+the graph) with an ``error`` frame and closes that session only.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ __all__ = [
     "store_digest",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # A header is a few hundred bytes of JSON; anything larger is a corrupt
 # stream (or not this protocol at all) and should fail fast rather than
@@ -112,11 +117,16 @@ def recv_msg(
         raise ProtocolError("connection closed mid-frame")
     try:
         header = json.loads(bytes(raw).decode("utf-8"))
-    except ValueError as exc:  # pragma: no cover - corrupt peer
+        table = [
+            (np.dtype(dtype_str), tuple(int(d) for d in shape))
+            for dtype_str, shape in header.get("arrays", ())
+        ]
+    except (ValueError, TypeError, AttributeError) as exc:
         raise ProtocolError(f"undecodable header: {exc}") from exc
     arrays: List[np.ndarray] = []
-    for dtype_str, shape in header.get("arrays", ()):
-        dt = np.dtype(dtype_str)
+    for dt, shape in table:
+        if dt.hasobject or min(shape, default=0) < 0:
+            raise ProtocolError(f"bad array spec {dt.str} {list(shape)}")
         size = int(np.prod(shape, dtype=np.int64))
         nbytes = size * dt.itemsize
         if nbytes:

@@ -12,8 +12,10 @@ Chunks are executed through
 :func:`repro.core.parallel.run_chunks_local`, i.e. the host's own
 shared-memory :class:`~repro.core.parallel.SharedGraphRuntime` when it
 has cores to spare — so a cluster multiplies cores × hosts while every
-chunk remains the pure ``(chunk_id, seed)`` function the determinism
-contract needs.  The local pool stays warm across coordinator sessions.
+chunk remains a pure function of the roots and world seeds it carries,
+which is what the determinism contract needs.  The local pool stays
+warm across coordinator sessions.  A malformed ``chunks`` frame gets an
+``error`` frame back and ends only its own session.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import os
 import socket
 import threading
 from typing import Any, Dict, Optional
+
+import numpy as np
 
 from ..core.parallel import (
     _resolve_workers,
@@ -52,17 +56,48 @@ def _resolve_local_workers(workers: Optional[int]) -> int:
     return _resolve_workers(None)
 
 
-def _decode_params(kind: str, params) -> tuple:
+def _decode_params(kind, params, n: int) -> tuple:
     """Rebuild the chunk-task params tuple from its JSON form."""
     if kind == "prr":
         seed_set, k = params
-        return (tuple(int(s) for s in seed_set), int(k))
-    if kind == "critical":
+        decoded = (tuple(int(s) for s in seed_set), int(k))
+        if decoded[1] < 0:
+            raise ValueError(f"negative k {decoded[1]}")
+    elif kind == "critical":
         (seed_set,) = params
-        return (tuple(int(s) for s in seed_set),)
-    if kind == "rr":
+        decoded = (tuple(int(s) for s in seed_set),)
+    elif kind == "rr" and not params:
         return ()
-    raise ProtocolError(f"unknown task kind: {kind!r}")
+    else:
+        raise ValueError(f"unknown task kind {kind!r} or its params {params!r}")
+    if not all(0 <= s < n for s in decoded[0]):
+        raise ValueError(f"seed ids outside [0, {n})")
+    return decoded
+
+
+def _decode_chunks(header, arrays, n: int):
+    """``(tag, kind, params, jobs)`` of a ``chunks`` frame over a graph of
+    ``n`` nodes; a malformed frame raises :class:`ProtocolError`."""
+    try:
+        tag = int(header["tag"])
+        kind = header["kind"]
+        params = _decode_params(kind, header["params"], n)
+        cids = [int(cid) for cid in header["jobs"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed chunks frame: {exc}") from exc
+    if len(arrays) != 2 * len(cids):
+        raise ProtocolError(
+            f"{len(cids)} jobs need {2 * len(cids)} arrays, got {len(arrays)}"
+        )
+    jobs = list(zip(cids, arrays[0::2], arrays[1::2]))
+    for cid, roots, world_seeds in jobs:
+        if (roots.dtype != np.int64 or world_seeds.dtype != np.uint64
+                or roots.ndim != 1 or roots.shape != world_seeds.shape):
+            raise ProtocolError(f"job {cid}: arrays are not matching "
+                                "int64 roots and uint64 world seeds")
+        if roots.size and (roots.min() < 0 or roots.max() >= n):
+            raise ProtocolError(f"job {cid}: roots outside [0, {n})")
+    return tag, kind, params, jobs
 
 
 def _serve_connection(conn, graph, identity, workers: int, stats,
@@ -122,19 +157,19 @@ def _serve_connection(conn, graph, identity, workers: int, stats,
         msg = _next_msg()
         if msg is None:
             return
-        header, _arrays = msg
-        mtype = header.get("type")
-        if mtype == "bye":
+        header, arrays = msg
+        if header.get("type") == "bye":
             return
-        if mtype != "chunks":
-            raise ProtocolError(f"unexpected message type {mtype!r}")
-        tag = header["tag"]
-        kind = header["kind"]
-        params = _decode_params(kind, header.get("params", []))
-        jobs = [
-            (int(cid), int(seed), int(size))
-            for cid, seed, size in header["jobs"]
-        ]
+        try:
+            if header.get("type") != "chunks":
+                raise ProtocolError(
+                    f"unexpected message type {header.get('type')!r}"
+                )
+            tag, kind, params, jobs = _decode_chunks(header, arrays, graph.n)
+        except ProtocolError as exc:
+            send_msg(conn, {"type": "error", "detail": str(exc)})
+            stats["errors"] += 1
+            return
         try:
             parts = run_chunks_local(graph, kind, jobs, params, workers)
         except Exception as exc:  # deterministic failures fail fast
@@ -146,7 +181,7 @@ def _serve_connection(conn, graph, identity, workers: int, stats,
             })
             stats["errors"] += 1
             continue
-        for (cid, _seed, _size), arrays in zip(jobs, parts):
+        for (cid, _roots, _seeds), arrays in zip(jobs, parts):
             send_msg(
                 conn, {"type": "result", "tag": tag, "cid": cid}, arrays
             )

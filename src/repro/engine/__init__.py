@@ -55,8 +55,8 @@ rebuilds its private engine from them — no master-side engine state is
 shared, so a respawn (or the degraded in-process serial fallback) cannot
 observe, or corrupt, another thread's scratch.  Re-executed chunks are
 bit-identical because every chunk's samples are a pure function of
-``(chunk_id, master_seed)`` through the hash-based RNG — no engine
-instance, thread, or process identity leaks into the draw.
+the roots and world seeds it carries, through the hash-based worlds —
+no engine instance, thread, or process identity leaks into the draw.
 """
 
 from .batch import SamplingEngine, STATUS_NAMES

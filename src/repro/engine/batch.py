@@ -55,6 +55,8 @@ from .lanes import (
     RR_LANE_WIDTH,
     LanePhase1,
     critical_lanes,
+    draw_lane_inputs,
+    draw_lane_seeds,
     prr_phase1_lanes,
     rr_member_lanes,
 )
@@ -367,13 +369,6 @@ class SamplingEngine:
         r = int(rng.integers(self.n)) if root is None else int(root)
         return self._rr_members(rng, r, strict=strict)
 
-    def _draw_lane_seeds(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Per-lane world seeds: ``count`` uniform non-negative int64 draws
-        (hashing treats them as uint64)."""
-        return rng.integers(_INT64_MAX, size=count, dtype=np.int64).astype(
-            np.uint64
-        )
-
     # Mean members per sample above which lane batching stops paying off:
     # dense traversals are array-work bound, so the single-sample hashed
     # loop evaluates them with less key arithmetic.  The choice only
@@ -417,18 +412,20 @@ class SamplingEngine:
 
     def rr_lane_csr(
         self,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         count: int,
         roots: Sequence[int] | None = None,
+        world_seeds: Sequence[int] | None = None,
         lane_width: int = RR_LANE_WIDTH,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``count`` RR-sets via the lane kernel, as a ``(counts, members)``
         CSR — the shape :meth:`CoverageIndex.extend_csr` ingests directly.
 
-        Roots (uniform unless ``roots`` is given) and per-sample world
-        seeds are drawn from ``rng`` upfront — two generator calls total —
-        after which sample ``i`` is a pure function of ``(roots[i],
-        seeds[i])``: the RR-set of that root in that hashed world.  The
+        Roots (uniform) and per-sample world seeds not passed in are drawn
+        from ``rng`` upfront — two generator calls total, see
+        :func:`~repro.engine.lanes.draw_lane_inputs` — after which sample
+        ``i`` is a pure function of ``(roots[i], world_seeds[i])``: the
+        RR-set of that root in that hashed world.  The
         lane kernel evaluates ``lane_width`` samples per frontier step;
         on graphs whose RR-sets come back dense (mean size above
         :data:`RR_DENSE_CUTOFF`, learned from the first batch and cached
@@ -439,15 +436,9 @@ class SamplingEngine:
         """
         if count <= 0:
             return _EMPTY_I64, _EMPTY_I64
-        if roots is None:
-            all_roots = rng.integers(self.n, size=count)
-        else:
-            if len(roots) < count:
-                raise ValueError(
-                    f"need {count} roots, got {len(roots)}"
-                )
-            all_roots = np.asarray(roots, dtype=np.int64)[:count]
-        all_seeds = self._draw_lane_seeds(rng, count)
+        all_roots, all_seeds = draw_lane_inputs(
+            rng, self.n, count, roots, world_seeds
+        )
         count_parts: List[np.ndarray] = []
         value_parts: List[np.ndarray] = []
         done = 0
@@ -626,7 +617,7 @@ class SamplingEngine:
         done = 0
         while done < runs:
             b = min(lane_width, runs - done)
-            s, _c, _v = run(self._draw_lane_seeds(rng, b))
+            s, _c, _v = run(draw_lane_seeds(rng, b))
             sizes[done : done + b] = s
             done += b
         return sizes
@@ -667,7 +658,7 @@ class SamplingEngine:
         done = 0
         while done < count:
             b = min(lane_width, count - done)
-            _s, c, v = run(self._draw_lane_seeds(rng, b), members=True)
+            _s, c, v = run(draw_lane_seeds(rng, b), members=True)
             count_parts.append(c)
             value_parts.append(v)
             done += b
@@ -714,7 +705,7 @@ class SamplingEngine:
         done = 0
         while done < runs:
             b = min(CASCADE_LANE_WIDTH, runs - done)
-            lane_seeds = self._draw_lane_seeds(rng, b)
+            lane_seeds = draw_lane_seeds(rng, b)
             with_b, _c, _v = run_boosted(lane_seeds)
             base, _c, _v = run_base(lane_seeds)
             total += int((with_b - base).sum())
@@ -905,9 +896,10 @@ class SamplingEngine:
     def critical_lane_csr(
         self,
         seeds,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         count: int,
         roots: Sequence[int] | None = None,
+        world_seeds: Sequence[int] | None = None,
         lane_width: int = LANE_WIDTH,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``count`` critical-set samples via the lane kernel.
@@ -916,40 +908,25 @@ class SamplingEngine:
         codes (index :data:`STATUS_NAMES` for the string form), the
         critical sets as a lane-grouped ``(counts, members)`` CSR, and the
         per-sample explored-edge counters.  Distribution matches
-        :meth:`critical_set`; worlds are hashed from per-lane seeds drawn
-        from ``rng``.
+        :meth:`critical_set`; roots and world seeds not passed in are
+        drawn from ``rng``, one ``lane_width`` block at a time.
         """
         if count <= 0:
             return (
                 np.empty(0, dtype=np.int8), _EMPTY_I64, _EMPTY_I64, _EMPTY_I64,
             )
         mask = self.seeds_mask(seeds)
-        status_parts: List[np.ndarray] = []
-        count_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        explored_parts: List[np.ndarray] = []
-        done = 0
-        while done < count:
-            b = min(lane_width, count - done)
-            if roots is None:
-                rts = rng.integers(self.n, size=b)
-            else:
-                rts = np.asarray(roots[done : done + b], dtype=np.int64)
-                if rts.size < b:
-                    raise ValueError(f"need {count} roots, got {len(roots)}")
-            seeds_b = self._draw_lane_seeds(rng, b)
-            status, c, v, explored = critical_lanes(self, mask, rts, seeds_b)
-            status_parts.append(status)
-            count_parts.append(c)
-            value_parts.append(v)
-            explored_parts.append(explored)
-            done += b
-        return (
-            np.concatenate(status_parts),
-            np.concatenate(count_parts),
-            np.concatenate(value_parts),
-            np.concatenate(explored_parts),
+        all_roots, all_seeds = draw_lane_inputs(
+            rng, self.n, count, roots, world_seeds, block=lane_width
         )
+        parts = [
+            critical_lanes(
+                self, mask, all_roots[lo : lo + lane_width],
+                all_seeds[lo : lo + lane_width],
+            )
+            for lo in range(0, count, lane_width)
+        ]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def sample_critical_batch(
         self,

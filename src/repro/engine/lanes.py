@@ -34,6 +34,12 @@ Bernoulli(p) draw to within 2^-53, taken where no bit-parity contract
 exists; the PRR kernels keep the exact float comparison of
 :func:`~repro.engine.hashing.hash_draw`.
 
+RNG-driven backward draws take every sample's ``(root, world_seed)``
+pair from the generator upfront (:func:`draw_lane_inputs`, the one
+definition of that consumption order); after that, sample ``i`` is a
+pure function of its pair, however the pairs are sliced into lane
+batches, pool chunks or remote jobs.
+
 Kernels (each takes the owning :class:`~repro.engine.batch.SamplingEngine`
 for its CSR arrays and scratch buffers):
 
@@ -61,7 +67,7 @@ Status codes follow :data:`repro.core.prr.PRRArena.status_names` order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +79,8 @@ __all__ = [
     "RR_LANE_WIDTH",
     "CASCADE_LANE_WIDTH",
     "LanePhase1",
+    "draw_lane_seeds",
+    "draw_lane_inputs",
     "rr_member_lanes",
     "prr_phase1_lanes",
     "critical_lanes",
@@ -99,6 +107,52 @@ CODE_BOOSTABLE = 2
 
 _BIG = np.int16(np.iinfo(np.int16).max)  # lane distance sentinel
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def draw_lane_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` per-lane world seeds: uniform non-negative int64 draws
+    (hashing treats them as uint64)."""
+    return rng.integers(_INT64_MAX, size=count, dtype=np.int64).astype(np.uint64)
+
+
+def draw_lane_inputs(
+    rng: Optional[np.random.Generator],
+    n: int,
+    count: int,
+    roots: Optional[Sequence[int]] = None,
+    world_seeds: Optional[Sequence[int]] = None,
+    block: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every sample's ``(root, world_seed)`` pair of a backward lane draw.
+
+    Per block of ``block`` samples (default: the whole draw is one
+    block), ``rng`` yields uniform roots over ``[0, n)`` first, then the
+    block's world seeds.  RR and PRR draws are one block; critical draws
+    use :data:`LANE_WIDTH` blocks.  ``roots`` or ``world_seeds`` passed
+    in are used as given and not drawn.
+    """
+    for name, given in (("roots", roots), ("world_seeds", world_seeds)):
+        if given is not None and len(given) < count:
+            raise ValueError(f"need {count} {name}, got {len(given)}")
+    if roots is None or world_seeds is None:
+        if rng is None:
+            raise ValueError("rng is required when roots or world_seeds are not given")
+        drawn_roots = np.empty(count, dtype=np.int64) if roots is None else None
+        drawn_seeds = np.empty(count, dtype=np.uint64) if world_seeds is None else None
+        step = block or max(count, 1)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            if drawn_roots is not None:
+                drawn_roots[lo:hi] = rng.integers(n, size=hi - lo)
+            if drawn_seeds is not None:
+                drawn_seeds[lo:hi] = draw_lane_seeds(rng, hi - lo)
+        roots = drawn_roots if roots is None else roots
+        world_seeds = drawn_seeds if world_seeds is None else world_seeds
+    return (
+        np.asarray(roots, dtype=np.int64)[:count],
+        np.asarray(world_seeds).astype(np.uint64, copy=False)[:count],
+    )
 
 
 def _lane_draw_ints(

@@ -12,10 +12,10 @@ seeded oracle.  The batch forms drive the multi-source lane kernel
 (:meth:`SamplingEngine.rr_lane_csr`): up to
 :data:`~repro.engine.lanes.RR_LANE_WIDTH` roots advance per frontier step
 over per-lane hashed worlds, and member arrays flow into the
-:class:`~repro.engine.coverage.CoverageIndex` as one CSR chunk.  With
-``workers > 1`` (fork platforms) the batches dispatch to the persistent
-shared-memory runtime of :mod:`repro.core.parallel` instead, merging the
-workers' CSR buffers chunk-deterministically.
+:class:`~repro.engine.coverage.CoverageIndex` as one CSR chunk.  Large
+batches with ``workers > 1`` (fork platforms) or worker hosts are
+evaluated by the runtime of :mod:`repro.core.parallel` instead, from the
+same roots and world seeds, so they return the same sets.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ class RRSampler:
     request, so the legacy and vectorized selection paths see identical
     samples for identical RNG states.
 
-    ``workers > 1`` routes batch requests of at least
-    ``repro.core.parallel.PARALLEL_MIN_SAMPLES`` through the
-    shared-memory parallel runtime.
+    Batch draws go through :func:`repro.core.parallel.parallel_rr_csr`,
+    which draws every sample's root and world seed from ``rng`` and
+    evaluates them in process, on the shared-memory pool (``workers >
+    1``) or on worker hosts — the same sets either way.
     """
 
     def __init__(self, graph: DiGraph, workers: Optional[int] = None) -> None:
@@ -73,20 +74,9 @@ class RRSampler:
         return self._engine.rr_set(rng)
 
     def _draw_csr(self, rng: np.random.Generator, count: int):
-        from ..core.parallel import (
-            PARALLEL_MIN_SAMPLES,
-            distributed_sampling_active,
-            parallel_rr_csr,
-        )
+        from ..core import parallel
 
-        # A graph with a bound distributed runtime takes the chunked
-        # path regardless of local workers, so every host count draws
-        # the identical chunk-seeded stream.
-        chunked = self.workers > 1 or distributed_sampling_active(self.graph)
-        if chunked and count >= PARALLEL_MIN_SAMPLES:
-            base = int(rng.integers(np.iinfo(np.int64).max))
-            return parallel_rr_csr(self.graph, count, base, self.workers)
-        return self._engine.rr_lane_csr(rng, count)
+        return parallel.parallel_rr_csr(self.graph, count, rng, self.workers)
 
     def sample_batch(
         self, rng: np.random.Generator, count: int

@@ -30,10 +30,10 @@ Use the :func:`inject` context manager in tests::
         runtime = get_runtime(graph, workers=2)   # workers see the plan
         arena = parallel_prr_collection(graph, seeds, k, 2048, workers=2)
 
-Because every chunk is a pure function of ``(chunk_id, master_seed)``
-(the runtime's determinism contract), the recovered collection is
-bit-identical to the fault-free and serial runs — which is exactly what
-the supervision tests assert.
+Because every chunk is a pure function of the roots and world seeds it
+carries (the runtime's determinism contract), the recovered collection
+is bit-identical to the fault-free and in-process runs — which is
+exactly what the supervision tests assert.
 """
 
 from __future__ import annotations

@@ -6,13 +6,18 @@ The contracts under test:
   frames is a clean ``None``,
 * **handshake** — a worker serving a different graph refuses the
   coordinator at connect time,
-* **determinism** — every merged payload is bit-identical to the local
-  chunked path, for 1 and 2 hosts, after a mid-run host kill, and after
-  full degradation to the local fallback,
+* **determinism** — every merged payload is bit-identical to the
+  in-process draw, for 1 and 2 hosts, after a mid-run host kill, and
+  after full degradation to the local fallback,
 * **supervision** — host loss re-assigns chunks (bounded), health
   reports per-host counters, all-hosts-lost degrades instead of failing,
+  a malformed frame gets an ``error`` frame and the host keeps serving,
 * **session wiring** — ``Session(hosts=...)`` envelopes match a local
-  ``workers>1`` session; admission prices the remote capacity.
+  session and share its cache entries; admission prices the remote
+  capacity,
+* **one stream** — a seeded query's envelope is the same at any worker
+  count, host count, chunk size and dispatch threshold, and after a
+  worker is killed mid-run.
 
 Worker hosts run as in-process threads (``serve_worker`` with an
 ephemeral port and a ``stop`` event) so the suite needs no subprocess
@@ -37,8 +42,15 @@ from repro.api import (
 )
 from repro.core import parallel
 from repro.dist import DistributedRuntime, parse_hosts, serve_worker
-from repro.dist.protocol import ProtocolError, recv_msg, send_msg
+from repro.dist.protocol import (
+    PROTOCOL_VERSION,
+    ProtocolError,
+    graph_fingerprint,
+    recv_msg,
+    send_msg,
+)
 from repro.graphs import learned_like, preferential_attachment
+from repro.testing import faults
 
 
 def fresh_graph(seed=17, n=150):
@@ -287,8 +299,9 @@ class TestSupervision:
         rt = DistributedRuntime(graph, [h.addr for h in two_hosts])
         rt.shutdown()
         rt.shutdown()
+        job = (0, np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.uint64))
         with pytest.raises(RuntimeError):
-            rt.submit("rr", [(0, 1, 8), (1, 2, 8)], ())
+            rt.submit("rr", [job], ())
 
 
 class TestSessionHosts:
@@ -338,13 +351,162 @@ class TestSessionHosts:
             policy = AdmissionPolicy(reject_units=serial_units * 0.75)
             assert policy.decide(s, query).action == "admit"
 
-    def test_dist_session_cache_key_matches_chunked_stream(self, two_hosts):
+    def test_hosts_session_shares_cache_entries(self, two_hosts):
         from repro.api import ResultCache
 
         graph = fresh_graph()
-        query = self.queries()[0]
+        cache = ResultCache()
+        with Session(graph, cache=cache) as local:
+            cached = [local.run(q) for q in self.queries(workers=1)]
         with Session(graph, hosts=[h.addr for h in two_hosts],
-                     cache=ResultCache()) as s:
-            key = s._cache_key(query)
-        assert key is not None
-        assert key[-1] == 2  # keyed as the chunked (workers>1) stream
+                     cache=cache) as s:
+            served = [s.run(q) for q in self.queries()]
+        assert all(a is b for a, b in zip(served, cached))
+        assert cache.hits == 2 and cache.misses == 2
+
+
+def open_worker_session(addr, graph):
+    """A raw coordinator connection past the handshake."""
+    host, port = addr.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=10.0)
+    send_msg(sock, {"type": "hello", "protocol": PROTOCOL_VERSION,
+                    "fingerprint": graph_fingerprint(graph)})
+    assert recv_msg(sock)[0]["type"] == "welcome"
+    return sock
+
+
+def rr_job_arrays(roots, seeds=None):
+    roots = np.asarray(roots, dtype=np.int64)
+    if seeds is None:
+        seeds = np.arange(roots.size, dtype=np.uint64)
+    return [roots, seeds]
+
+
+CHUNKS = {"type": "chunks", "tag": 0, "kind": "rr", "params": [], "jobs": [0]}
+
+
+def assert_host_serves(graph, addr):
+    """A fresh coordinator session on ``addr`` returns the in-process
+    draw, computed remotely (not by the degraded fallback)."""
+    rt = DistributedRuntime(graph, [addr], fallback_workers=1)
+    parallel.bind_distributed_runtime(graph, rt)
+    try:
+        got = parallel.parallel_rr_csr(graph, 1024, 42)
+        done = rt.health().hosts[0]["chunks_done"]
+    finally:
+        parallel.unbind_distributed_runtime(graph)
+        rt.shutdown()
+    assert done == 4
+    for g, w in zip(got, local_reference(fresh_graph(), "rr", 1024, 42)):
+        assert np.array_equal(g, w)
+
+
+class TestMalformedFrames:
+    @pytest.mark.parametrize("header, arrays", [
+        ({k: v for k, v in CHUNKS.items() if k != "jobs"}, rr_job_arrays([1])),
+        ({k: v for k, v in CHUNKS.items() if k != "tag"}, rr_job_arrays([1])),
+        ({**CHUNKS, "kind": "bogus"}, rr_job_arrays([1])),
+        ({**CHUNKS, "kind": "prr", "params": [[1, 2], "x"]}, rr_job_arrays([1])),
+        ({**CHUNKS, "kind": "critical", "params": [[9999]]}, rr_job_arrays([1])),
+        ({**CHUNKS, "params": [3]}, rr_job_arrays([1])),
+        (CHUNKS, rr_job_arrays([1])[:1]),
+        ({**CHUNKS, "jobs": [0, 1]}, rr_job_arrays([1])),
+        (CHUNKS, [np.array([1.0]), np.array([1], dtype=np.uint64)]),
+        (CHUNKS, rr_job_arrays([1, 2], np.arange(3, dtype=np.uint64))),
+        (CHUNKS, rr_job_arrays([0, 150])),
+        (CHUNKS, rr_job_arrays([-1])),
+        ({"type": "result", "tag": 0, "cid": 0}, []),
+    ])
+    def test_rejected_with_error_frame_and_host_keeps_serving(
+        self, graph, header, arrays
+    ):
+        host = WorkerHost()
+        try:
+            sock = open_worker_session(host.addr, graph)
+            try:
+                send_msg(sock, header, arrays)
+                reply, _arrays = recv_msg(sock)
+                assert reply["type"] == "error"
+                assert recv_msg(sock) is None  # that session is closed
+            finally:
+                sock.close()
+            assert_host_serves(graph, host.addr)
+            assert host.thread.is_alive()
+        finally:
+            host.join()
+
+    def test_undecodable_header_ends_only_that_session(self, graph):
+        host = WorkerHost()
+        try:
+            sock = open_worker_session(host.addr, graph)
+            try:
+                sock.sendall(b"\x03\x00\x00\x00[1]")  # a JSON list header
+                assert recv_msg(sock) is None
+            finally:
+                sock.close()
+            assert_host_serves(graph, host.addr)
+        finally:
+            host.join()
+
+
+@pytest.mark.skipif(not parallel.fork_available(),
+                    reason="requires fork start method")
+class TestOneStream:
+    """Every sample's root and world seed comes from the query's RNG
+    before the dispatch decision, so backends change where samples are
+    evaluated, never the envelope."""
+
+    @staticmethod
+    def query(algorithm, max_samples, workers=None):
+        budget = SamplingBudget(max_samples=max_samples, epsilon=0.2,
+                                mc_runs=50, workers=workers)
+        if algorithm in ("imm", "ssa"):
+            return SeedQuery(algorithm=algorithm, k=4, rng_seed=13,
+                             budget=budget)
+        return BoostQuery(algorithm=algorithm, seeds=[1, 2, 3], k=4,
+                          rng_seed=13, budget=budget)
+
+    @staticmethod
+    def envelope(session, query):
+        data = session.run(query).to_dict()
+        del data["timings"], data["query"]  # the query echoes its workers
+        return data
+
+    # max_samples=300 keeps every draw below PARALLEL_MIN_SAMPLES; 3000
+    # grows IMM/SSA's doubling rounds to draws above it.
+    @pytest.mark.parametrize("max_samples", [300, 3000])
+    @pytest.mark.parametrize(
+        "algorithm", ["prr_boost", "prr_boost_lb", "imm", "ssa"]
+    )
+    def test_envelope_independent_of_where_samples_run(
+        self, two_hosts, monkeypatch, algorithm, max_samples
+    ):
+        graph = fresh_graph()
+
+        def run(workers=None, **session_kw):
+            with Session(graph, **session_kw) as session:
+                return self.envelope(
+                    session, self.query(algorithm, max_samples, workers)
+                )
+
+        reference = run(workers=1)
+        big = reference["num_samples"] > 2 * parallel.PARALLEL_MIN_SAMPLES
+        assert big == (max_samples > parallel.PARALLEL_MIN_SAMPLES)
+        for workers in (2, 3):
+            assert run(workers) == reference
+        for count in (1, 2):
+            assert run(hosts=[h.addr for h in two_hosts[:count]]) == reference
+        with monkeypatch.context() as patched:
+            patched.setattr(parallel, "CHUNK_SIZE", 100)
+            patched.setattr(parallel, "PARALLEL_MIN_SAMPLES", 64)
+            assert run(2) == reference
+        parallel.shutdown_runtime()
+        with faults.inject(kill_worker="any", kill_on_chunk=1):
+            with Session(graph) as session:
+                killed = self.envelope(
+                    session, self.query(algorithm, max_samples, 2)
+                )
+                health = session.runtime_health()
+        assert killed == reference
+        if big:
+            assert health.restarts >= 1

@@ -226,7 +226,7 @@ class TestWorkerSupervision:
         from repro.core.parallel import parallel_prr_collection
 
         return parallel_prr_collection(
-            graph, self.SEEDS, 5, self.COUNT, master_seed=42, workers=1
+            graph, self.SEEDS, 5, self.COUNT, rng=42, workers=1
         )
 
     def test_killed_worker_recovers_bit_identical(self, sized_graph):
@@ -244,7 +244,7 @@ class TestWorkerSupervision:
                 with faults.inject(kill_worker="any", kill_on_chunk=1):
                     recovered = parallel_prr_collection(
                         sized_graph, self.SEEDS, 5, self.COUNT,
-                        master_seed=42, workers=workers,
+                        rng=42, workers=workers,
                     )
                     health = runtime_health(sized_graph)
                 assert health is not None
@@ -258,14 +258,16 @@ class TestWorkerSupervision:
         assert _shm_orphans() == []
 
     def test_dropped_result_reenqueued(self, sized_graph):
-        from repro.core.parallel import SharedGraphRuntime, _chunk_jobs, _run_task
+        from repro.core.parallel import (
+            SharedGraphRuntime, _chunk_jobs, _draw, _run_task,
+        )
         from repro.testing import faults
 
-        jobs = _chunk_jobs(self.COUNT, 42)
+        jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, self.COUNT))
         params = (self.SEEDS, 5)
         reference = [
-            _run_task(sized_graph, "prr", seed, size, params)
-            for _cid, seed, size in jobs
+            _run_task(sized_graph, "prr", roots, world_seeds, params)
+            for _cid, roots, world_seeds in jobs
         ]
         with faults.inject(drop_worker=0, drop_on_chunk=1):
             runtime = SharedGraphRuntime(sized_graph, 2, task_timeout=0.25)
@@ -281,14 +283,16 @@ class TestWorkerSupervision:
         assert _shm_orphans() == []
 
     def test_degrades_to_serial_when_respawns_keep_dying(self, sized_graph):
-        from repro.core.parallel import SharedGraphRuntime, _chunk_jobs, _run_task
+        from repro.core.parallel import (
+            SharedGraphRuntime, _chunk_jobs, _draw, _run_task,
+        )
         from repro.testing import faults
 
-        jobs = _chunk_jobs(self.COUNT, 42)
+        jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, self.COUNT))
         params = (self.SEEDS, 5)
         reference = [
-            _run_task(sized_graph, "prr", seed, size, params)
-            for _cid, seed, size in jobs
+            _run_task(sized_graph, "prr", roots, world_seeds, params)
+            for _cid, roots, world_seeds in jobs
         ]
         with faults.inject(
             kill_worker="any", kill_on_chunk=1, kill_all_generations=True
@@ -325,14 +329,14 @@ class TestWorkerSupervision:
                 runtime.max_consecutive_deaths = 2
                 first = parallel_prr_collection(
                     sized_graph, self.SEEDS, 5, self.COUNT,
-                    master_seed=42, workers=2,
+                    rng=42, workers=2,
                 )
                 assert runtime.degraded
             # Faults lifted, but the pool is gone: later calls route
             # serially through _run_chunks instead of touching it.
             again = parallel_prr_collection(
                 sized_graph, self.SEEDS, 5, self.COUNT,
-                master_seed=42, workers=2,
+                rng=42, workers=2,
             )
         finally:
             shutdown_runtime()
@@ -340,10 +344,10 @@ class TestWorkerSupervision:
         assert [p.root for p in again] == [p.root for p in reference]
 
     def test_retries_exhausted_is_unrecoverable(self, sized_graph):
-        from repro.core.parallel import SharedGraphRuntime, _chunk_jobs
+        from repro.core.parallel import SharedGraphRuntime, _chunk_jobs, _draw
         from repro.testing import faults
 
-        jobs = _chunk_jobs(512, 42)
+        jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, 512))
         with faults.inject(
             kill_worker="any", kill_on_chunk=1, kill_all_generations=True
         ):

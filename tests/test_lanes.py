@@ -12,9 +12,9 @@ Pins the contracts of the multi-source lane engine
   set sizes, membership frequencies, and critical-set status rates are
   compared to the single-sample oracles with a two-sample KS test /
   chi-square,
-* **runtime** — collections are a pure function of ``(count,
-  master_seed)`` across worker counts including the serial fallback, and
-  the engine cache is thread-safe.
+* **runtime** — collections are a pure function of the RNG and
+  ``count`` across worker counts including the in-process path, and the
+  engine cache is thread-safe.
 """
 
 import threading
@@ -346,22 +346,46 @@ class TestSharedMemoryRuntime:
         return learned_like(preferential_attachment(800, 3, rng), rng, 0.15)
 
     def test_prr_collection_worker_count_invariant(self, big_graph):
-        a = parallel_prr_collection(big_graph, {0, 1}, 4, 700, master_seed=4, workers=1)
-        b = parallel_prr_collection(big_graph, {0, 1}, 4, 700, master_seed=4, workers=3)
+        a = parallel_prr_collection(big_graph, {0, 1}, 4, 700, rng=4, workers=1)
+        b = parallel_prr_collection(big_graph, {0, 1}, 4, 700, rng=4, workers=3)
         assert isinstance(a, PRRArena) and len(a) == len(b) == 700
         assert np.array_equal(a.roots, b.roots)
         assert all(a[i] == b[i] for i in range(0, 700, 23))
 
     def test_critical_sets_worker_count_invariant(self, big_graph):
-        a = parallel_critical_sets(big_graph, {0, 1}, 600, master_seed=2, workers=1)
-        b = parallel_critical_sets(big_graph, {0, 1}, 600, master_seed=2, workers=3)
+        a = parallel_critical_sets(big_graph, {0, 1}, 600, rng=2, workers=1)
+        b = parallel_critical_sets(big_graph, {0, 1}, 600, rng=2, workers=3)
         assert a == b
 
     def test_rr_csr_worker_count_invariant(self, big_graph):
-        c1, v1 = parallel_rr_csr(big_graph, 600, master_seed=3, workers=1)
-        c3, v3 = parallel_rr_csr(big_graph, 600, master_seed=3, workers=3)
+        c1, v1 = parallel_rr_csr(big_graph, 600, rng=3, workers=1)
+        c3, v3 = parallel_rr_csr(big_graph, 600, rng=3, workers=3)
         assert np.array_equal(c1, c3)
         assert np.array_equal(v1, v3)
+
+    @pytest.mark.parametrize("kind", ["rr", "critical", "prr"])
+    def test_dispatched_draw_equals_in_process_kernel(self, big_graph, kind):
+        """A pool-dispatched draw takes the RNG exactly like the engine's
+        RNG-taking entry point, so chunking never changes a sample."""
+        from repro.core.parallel import parallel_critical_csr
+
+        engine = SamplingEngine.for_graph(big_graph)
+        seeds = frozenset({0, 1})
+        rng = lambda: np.random.default_rng(5)  # noqa: E731
+        if kind == "rr":
+            got = parallel_rr_csr(big_graph, 700, rng(), workers=3)
+            want = engine.rr_lane_csr(rng(), 700)
+        elif kind == "critical":
+            got = parallel_critical_csr(big_graph, seeds, 700, rng(), workers=3)
+            want = engine.critical_lane_csr(seeds, rng(), 700)
+        else:
+            got = parallel_prr_collection(
+                big_graph, seeds, 4, 700, rng(), workers=3
+            ).payload()[1:]
+            want = sample_prr_lanes(big_graph, seeds, 4, rng(), 700).payload()[1:]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
     def test_runtime_pool_persists_across_calls(self, big_graph):
         rt1 = get_runtime(big_graph, 2)

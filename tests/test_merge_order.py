@@ -21,13 +21,13 @@ the in-order reference merge.
 import numpy as np
 import pytest
 
-from repro.core.parallel import _chunk_jobs, _run_task
+from repro.core.parallel import _chunk_jobs, _draw, _run_task
 from repro.core.prr import PRRArena
 from repro.engine.coverage import CoverageIndex
 from repro.graphs import learned_like, preferential_attachment
 
 N_PERMUTATIONS = 5
-MASTER_SEED = 20170417
+RNG_SEED = 20170417
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +38,12 @@ def graph():
 
 def make_chunks(graph, kind, count, params):
     """The chunk results exactly as workers produce them: cid-tagged
-    outputs of the pure ``(chunk_id, seed)`` task function."""
-    jobs = _chunk_jobs(count, MASTER_SEED)
+    outputs of the pure task function over one draw's
+    ``(chunk_id, roots, world_seeds)`` jobs."""
+    jobs = _chunk_jobs(*_draw(kind, graph.n, RNG_SEED, count))
     return [
-        (cid, _run_task(graph, kind, seed, size, params))
-        for cid, seed, size in jobs
+        (cid, _run_task(graph, kind, roots, world_seeds, params))
+        for cid, roots, world_seeds in jobs
     ]
 
 

@@ -19,14 +19,14 @@ def graph():
 
 class TestParallelPRR:
     def test_sequential_fallback_deterministic(self, graph):
-        a = parallel_prr_collection(graph, {0, 1}, 5, 30, master_seed=4, workers=1)
-        b = parallel_prr_collection(graph, {0, 1}, 5, 30, master_seed=4, workers=1)
+        a = parallel_prr_collection(graph, {0, 1}, 5, 30, rng=4, workers=1)
+        b = parallel_prr_collection(graph, {0, 1}, 5, 30, rng=4, workers=1)
         assert len(a) == len(b) == 30
         assert [g.root for g in a] == [g.root for g in b]
 
     def test_parallel_count_and_validity(self, graph):
         prrs = parallel_prr_collection(
-            graph, {0, 1}, 5, 200, master_seed=4, workers=2
+            graph, {0, 1}, 5, 200, rng=4, workers=2
         )
         assert len(prrs) == 200
         stats = collection_stats(prrs)
@@ -37,8 +37,8 @@ class TestParallelPRR:
                 assert not prr.f(set())
 
     def test_parallel_reproducible(self, graph):
-        a = parallel_prr_collection(graph, {0}, 5, 128, master_seed=9, workers=2)
-        b = parallel_prr_collection(graph, {0}, 5, 128, master_seed=9, workers=2)
+        a = parallel_prr_collection(graph, {0}, 5, 128, rng=9, workers=2)
+        b = parallel_prr_collection(graph, {0}, 5, 128, rng=9, workers=2)
         assert [g.root for g in a] == [g.root for g in b]
 
     def test_estimates_agree_with_sequential(self, graph):
@@ -48,7 +48,7 @@ class TestParallelPRR:
 
         rng = np.random.default_rng(5)
         boost = {10, 11, 12, 13, 14}
-        par = parallel_prr_collection(graph, {0, 1}, 5, 3000, master_seed=1, workers=2)
+        par = parallel_prr_collection(graph, {0, 1}, 5, 3000, rng=1, workers=2)
         est_par = estimate_delta(par, graph.n, boost)
         mc = estimate_boost(graph, {0, 1}, boost, rng, runs=3000)
         assert est_par == pytest.approx(mc, abs=max(1.0, 0.5 * mc))
@@ -56,10 +56,10 @@ class TestParallelPRR:
 
 class TestParallelCritical:
     def test_count(self, graph):
-        sets = parallel_critical_sets(graph, {0, 1}, 200, master_seed=2, workers=2)
+        sets = parallel_critical_sets(graph, {0, 1}, 200, rng=2, workers=2)
         assert len(sets) == 200
         assert all(isinstance(s, frozenset) for s in sets)
 
     def test_sequential_fallback(self, graph):
-        sets = parallel_critical_sets(graph, {0}, 20, master_seed=2, workers=1)
+        sets = parallel_critical_sets(graph, {0}, 20, rng=2, workers=1)
         assert len(sets) == 20

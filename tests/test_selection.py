@@ -308,11 +308,11 @@ class TestParallelArena:
         from repro.core import parallel_prr_collection
 
         g = random_graph(23, n=100)
-        arena = parallel_prr_collection(g, {0, 1}, 5, 200, master_seed=4, workers=2)
+        arena = parallel_prr_collection(g, {0, 1}, 5, 200, rng=4, workers=2)
         assert isinstance(arena, PRRArena)
         assert len(arena) == 200
-        again = parallel_prr_collection(g, {0, 1}, 5, 200, master_seed=4, workers=3)
-        # Chunk-id keyed seeding: the collection depends only on the master
-        # seed, not on worker count or completion order.
+        again = parallel_prr_collection(g, {0, 1}, 5, 200, rng=4, workers=3)
+        # Every sample is drawn from the RNG before dispatch: the collection
+        # depends only on the seed, not on worker count or completion order.
         assert [p.root for p in arena] == [p.root for p in again]
         assert all(arena[i] == again[i] for i in range(200))

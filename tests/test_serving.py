@@ -4,8 +4,9 @@ Covers the contracts the tier promises:
 
 * **fingerprint stability** — identical across fresh sessions, worker
   counts, and cache on/off; sensitive to the graph's probabilities,
-* **result cache** — hits return the same envelope, LRU bounds hold,
-  a graph mutation (``update_probabilities``) invalidates,
+* **result cache** — hits return the same envelope at any worker count,
+  LRU bounds hold, a graph mutation (``update_probabilities``)
+  invalidates, snapshots with retired key shapes are dropped,
 * **admission** — cost model ordering, reject/queue/caps,
   structured rejection envelopes,
 * **overlapped run_many** — results bit-identical to the serial path,
@@ -157,12 +158,18 @@ class TestResultCache:
         stats = cache.stats()
         assert stats["size"] == 2 and stats["capacity"] == 2
 
-    def test_worker_count_separates_entries(self, graph):
-        # Serial and chunked sampling draw different streams, so results
-        # must never be served across worker counts.
-        k1 = ResultCache.key_for("fp", 0, QUERY, workers=1)
-        k2 = ResultCache.key_for("fp", 0, QUERY, workers=2)
-        assert k1 != k2
+    def test_worker_count_shares_entries(self, graph):
+        # Every sample is drawn from the query's RNG, so a workers=1
+        # answer is the workers=2 answer too.
+        cache = ResultCache()
+        with Session(graph, budget=BUDGET, cache=cache) as session:
+            first = session.run(QUERY)
+            budget = SamplingBudget(max_samples=600, mc_runs=100, workers=2)
+            again = session.run(
+                BoostQuery(seeds=[1, 2, 3], k=4, rng_seed=7, budget=budget)
+            )
+        assert again is first
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_clear_keeps_counters(self, graph):
         cache = ResultCache()
@@ -747,6 +754,22 @@ class TestCachePersistence:
         bad = tmp_path / "bad.ndjson"
         bad.write_text('{"key": [1, 2], "result": {}}\n')
         assert cache.load(bad) == {"loaded": 0, "dropped": 1}
+
+    def test_old_five_field_keys_dropped(self, graph, tmp_path):
+        # Snapshots keyed with a worker count may hold answers of the
+        # retired chunk-seeded stream: never serve them.
+        path = tmp_path / "cache.ndjson"
+        cache = ResultCache()
+        with Session(graph, budget=BUDGET, cache=cache) as session:
+            self.fill(session, cache, seeds=(1,))
+            cache.save(path)
+        entry = json.loads(path.read_text())
+        entry["key"].append(2)
+        path.write_text(json.dumps(entry) + "\n")
+        restored = ResultCache()
+        report = restored.load(path, graph_version=graph.version)
+        assert report == {"loaded": 0, "dropped": 1}
+        assert len(restored) == 0
 
     def test_serve_cli_round_trips_snapshot(self, tmp_path):
         # End to end: one `repro serve` process snapshots on exit, the
