@@ -9,8 +9,10 @@ localhost, then answers the same workload per topology:
   (``workers=2``, the stream the distributed merge must reproduce),
 * **hosts=1/2/4** — ``Session(graph, hosts=...)`` sharding chunks over
   the worker subprocesses,
-* **kill** — 2 hosts, one SIGKILL'd mid-query: supervision re-assigns
-  its chunks and the envelope must not change.
+* **kill** — 2 hosts, one SIGKILL'd mid-query (as soon as it has
+  answered its first chunk of the query workload): supervision must
+  report the host loss and re-assign its chunks, and the envelope must
+  not change.
 
 Two measurements per topology: raw sampling throughput (a
 ``parallel_rr_csr`` draw, merged-array digest asserted identical) and
@@ -231,6 +233,24 @@ def arm_local(store: Path, cfg: dict) -> dict:
     return row
 
 
+def kill_on_progress(session, fleet, done: threading.Event) -> None:
+    """SIGKILL the last host once it has answered one more chunk than
+    when this started, then wait (up to 10 s) for the coordinator to see
+    the loss.  Gives up when ``done`` is set before the kill."""
+    def chunks_done():
+        return session.runtime_health().hosts[-1]["chunks_done"]
+
+    start = chunks_done()
+    while chunks_done() == start:
+        if done.wait(0.002):
+            return
+    fleet.kill_one()
+    deadline = time.monotonic() + 10.0
+    while (session.runtime_health().restarts == 0
+           and time.monotonic() < deadline):
+        time.sleep(0.002)
+
+
 def arm_hosts(store: Path, cfg: dict, host_count: int,
               kill_mid_run: bool = False) -> dict:
     from repro.api import Session
@@ -241,13 +261,18 @@ def arm_hosts(store: Path, cfg: dict, host_count: int,
     try:
         with Session(graph, hosts=fleet.addrs) as session:
             row = time_sampling(graph, cfg["sampling_count"])
+            done = threading.Event()
             killer = None
             if kill_mid_run:
-                killer = threading.Timer(0.2, fleet.kill_one)
+                killer = threading.Thread(
+                    target=kill_on_progress, args=(session, fleet, done),
+                    daemon=True,
+                )
                 killer.start()
             row.update(run_workload(session, cfg))
+            done.set()
             if killer is not None:
-                killer.join()
+                killer.join(timeout=30)
             health = session.runtime_health()
             row["health"] = health.to_dict() if health else None
         return row
@@ -293,6 +318,7 @@ def measure(cfg: dict, workdir: Path) -> dict:
         f"{h['workers_alive']}/{h['workers']} | losses {h['restarts']} | "
         f"reassigned {h['retries']} | degraded {h['degraded']} | identity ok"
     )
+    assert h["restarts"] >= 1, "kill arm never lost a host"
 
     speedups = {
         key: {

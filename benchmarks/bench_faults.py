@@ -1,33 +1,19 @@
-"""Benchmark: supervision overhead and recovery time of the fault-tolerant runtime.
+"""Benchmark: recovery of the fault-tolerant runtime from a worker kill.
 
-The supervision layer (claim messages, liveness sweeps, retry queue —
-:mod:`repro.core.parallel`) must be effectively free on the healthy
-path and fast on the unhealthy one.  This benchmark measures both:
-
-* **steady-state overhead** — repeated parallel PRR collections on the
-  supervised runtime vs the identical runtime with supervision disabled
-  (``REPRO_RUNTIME_SUPERVISION=0``, the pre-supervision protocol: no
-  claims, no sweeps).  The two arms are interleaved best-of on the same
-  machine, so the ratio isolates exactly what supervision adds.  The
-  full run asserts the overhead stays <= 5%.
-* **recovery** — one worker is killed mid-run via the deterministic
-  fault hooks (:mod:`repro.testing.faults`); the wall-clock of the
-  recovered run is compared to the fault-free run of the same
-  collection, the merged payload is asserted bit-identical to the
-  serial path, and the runtime must report ``restarts >= 1`` with no
-  leaked shared-memory segments.
+One worker of the supervised shared-memory pool
+(:mod:`repro.core.parallel`) is killed mid-run via the deterministic
+fault hooks (:mod:`repro.testing.faults`).  The wall-clock of the
+recovered run is compared to the fault-free run of the same collection,
+and the run is checked: the merged payload is bit-identical to the
+serial path, the runtime reports ``restarts >= 1`` and is not degraded,
+and no shared-memory segment leaks.
 
 Results land in ``BENCH_faults.json``.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_faults.py [--smoke]
 
-``--smoke`` shrinks the workload and gates the supervision efficiency
-(unsupervised time / supervised time, ~1.0 when overhead is nil)
-against the committed ``smoke_baseline``: at least 70% of it, with one
-re-measure before declaring a regression — the ``bench_lanes`` /
-``bench_serve`` pattern.  The recovery identity and shm-hygiene checks
-run in both modes; the hard <= 5% overhead assert runs only in the full
-mode (CI runners are too noisy for it).
+``--smoke`` shrinks the workload and skips the JSON write; the checks
+run in both modes.
 """
 
 from __future__ import annotations
@@ -41,10 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import parallel
 from repro.core.parallel import (
     _SHM_PREFIX,
-    _SUPERVISION_ENV,
     get_runtime,
     parallel_prr_collection,
     runtime_health,
@@ -63,8 +47,6 @@ FULL = {
     "k": 5,
     "count": 4096,
     "workers": 2,
-    "repeats": 3,
-    "max_overhead": 0.05,  # hard ceiling on steady-state overhead
 }
 
 SMOKE = {
@@ -75,8 +57,6 @@ SMOKE = {
     "k": 5,
     "count": 2048,
     "workers": 2,
-    "repeats": 3,
-    "max_overhead": None,  # gated vs the committed baseline instead
 }
 
 
@@ -103,46 +83,6 @@ def _collect(graph, seeds, cfg, rng=7):
         graph, seeds, cfg["k"], cfg["count"],
         rng=rng, workers=cfg["workers"],
     )
-
-
-def time_arm(graph, seeds, cfg, supervised: bool) -> float:
-    """Best-of wall-clock for one collection on a fresh pool with
-    supervision on or off.  The pool is created and warmed outside the
-    timed region — this measures the steady-state protocol, not spin-up.
-    """
-    saved = os.environ.get(_SUPERVISION_ENV)
-    os.environ[_SUPERVISION_ENV] = "1" if supervised else "0"
-    try:
-        shutdown_runtime()
-        get_runtime(graph, cfg["workers"])
-        _collect(graph, seeds, cfg, rng=0)  # warm the workers
-        best = float("inf")
-        for _ in range(cfg["repeats"]):
-            start = time.perf_counter()
-            _collect(graph, seeds, cfg)
-            best = min(best, time.perf_counter() - start)
-        return best
-    finally:
-        shutdown_runtime()
-        if saved is None:
-            os.environ.pop(_SUPERVISION_ENV, None)
-        else:
-            os.environ[_SUPERVISION_ENV] = saved
-
-
-def measure_overhead(graph, seeds, cfg) -> dict:
-    """Interleaved supervised vs unsupervised arms on the same machine."""
-    supervised = unsupervised = float("inf")
-    for _ in range(2):  # interleave to cancel slow drift
-        unsupervised = min(unsupervised, time_arm(graph, seeds, cfg, False))
-        supervised = min(supervised, time_arm(graph, seeds, cfg, True))
-    overhead = supervised / unsupervised - 1.0
-    return {
-        "unsupervised_s": round(unsupervised, 4),
-        "supervised_s": round(supervised, 4),
-        "overhead_pct": round(100.0 * overhead, 2),
-        "efficiency": round(unsupervised / supervised, 4),
-    }
 
 
 def measure_recovery(graph, seeds, cfg) -> dict:
@@ -194,13 +134,6 @@ def run(smoke: bool = False) -> dict:
     print(f"graph: n={graph.n} m={graph.m}  "
           f"count={cfg['count']} workers={cfg['workers']}")
 
-    overhead = measure_overhead(graph, seeds, cfg)
-    print(
-        f"  steady state: unsupervised {overhead['unsupervised_s']:.3f}s "
-        f"-> supervised {overhead['supervised_s']:.3f}s  "
-        f"({overhead['overhead_pct']:+.1f}% overhead)"
-    )
-
     recovery = measure_recovery(graph, seeds, cfg)
     print(
         f"  recovery: healthy {recovery['healthy_s']:.3f}s -> one worker "
@@ -209,55 +142,18 @@ def run(smoke: bool = False) -> dict:
         f"{recovery['restarts']} restart(s), {recovery['retries']} "
         f"retried chunk(s)); payload bit-identical to serial"
     )
-
-    results = {
+    return {
         "description": (
-            "Supervision overhead and recovery of the fault-tolerant "
-            "shared-memory runtime: steady-state supervised vs "
-            "supervision-disabled collection time (interleaved best-of), "
-            "and wall-clock + payload identity of a run that loses one "
-            "worker mid-flight."
+            "Recovery of the fault-tolerant shared-memory runtime: "
+            "wall-clock + payload identity of a run that loses one "
+            "worker mid-flight, against the fault-free run."
         ),
         "smoke": smoke,
         "config": dict(cfg),
         "graph": {"n": graph.n, "m": graph.m},
         "hardware": {"cpu_count": os.cpu_count()},
-        "steady_state": overhead,
         "recovery": recovery,
     }
-
-    ceiling = cfg["max_overhead"]
-    if ceiling is not None:
-        measured = overhead["overhead_pct"] / 100.0
-        assert measured <= ceiling, (
-            f"supervision overhead {100 * measured:.1f}% exceeds the "
-            f"{100 * ceiling:.0f}% ceiling"
-        )
-    return results
-
-
-def check_smoke_regression(results) -> int:
-    """Gate the measured supervision efficiency against the committed
-    ``smoke_baseline`` (>= 70% of it)."""
-    if not RESULT_PATH.exists():
-        print("no committed BENCH_faults.json baseline; skipping gate")
-        return 0
-    baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
-    if not baseline:
-        print("committed BENCH_faults.json has no smoke_baseline; skipping gate")
-        return 0
-    measured = results["steady_state"]["efficiency"]
-    reference = baseline["efficiency"]
-    floor = 0.7 * reference
-    status = "ok" if measured >= floor else "REGRESSION"
-    print(
-        f"  gate efficiency: measured {measured:.3f}, baseline "
-        f"{reference:.3f}, floor {floor:.3f} -> {status}"
-    )
-    if measured < floor:
-        print("SMOKE REGRESSION (> 30% below baseline): supervision overhead")
-        return 1
-    return 0
 
 
 def main() -> int:
@@ -265,31 +161,14 @@ def main() -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small workload for CI: asserts recovery identity + shm "
-             "hygiene, gates supervision efficiency vs the committed "
-             "baseline, skips the JSON write",
+        help="small workload for CI: asserts recovery identity, restarts, "
+             "no degradation and shm hygiene; skips the JSON write",
     )
     args = parser.parse_args()
     results = run(smoke=args.smoke)
-    if args.smoke:
-        status = check_smoke_regression(results)
-        if status:
-            # One retry before failing CI (noisy shared runners).
-            print("gate failed; re-measuring once before declaring a regression")
-            retry = run(smoke=True)
-            if (retry["steady_state"]["efficiency"]
-                    > results["steady_state"]["efficiency"]):
-                results = retry
-            status = check_smoke_regression(results)
-        return status
-    # The smoke-config measurement on this machine becomes the committed
-    # baseline the CI gate compares against.
-    smoke_results = run(smoke=True)
-    results["smoke_baseline"] = {
-        "efficiency": smoke_results["steady_state"]["efficiency"]
-    }
-    RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    if not args.smoke:
+        RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+        print(f"wrote {RESULT_PATH}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Micro-benchmark: lane kernels + shared-memory runtime vs the PR-2 paths.
+"""Micro-benchmark: lane kernels vs the PR-2 loops, plus runtime wall-clock.
 
 Three sections, all on the repo's standard 10k-node / ~52k-edge
 preferential-attachment graph with learned-like probabilities:
@@ -14,17 +14,13 @@ preferential-attachment graph with learned-like probabilities:
   0.608) is reported too: there traversals are array-bound, the RR lane
   path auto-falls back to its dense evaluator, and speedups are ~1x by
   design rather than silently unmeasured.
-* **e2e_parallel** — wall-clock of full ``prr_boost`` runs with sampling
-  dispatched to the persistent shared-memory runtime
-  (``prr_boost(workers=...)``) vs the same algorithm built on the PR-2
-  ``core/parallel`` path (serial ``sample_prr_arena`` loops; a fresh
-  fork pool per sampling phase with pickled graph initargs and pickled
-  payload results when workers > 1 — per-call pools are the only
-  composition the old API offered).
-* **scaling** — fixed-count ``parallel_prr_collection`` wall-clock by
-  worker count, runtime vs legacy pool.  Near-linear scaling needs real
-  cores; the JSON records ``hardware.cpu_count`` so single-core boxes
-  (like CI) read as what they are.
+* **e2e_parallel** — absolute wall-clock of full ``prr_boost`` runs
+  with sampling dispatched to the persistent shared-memory runtime
+  (``prr_boost(workers=...)``), by worker count.
+* **scaling** — absolute fixed-count ``parallel_prr_collection``
+  wall-clock by worker count.  Near-linear scaling needs real cores;
+  the JSON records ``hardware.cpu_count`` so single-core boxes (like
+  CI) read as what they are.
 
 Results land in ``BENCH_lanes.json``.  Run with::
 
@@ -41,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing as mp
 import os
 import time
 from pathlib import Path
@@ -51,25 +46,11 @@ import numpy as np
 from repro.core import prr_boost, sample_prr_arena, sample_prr_lanes
 from repro.core.parallel import (
     fork_available,
-    legacy_parallel_prr_collection,
     parallel_prr_collection,
     shutdown_runtime,
-    _init_worker,
-    _legacy_chunk_jobs,
-    _worker_sample_graphs,
 )
-from repro.core.boost import PRRSampler, _validate
-from repro.core.estimator import (
-    collection_stats,
-    estimate_delta,
-    estimate_mu,
-    greedy_delta_selection,
-)
-from repro.core.prr import PRRArena
 from repro.engine import SamplingEngine
-from repro.engine.coverage import CoverageIndex
 from repro.graphs import learned_like, preferential_attachment
-from repro.im.imm import imm_sampling
 
 BENCH_SEED = 2017
 RESULT_PATH = Path(__file__).parent.parent / "BENCH_lanes.json"
@@ -203,68 +184,8 @@ def bench_single_core(cfg, results):
 
 
 # ----------------------------------------------------------------------
-# E2E prr_boost: shared-memory runtime vs the PR-2 parallel path
+# E2E prr_boost and scaling on the shared-memory runtime
 # ----------------------------------------------------------------------
-class _PR2PRRSampler:
-    """PRR sampling exactly as PR 2 composed it: serial single-sample
-    arena loops; when workers > 1, a fresh fork pool per sampling phase
-    (pickled graph initargs, pickled arena payload results)."""
-
-    def __init__(self, graph, seeds, k, workers):
-        self.graph = graph
-        self.seeds = frozenset(seeds)
-        self.k = k
-        self.n = graph.n
-        self.arena = PRRArena(graph.n)
-        self.workers = workers
-
-    def sample_into(self, rng, count, index):
-        start = len(self.arena)
-        if self.workers > 1 and count >= 128 and fork_available():
-            base = int(rng.integers(np.iinfo(np.int64).max))
-            jobs = _legacy_chunk_jobs(count, base)
-            ctx = mp.get_context("fork")
-            with ctx.Pool(
-                self.workers,
-                initializer=_init_worker,
-                initargs=(self.graph, self.seeds, self.k),
-            ) as pool:
-                parts = list(pool.imap_unordered(_worker_sample_graphs, jobs))
-            parts.sort(key=lambda part: part[0])
-            self.arena.extend_arena(
-                PRRArena.from_payloads([p for _cid, p in parts])
-            )
-        else:
-            sample_prr_arena(
-                self.graph, self.seeds, self.k, rng, count, arena=self.arena
-            )
-        index.extend_csr(*self.arena.critical_csr(start))
-
-    def sample(self, rng):
-        self.sample_into(rng, 1, CoverageIndex(self.n))
-        return self.arena.critical_frozenset(len(self.arena) - 1)
-
-
-def _boost_run(graph, seeds, k, rng, max_samples, sampler):
-    """Algorithm 2 with a pluggable sampler (selection identical across
-    arms, so the timing difference is pure sampling/runtime)."""
-    seed_set, candidates, k = _validate(graph, seeds, k)
-    ell_prime = 1.0 * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
-    index = CoverageIndex(graph.n)
-    imm_sampling(
-        sampler, k, 0.5, ell_prime, rng, candidates=candidates,
-        max_samples=max_samples, index=index,
-    )
-    arena = sampler.arena
-    mu_set, _ = index.greedy(k, candidates)
-    mu_estimate = estimate_mu(arena, graph.n, set(mu_set))
-    delta_set, delta_estimate = greedy_delta_selection(arena, graph.n, k, candidates)
-    mu_delta = estimate_delta(arena, graph.n, set(mu_set))
-    chosen = mu_set if mu_delta >= delta_estimate else delta_set
-    collection_stats(arena)
-    return sorted(chosen)
-
-
 def bench_e2e(cfg, results):
     mean_p = cfg["headline_regime"]
     graph = build_graph(cfg, mean_p)
@@ -277,12 +198,6 @@ def bench_e2e(cfg, results):
         if workers > 1 and not fork_available():
             continue
 
-        def legacy_run():
-            sampler = _PR2PRRSampler(graph, seeds, k, workers)
-            return _boost_run(
-                graph, seeds, k, np.random.default_rng(7), cap, sampler
-            )
-
         def runtime_run():
             return prr_boost(
                 graph, seeds, k, np.random.default_rng(7),
@@ -291,18 +206,9 @@ def bench_e2e(cfg, results):
 
         if workers > 1:
             runtime_run()  # warm the persistent pool (that is the point)
-        legacy_s = best_seconds(legacy_run, cfg["repeats"])
         runtime_s = best_seconds(runtime_run, cfg["repeats"])
-        row = {
-            "legacy_seconds": round(legacy_s, 3),
-            "runtime_seconds": round(runtime_s, 3),
-            "speedup": round(legacy_s / runtime_s, 2),
-        }
-        out[f"workers{workers}"] = row
-        print(
-            f"  prr_boost e2e (workers={workers}): legacy {legacy_s:7.2f}s"
-            f" | runtime {runtime_s:7.2f}s | {row['speedup']:5.2f}x"
-        )
+        out[f"workers{workers}"] = {"runtime_seconds": round(runtime_s, 3)}
+        print(f"  prr_boost e2e (workers={workers}): runtime {runtime_s:7.2f}s")
     results["e2e_parallel"] = {
         "regime": f"p{mean_p}",
         "max_samples": cap,
@@ -327,24 +233,10 @@ def bench_scaling(cfg, results):
             ),
             cfg["repeats"],
         )
-        legacy_s = best_seconds(
-            lambda: legacy_parallel_prr_collection(
-                graph, seeds, k, count, master_seed=1, workers=workers
-            ),
-            cfg["repeats"],
-        )
-        rows.append(
-            {
-                "workers": workers,
-                "runtime_seconds": round(runtime_s, 3),
-                "legacy_seconds": round(legacy_s, 3),
-                "speedup": round(legacy_s / runtime_s, 2),
-            }
-        )
+        rows.append({"workers": workers, "runtime_seconds": round(runtime_s, 3)})
         print(
             f"  prr_collection x{count} (workers={workers}):"
-            f" legacy {legacy_s:7.2f}s | runtime {runtime_s:7.2f}s"
-            f" | {rows[-1]['speedup']:5.2f}x"
+            f" runtime {runtime_s:7.2f}s"
         )
     results["scaling"] = {"count": count, "regime": f"p{mean_p}", "rows": rows}
 

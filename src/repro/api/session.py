@@ -34,7 +34,7 @@ On top of that sits the serving tier:
   (thread-local engine and scratch via the thread-keyed
   :meth:`SamplingEngine.for_graph`), and their sampling chunks interleave
   on the one shared-memory worker pool through the runtime's
-  tag-multiplexed ``submit``/``gather`` — one query's selection phase
+  tag-multiplexed ``run`` — one query's selection phase
   runs while the others' samples are still being drawn.  Results are
   bit-identical to the serial path because every seeded query's
   samples are drawn from its own ``rng_seed``-built generator.

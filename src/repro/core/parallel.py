@@ -16,12 +16,11 @@ repeated use:
   steals the next chunk the moment it finishes, so cheap chunks
   (activated/hopeless roots) never leave a worker idling behind a static
   partition.
-* **Tag-multiplexed submissions** — every dispatch gets a runtime-unique
-  tag and a collector thread demultiplexes results per tag
-  (:meth:`SharedGraphRuntime.submit` / :meth:`~SharedGraphRuntime.gather`),
-  so concurrent callers — the serving tier's overlapped ``run_many``
-  lanes — pipeline independent queries' sampling chunks onto one pool
-  instead of taking turns.
+* **Tag-multiplexed runs** — every :meth:`ChunkExecutor.run` gets an
+  executor-unique tag and a collector thread demultiplexes results per
+  tag, so concurrent callers — the serving tier's overlapped
+  ``run_many`` lanes — pipeline independent queries' sampling chunks
+  onto one pool instead of taking turns.
 * **Raw-buffer results** — workers sample with the lane kernels and ship
   flat arrays back (:class:`~repro.core.prr.PRRArena` payloads, critical
   or RR CSRs).  Large results travel through a per-result shared-memory
@@ -41,6 +40,16 @@ chunk-id order.  A collection therefore depends only on the RNG state
 and ``count`` — never on worker count, host count, chunk size,
 scheduling, or whether a fallback ran.
 
+One chunk executor: :class:`ChunkExecutor` holds the bookkeeping every
+remote backend shares — per-run stashes merged in submission order,
+first-answer-wins delivery, the :data:`MAX_TASK_RETRIES` bound, the
+degraded fallback — and both the local pool
+(:class:`SharedGraphRuntime`) and the multi-host coordinator
+(:class:`repro.dist.DistributedRuntime`) subclass it, keeping only their
+transport.  A failure is scoped to its run: a chunk that raises, or
+exhausts its retries, fails the one ``run`` (query) it belongs to; the
+executor stays open for every other caller.
+
 Fault tolerance: the same determinism contract is what makes the
 runtime *supervised* rather than merely fail-fast.  Workers announce
 each chunk they pull (a claim message ahead of the result), so the
@@ -48,20 +57,16 @@ collector knows chunk ownership; a liveness sweep detects dead workers,
 re-enqueues their unacknowledged chunks with bounded retries and
 exponential backoff (re-executing a chunk is bit-identical — it is a
 pure function of its roots and world seeds), and respawns replacements
-against the already-published shared graph.  After too many consecutive
-worker deaths the runtime **degrades** instead of raising: remaining chunks run
-serially in-process inside :meth:`SharedGraphRuntime.gather`, and later
-dispatches bypass the pool entirely — same results, no recovery storm.
+against the already-published shared graph.  After
+:data:`MAX_CONSECUTIVE_DEATHS` deaths of one worker slot in a row the
+runtime **degrades** instead of raising: every run finishes its
+remaining chunks serially in-process, and later dispatches bypass the
+pool entirely — same results, no recovery storm.
 :meth:`SharedGraphRuntime.health` snapshots the supervision counters
 (:class:`RuntimeHealth`), and a process-wide shared-memory registry with
 an ``atexit``/SIGTERM reaper (:func:`reap_shm_segments`) unlinks
 orphaned ``repro-*`` segments even on abnormal exit.  Every recovery
 path is deterministically drivable via :mod:`repro.testing.faults`.
-
-The pre-runtime implementation (fork pool per call, pickled graph
-initargs, pickled payload results, single-sample chunk loops) is kept as
-``legacy_parallel_prr_collection`` / ``legacy_parallel_critical_sets`` —
-the baseline ``benchmarks/bench_lanes.py`` measures the runtime against.
 """
 
 from __future__ import annotations
@@ -86,12 +91,13 @@ from ..engine.coverage import csr_to_frozensets
 from ..engine.lanes import draw_lane_inputs
 from ..graphs.digraph import CSRView, DiGraph
 from ..testing import faults
-from .prr import PRRArena, sample_prr_arena, sample_prr_lanes
+from .prr import PRRArena, sample_prr_lanes
 
 __all__ = [
     "parallel_prr_collection",
     "parallel_critical_sets",
     "parallel_rr_csr",
+    "ChunkExecutor",
     "SharedGraphRuntime",
     "RuntimeHealth",
     "runtime_health",
@@ -107,8 +113,6 @@ __all__ = [
     "fork_available",
     "resolve_sampler_workers",
     "PARALLEL_MIN_SAMPLES",
-    "legacy_parallel_prr_collection",
-    "legacy_parallel_critical_sets",
 ]
 
 # Samples per streamed chunk: small enough that stragglers rebalance,
@@ -126,29 +130,25 @@ _SHM_RESULT_MIN = 1 << 18
 # queue round-trip costs more than two lane batches.
 PARALLEL_MIN_SAMPLES = 512
 
-# Supervision defaults.  A lost chunk is re-enqueued at most
-# MAX_TASK_RETRIES times (exponential backoff from RETRY_BACKOFF_BASE
-# seconds); after MAX_CONSECUTIVE_DEATHS worker deaths with no
-# successful result in between, the runtime degrades to the in-process
-# serial path instead of respawning further.
+# Supervision bounds, read at use time.  A lost chunk is resent at most
+# MAX_TASK_RETRIES times (by the local pool after an exponential backoff
+# from RETRY_BACKOFF_BASE seconds); after MAX_CONSECUTIVE_DEATHS worker
+# deaths with no successful result in between, the local pool degrades
+# to the in-process serial path instead of respawning further.
 MAX_TASK_RETRIES = 3
 RETRY_BACKOFF_BASE = 0.05
 MAX_CONSECUTIVE_DEATHS = 3
+# Straggler bound: a *claimed* chunk with no result after this many
+# seconds is resent (its late duplicate, if any, is dropped on arrival).
+# Off: chunk cost is workload-dependent and a false positive doubles
+# work.  When set, it catches lost results from workers that stay alive,
+# which the liveness sweep cannot see.
+TASK_TIMEOUT: Optional[float] = None
 
 # How often the collector sweeps worker liveness / due retries when no
 # results are arriving.  Bounds fault-detection latency, not result
-# latency — gatherers are woken per arriving result.
+# latency — waiting runs are woken when their last chunk arrives.
 _POLL_INTERVAL = 0.2
-
-# Escape hatch for overhead measurement (benchmarks/bench_faults.py):
-# setting REPRO_RUNTIME_SUPERVISION=0 before the pool starts disables
-# claim messages and liveness sweeps, reproducing the pre-supervision
-# fail-fast runtime as a same-machine baseline arm.
-_SUPERVISION_ENV = "REPRO_RUNTIME_SUPERVISION"
-
-
-def _supervision_enabled() -> bool:
-    return os.environ.get(_SUPERVISION_ENV, "1") != "0"
 
 
 def fork_available() -> bool:
@@ -470,7 +470,6 @@ def _worker_main(
     source, n, m, task_queue, result_queue, worker_id, generation
 ) -> None:
     plan = faults.plan_from_env()  # inherited at fork; None in production
-    supervised = _supervision_enabled()
     if source[0] == "store":
         # mmap-backed graph: attach by path.  Every worker maps the same
         # file, so the page cache is shared across the pool and no copy
@@ -490,11 +489,10 @@ def _worker_main(
             break
         task_id, kind, roots, world_seeds, params = task
         chunk_index += 1
-        if supervised:
-            # Claim before computing: the collector learns chunk
-            # ownership, so a death (or a vanished result) is attributable
-            # to exactly one chunk and that chunk can be re-enqueued.
-            result_queue.put(("claim", worker_id, task_id))
+        # Claim before computing: the collector learns chunk ownership,
+        # so a death (or a vanished result) is attributable to exactly
+        # one chunk and that chunk can be re-enqueued.
+        result_queue.put(("claim", worker_id, task_id))
         action = (
             plan.action_for(worker_id, generation, chunk_index)
             if plan is not None
@@ -564,60 +562,209 @@ class RuntimeHealth:
 
 
 # ----------------------------------------------------------------------
+# Chunk executor: the bookkeeping every remote backend shares
+# ----------------------------------------------------------------------
+class _Run:
+    """One :meth:`ChunkExecutor.run` call's bookkeeping."""
+
+    __slots__ = ("kind", "params", "jobs", "pending", "stash", "attempts",
+                 "error")
+
+    def __init__(self, kind: str, jobs: Sequence[Job], params: tuple) -> None:
+        self.kind = kind
+        self.params = params
+        # chunk id -> (roots, world_seeds), in submission order: all a
+        # resend or the degraded fallback needs to re-execute a chunk.
+        self.jobs = {cid: (roots, seeds) for cid, roots, seeds in jobs}
+        self.pending = set(self.jobs)  # chunk ids still owed an answer
+        self.stash: Dict[int, List[np.ndarray]] = {}
+        self.attempts: Dict[int, int] = {}  # resends per chunk id
+        self.error: Optional[str] = None
+
+
+class ChunkExecutor:
+    """Runs a draw's ``(chunk_id, roots, world_seeds)`` jobs somewhere
+    else and returns their results in submission order.
+
+    The bookkeeping lives here and only here; a backend supplies the
+    transport.  Every :meth:`run` gets an executor-unique tag, so
+    concurrent callers (the serving tier's overlapped ``run_many``
+    lanes) share one backend and each waits only on its own chunks.
+
+    * **First answer wins** — :meth:`_deliver` stashes a chunk's result
+      only while the chunk is owed; a late duplicate of a resent chunk is
+      dropped (identical bytes anyway: a chunk is a pure function of its
+      job).
+    * **Bounded retries** — :meth:`_retry` allows a lost chunk
+      :data:`MAX_TASK_RETRIES` resends.
+    * **Failures are scoped to their run** — a chunk that raises
+      (:meth:`_fail_run`) or exhausts its retries fails the one ``run``
+      it belongs to; the executor stays open for every other caller.
+    * **Degrade** — once the backend calls :meth:`_degrade`, every
+      waiting or later run claims its unanswered chunks and evaluates
+      them through :meth:`_fallback`: same results, by the determinism
+      contract.  :attr:`active` turns false, so the entry points stop
+      routing draws here.
+
+    Subclasses implement :meth:`_send` (ship chunks of a run) and
+    :meth:`_fallback`, and call :meth:`_deliver`, :meth:`_retry`,
+    :meth:`_fail_run` and :meth:`_degrade` with :attr:`_cv` held.
+    """
+
+    def __init__(self) -> None:
+        self._cv = threading.Condition()
+        self._runs: Dict[int, _Run] = {}  # tag -> run
+        self._tags = itertools.count()
+        self._degraded = False
+        self._closed = False
+        self.retries = 0  # resends, over all runs
+
+    @property
+    def degraded(self) -> bool:
+        return self._degraded
+
+    @property
+    def active(self) -> bool:
+        """Whether chunk dispatch should route here (open, not degraded)."""
+        return not self._closed and not self._degraded
+
+    def run(
+        self, kind: str, jobs: Sequence[Job], params: tuple
+    ) -> List[List[np.ndarray]]:
+        """Execute ``jobs`` and return their results in submission order.
+
+        Thread-safe.  Raises :class:`RuntimeError` if a chunk of this run
+        fails or the executor shuts down before the run completes.
+        """
+        run = _Run(kind, jobs, params)
+        with self._cv:
+            if self._closed:
+                raise RuntimeError(f"{type(self).__name__} is shut down")
+            tag = next(self._tags)
+            self._runs[tag] = run
+        try:
+            self._send(tag, run, list(run.jobs))
+            with self._cv:
+                # Every state change notifies; the timeout is a backstop.
+                while run.pending and run.error is None and self.active:
+                    self._cv.wait(0.5)
+                if run.error is not None:
+                    raise RuntimeError(run.error)
+                if run.pending and self._closed:
+                    raise RuntimeError(f"{type(self).__name__} is shut down")
+                # Degraded: claim the unanswered chunks, so late answers
+                # are no longer owed and nothing runs twice.
+                claimed = [(cid, *run.jobs[cid])
+                           for cid in run.jobs if cid in run.pending]
+                run.pending.clear()
+            if claimed:
+                parts = self._fallback(kind, claimed, params)
+                for (cid, _roots, _seeds), arrays in zip(claimed, parts):
+                    run.stash[cid] = arrays
+            return [run.stash[cid] for cid in run.jobs]
+        finally:
+            with self._cv:
+                del self._runs[tag]
+
+    # Backend hooks ----------------------------------------------------
+    def _send(self, tag: int, run: _Run, cids: Sequence[int]) -> None:
+        """Ship chunks ``cids`` of ``run`` (tagged ``tag``) to the
+        backend.  Called without :attr:`_cv` held."""
+        raise NotImplementedError
+
+    def _fallback(
+        self, kind: str, jobs: Sequence[Job], params: tuple
+    ) -> List[List[np.ndarray]]:
+        """Evaluate a degraded run's unanswered ``jobs`` (in submission
+        order) without the backend."""
+        raise NotImplementedError
+
+    # Bookkeeping (caller holds _cv) ------------------------------------
+    def _owed(self, tag: int, cid: int) -> Optional[_Run]:
+        """The run still owed chunk ``cid`` of ``tag``, or ``None``."""
+        run = self._runs.get(tag)
+        if run is None or run.error is not None or cid not in run.pending:
+            return None
+        return run
+
+    def _deliver(self, tag: int, cid: int, arrays: List[np.ndarray]) -> bool:
+        """Stash the first answer for an owed chunk; ``False`` for a late
+        duplicate or a chunk of a finished run."""
+        run = self._owed(tag, cid)
+        if run is None:
+            return False
+        run.pending.discard(cid)
+        run.stash[cid] = arrays
+        if not run.pending:
+            self._cv.notify_all()
+        return True
+
+    def _retry(self, tag: int, cid: int, why: str) -> int:
+        """Count one loss of chunk ``cid`` of ``tag``: the resend number
+        (1, 2, ...) when the backend should resend it, ``0`` when it is
+        no longer owed or has exhausted :data:`MAX_TASK_RETRIES`, which
+        fails its run."""
+        run = self._owed(tag, cid)
+        if run is None:
+            return 0
+        attempts = run.attempts[cid] = run.attempts.get(cid, 0) + 1
+        if attempts > MAX_TASK_RETRIES:
+            self._fail_run(tag, f"chunk {cid} of run {tag} lost {attempts} "
+                                f"times (last cause: {why}); "
+                                "retries exhausted")
+            return 0
+        self.retries += 1
+        return attempts
+
+    def _fail_run(self, tag: int, why: str) -> None:
+        """Fail run ``tag`` (if still running) with ``why``."""
+        run = self._runs.get(tag)
+        if run is not None and run.error is None:
+            run.error = why
+            self._cv.notify_all()
+
+    def _degrade(self) -> None:
+        self._degraded = True
+        self._cv.notify_all()
+
+    def _close(self) -> bool:
+        """Mark the executor closed, failing waiting runs; whether this
+        call closed it (so teardown runs once)."""
+        with self._cv:
+            if self._closed:
+                return False
+            self._closed = True
+            self._cv.notify_all()
+            return True
+
+
+# ----------------------------------------------------------------------
 # Runtime
 # ----------------------------------------------------------------------
-class SharedGraphRuntime:
+class SharedGraphRuntime(ChunkExecutor):
     """A persistent worker pool bound to one graph's shared arrays.
 
     Construction publishes the graph once and forks ``workers``
-    long-lived processes.  Work is **tag-multiplexed**: every submission
-    (:meth:`submit`) gets a runtime-unique tag, its chunk tasks carry
-    ``(tag, chunk_id)`` ids on the one shared task queue, and a collector
-    thread demultiplexes the result queue back into per-tag stashes.
-    That is what lets several queries' sampling phases share the worker
-    pool *concurrently* — the serving tier's overlapped ``run_many``
-    submits every query's chunks up front (each from its own lane
-    thread) and each lane blocks only on :meth:`gather` of its own tag,
-    running its selection phase the moment its samples are complete
-    while other queries' chunks still occupy the workers.
+    long-lived processes.  Every :meth:`~ChunkExecutor.run` puts its
+    chunk tasks, tagged ``(tag, chunk_id)``, on the one shared task
+    queue, and a collector thread demultiplexes the result queue back
+    into the runs — that is what lets several queries' sampling phases
+    share the pool *concurrently*, each lane running its selection phase
+    the moment its own samples are complete.  A chunk that raises in a
+    worker fails only its own run.
 
-    :meth:`run` is the one-shot form (submit + gather) used by the
-    per-collection entry points below; it is safe to call from multiple
-    threads at once.  Reused across calls via :func:`get_runtime`;
-    :meth:`shutdown` (or interpreter exit) releases processes and shared
-    memory.
-
-    Determinism is untouched by the multiplexing: a job carries its
-    samples' roots and world seeds, and results come back in submission
-    order no matter how many tags interleaved on the pool.
+    Reused across calls via :func:`get_runtime`; :meth:`shutdown` (or
+    interpreter exit) releases processes and shared memory.
     """
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        workers: int,
-        max_task_retries: int = MAX_TASK_RETRIES,
-        max_consecutive_deaths: int = MAX_CONSECUTIVE_DEATHS,
-        retry_backoff: float = RETRY_BACKOFF_BASE,
-        task_timeout: Optional[float] = None,
-    ) -> None:
+    def __init__(self, graph: DiGraph, workers: int) -> None:
         if not fork_available():
             raise RuntimeError("SharedGraphRuntime requires the fork start method")
+        super().__init__()
         _install_sigterm_reaper()
         self.graph = graph
         self.graph_version = getattr(graph, "version", 0)
         self.workers = int(workers)
-        self.supervised = _supervision_enabled()
-        self.max_task_retries = int(max_task_retries)
-        self.max_consecutive_deaths = int(max_consecutive_deaths)
-        self.retry_backoff = float(retry_backoff)
-        # Optional straggler bound: a *claimed* chunk with no result after
-        # this many seconds is re-enqueued (its late duplicate, if any, is
-        # deduplicated on arrival — chunks are deterministic).  Off by
-        # default: chunk cost is workload-dependent and a false positive
-        # doubles work.  Catches lost results from workers that stay
-        # alive, which the liveness sweep cannot see.
-        self.task_timeout = task_timeout
         self._ctx = mp.get_context("fork")
         # Publication: pristine store-backed graphs are published *by
         # path* — workers mmap the store file themselves, so pool startup
@@ -632,34 +779,19 @@ class SharedGraphRuntime:
             self._source = ("shm", self._shm.name, table)
         self._tasks = self._ctx.Queue()
         self._results = self._ctx.Queue()
-        self._closed = False
-        self._shutdown_lock = threading.Lock()
-        # Tag-multiplexing + supervision state, guarded by the condition's
-        # lock (spawn/respawn of processes happens outside it).
-        self._cv = threading.Condition()
-        self._next_tag = 0
-        self._pending: Dict[int, set] = {}      # tag -> outstanding cids
-        self._order: Dict[int, List[int]] = {}  # tag -> submission cid order
-        self._stash: Dict[int, Dict[int, List[np.ndarray]]] = {}
-        # tag -> (kind, params, {cid: (roots, world_seeds)}): what
-        # re-enqueue and the degraded serial fallback need to re-execute
-        # a chunk.
-        self._specs: Dict[int, Tuple[str, tuple, Dict[int, tuple]]] = {}
-        self._inflight: Dict[int, Tuple[tuple, float]] = {}  # slot -> (task, t)
-        self._task_retries: Dict[tuple, int] = {}
-        self._deferred: List[tuple] = []  # heap of (due, seq, task_tuple)
+        # Supervision state, guarded by _cv (spawn/respawn of processes
+        # happens outside it).
+        self._inflight: Dict[int, Tuple[tuple, float]] = {}  # slot -> (task id, t)
+        self._deferred: List[tuple] = []  # heap of (due, seq, tag, cid)
         self._deferred_seq = itertools.count()
         self._generation = [0] * self.workers
         self._dead_handled: set = set()
         self._restarts = 0
-        self._retries_total = 0
         # Per-slot run of deaths with no intervening result from that
         # slot.  A one-time burst (every worker killed at once) is one
         # death per slot and recovers; a slot whose respawns keep dying
         # is the hopeless-environment signal that triggers degradation.
         self._death_streak = [0] * self.workers
-        self._degraded = False
-        self._failure: Optional[str] = None
         self._procs: List[mp.process.BaseProcess] = [None] * self.workers
         for slot in range(self.workers):
             self._spawn(slot)
@@ -681,165 +813,68 @@ class SharedGraphRuntime:
         self._procs[slot] = proc
 
     @property
-    def degraded(self) -> bool:
-        return self._degraded
-
-    @property
     def publication(self) -> str:
         """How workers attach to the graph: ``"store"`` (mmap by path)
         or ``"shm"`` (copied into a shared-memory segment)."""
         return self._source[0]
 
-    # ------------------------------------------------------------------
-    # Tagged submission API
-    # ------------------------------------------------------------------
-    def submit(self, kind: str, jobs: Sequence[Job], params: tuple) -> int:
-        """Enqueue ``jobs`` (``(chunk_id, roots, world_seeds)``) under a
-        fresh tag.
-
-        Non-blocking: returns the tag immediately; workers start pulling
-        the chunks as soon as they go idle.  Thread-safe.
-        """
-        with self._cv:
-            if self._closed:
-                raise RuntimeError("runtime is shut down")
-            if self._failure is not None:
-                raise RuntimeError(self._failure)
-            tag = self._next_tag
-            self._next_tag += 1
-            self._pending[tag] = {cid for cid, _r, _s in jobs}
-            self._order[tag] = [cid for cid, _r, _s in jobs]
-            self._stash[tag] = {}
-            self._specs[tag] = (
-                kind, params, {cid: (r, s) for cid, r, s in jobs}
+    def _send(self, tag: int, run: _Run, cids: Sequence[int]) -> None:
+        for cid in cids:
+            roots, world_seeds = run.jobs[cid]
+            self._tasks.put(
+                ((tag, cid), run.kind, roots, world_seeds, run.params)
             )
-        for cid, roots, world_seeds in jobs:
-            self._tasks.put(((tag, cid), kind, roots, world_seeds, params))
-        return tag
 
-    def gather(self, tag: int) -> List[List[np.ndarray]]:
-        """Block until every chunk of ``tag`` has arrived; return their
-        results in submission order.  Thread-safe; each tag may be
-        gathered exactly once.
-
-        Wake-up is event-driven — the collector notifies on *every*
-        arriving result, so small batches complete with no polling
-        quantization (the wait timeout below is only a liveness backstop).
-
-        Recovery: lost chunks are re-enqueued transparently by the
-        collector; if the runtime **degrades** (too many consecutive
-        worker deaths) the gatherer claims its remaining chunks and runs
-        them serially in-process — bit-identical by the determinism
-        contract.  Only an unrecoverable failure (a chunk that *raises*
-        in a worker, or retries exhausted) tears the runtime down before
-        raising."""
-        failure = None
-        while True:
-            serial: List[Job] = []
-            with self._cv:
-                if self._failure is not None:
-                    failure = self._failure
-                    break
-                pending = self._pending.get(tag)
-                if pending is None:
-                    raise KeyError(f"unknown or already-gathered tag {tag}")
-                if not pending:
-                    del self._pending[tag]
-                    order = self._order.pop(tag)
-                    chunks = self._stash.pop(tag)
-                    self._specs.pop(tag, None)
-                    return [chunks[cid] for cid in order]
-                if self._degraded:
-                    # Claim every outstanding chunk of this tag for serial
-                    # in-process execution.  Removing them from the pending
-                    # set means a late worker duplicate is dropped on
-                    # arrival (it would be identical anyway).
-                    kind, params, chunkmap = self._specs[tag]
-                    serial = [(cid, *chunkmap[cid]) for cid in sorted(pending)]
-                    pending.clear()
-                else:
-                    self._cv.wait(timeout=0.5)
-            for cid, roots, world_seeds in serial:
-                arrays = _run_task(self.graph, kind, roots, world_seeds, params)
-                with self._cv:
-                    self._stash[tag][cid] = arrays
-        self.shutdown()
-        raise RuntimeError(failure)
-
-    def run(
+    def _fallback(
         self, kind: str, jobs: Sequence[Job], params: tuple
     ) -> List[List[np.ndarray]]:
-        """Execute ``jobs`` and return their results in submission order
-        (one-shot :meth:`submit` + :meth:`gather`)."""
-        return self.gather(self.submit(kind, jobs, params))
+        return run_chunks_local(self.graph, kind, jobs, params, 1)
 
     # ------------------------------------------------------------------
     # Collector + supervision
     # ------------------------------------------------------------------
-    def _is_outstanding(self, task_id: tuple) -> bool:
-        """Whether a chunk is still owed a result (caller holds the cv)."""
-        tag, cid = task_id
-        pending = self._pending.get(tag)
-        return pending is not None and cid in pending
-
     def _requeue(self, task_id: tuple, why: str) -> None:
-        """Schedule a lost chunk for re-execution (caller holds the cv).
-
-        Bounded retries with exponential backoff; exhausting them is the
-        one unrecoverable outcome and sets :attr:`_failure`.
-        """
-        if not self._is_outstanding(task_id):
-            return
-        retries = self._task_retries.get(task_id, 0) + 1
-        if retries > self.max_task_retries:
-            self._failure = (
-                f"chunk {task_id} lost {retries} times "
-                f"(last cause: {why}); retries exhausted"
-            )
-            self._cv.notify_all()
-            return
-        self._task_retries[task_id] = retries
-        self._retries_total += 1
+        """Schedule a lost chunk for a resend after an exponential
+        backoff (caller holds the cv)."""
         tag, cid = task_id
-        spec = self._specs.get(tag)
-        if spec is None:  # pragma: no cover - tag abandoned meanwhile
+        attempt = self._retry(tag, cid, why)
+        if not attempt:
             return
-        kind, params, chunkmap = spec
-        roots, world_seeds = chunkmap[cid]
-        due = time.monotonic() + self.retry_backoff * (2 ** (retries - 1))
+        due = time.monotonic() + RETRY_BACKOFF_BASE * (2 ** (attempt - 1))
         heapq.heappush(
-            self._deferred,
-            (due, next(self._deferred_seq),
-             (task_id, kind, roots, world_seeds, params)),
+            self._deferred, (due, next(self._deferred_seq), tag, cid)
         )
 
     def _service_deferred(self) -> None:
-        """Move due re-enqueued chunks back onto the task queue."""
+        """Resend due re-enqueued chunks that are still owed."""
         now = time.monotonic()
         ready = []
         with self._cv:
             while self._deferred and self._deferred[0][0] <= now:
-                _due, _seq, task = heapq.heappop(self._deferred)
-                ready.append(task)
-        for task in ready:
-            self._tasks.put(task)
+                _due, _seq, tag, cid = heapq.heappop(self._deferred)
+                run = self._owed(tag, cid)
+                if run is not None:
+                    ready.append((tag, run, cid))
+        for tag, run, cid in ready:
+            self._send(tag, run, [cid])
 
     def _sweep(self) -> None:
         """Detect dead workers; re-enqueue their chunks and respawn them.
 
         Each death increments its slot's death streak (reset by a result
         from that slot, so a one-time burst of deaths recovers); when a
-        slot's respawns have died :attr:`max_consecutive_deaths` times in
-        a row the runtime degrades — no further respawns, gatherers finish serially — which
-        bounds the recovery storm a persistently crashing environment
-        could otherwise cause.  With :attr:`task_timeout` set, claimed
-        chunks whose result never arrived (worker alive but wedged, or
-        the result message lost) are re-enqueued too.
+        slot's respawns have died :data:`MAX_CONSECUTIVE_DEATHS` times in
+        a row the runtime degrades — no further respawns, runs finish
+        serially — which bounds the recovery storm a persistently
+        crashing environment could otherwise cause.  With
+        :data:`TASK_TIMEOUT` set, claimed chunks whose result never
+        arrived (worker alive but wedged, or the result message lost) are
+        re-enqueued too.
         """
         respawn: List[int] = []
         now = time.monotonic()
         with self._cv:
-            if self._closed or self._failure is not None:
+            if self._closed:
                 return
             for slot, proc in enumerate(self._procs):
                 if proc.is_alive() or slot in self._dead_handled:
@@ -851,34 +886,31 @@ class SharedGraphRuntime:
                 self._death_streak[slot] += 1
                 if self._degraded:
                     continue
-                if self._death_streak[slot] >= self.max_consecutive_deaths:
-                    self._degraded = True
-                    self._cv.notify_all()  # gatherers take over serially
+                if self._death_streak[slot] >= MAX_CONSECUTIVE_DEATHS:
+                    self._degrade()
                     continue
                 self._generation[slot] += 1
                 self._restarts += 1
                 respawn.append(slot)
-            if self.task_timeout is not None:
+            if TASK_TIMEOUT is not None:
                 for slot, (task_id, claimed_at) in list(self._inflight.items()):
-                    if now - claimed_at > self.task_timeout:
+                    if now - claimed_at > TASK_TIMEOUT:
                         del self._inflight[slot]
-                        self._requeue(task_id, f"no result within {self.task_timeout}s")
+                        self._requeue(task_id, f"no result within {TASK_TIMEOUT}s")
         for slot in respawn:
             self._spawn(slot)  # outside the lock: process start is slow
             with self._cv:
                 self._dead_handled.discard(slot)
 
     def _collect_loop(self) -> None:
-        """Drain the result queue into the per-tag stashes (single reader).
+        """Drain the result queue into the runs (single reader).
 
         Runs until shutdown.  Claim messages maintain per-worker chunk
-        ownership; result arrivals wake every gatherer promptly (no
-        polling floor on small batches).  Between messages — and at least
-        every :data:`_POLL_INTERVAL` seconds — the liveness sweep and the
-        retry queue run.  Sets :attr:`_failure` only for unrecoverable
-        outcomes (a chunk that raised in a worker, retries exhausted);
-        result payloads are copied out of (and their segments unlinked
-        from) shared memory here, so abandoned tags never leak segments.
+        ownership; between messages — and at least every
+        :data:`_POLL_INTERVAL` seconds — the liveness sweep and the retry
+        queue run.  Result payloads are copied out of (and their
+        segments unlinked from) shared memory here, so answers for
+        finished runs never leak segments.
         """
         last_sweep = time.monotonic()
         while not self._closed:
@@ -887,11 +919,10 @@ class SharedGraphRuntime:
                 msg = self._results.get(timeout=_POLL_INTERVAL)
             except Exception:
                 msg = None
-            if self.supervised:
-                now = time.monotonic()
-                if msg is None or now - last_sweep >= _POLL_INTERVAL:
-                    self._sweep()
-                    last_sweep = now
+            now = time.monotonic()
+            if msg is None or now - last_sweep >= _POLL_INTERVAL:
+                self._sweep()
+                last_sweep = now
             if msg is None:
                 continue
             if msg[0] == "claim":
@@ -907,32 +938,24 @@ class SharedGraphRuntime:
                         )
                 continue
             _kind, wid, (tag, cid), ok, payload = msg
+            error = None
             if not ok:
-                with self._cv:
-                    self._failure = f"worker task ({tag}, {cid}) failed: {payload}"
-                    self._cv.notify_all()
-                continue
-            try:
-                arrays = _receive_result(payload)
-            except Exception as exc:  # pragma: no cover - defensive
-                with self._cv:
-                    self._failure = f"result unpack failed: {exc!r}"
-                    self._cv.notify_all()
-                continue
+                error = f"worker task ({tag}, {cid}) failed: {payload}"
+            else:
+                try:
+                    arrays = _receive_result(payload)
+                except Exception as exc:  # pragma: no cover - defensive
+                    error = f"result unpack failed: {exc!r}"
             with self._cv:
                 held = self._inflight.get(wid)
                 if held is not None and held[0] == (tag, cid):
                     del self._inflight[wid]
                 if 0 <= wid < len(self._death_streak):
                     self._death_streak[wid] = 0
-                pending = self._pending.get(tag)
-                if pending is not None and cid in pending:
-                    self._stash[tag][cid] = arrays
-                    pending.discard(cid)
-                # else: tag abandoned or chunk already satisfied (late
-                # duplicate after a retry) — arrays dropped, segment
-                # already unlinked by _receive_result.
-                self._cv.notify_all()  # wake gatherers per result arrival
+                if error is None:
+                    self._deliver(tag, cid, arrays)
+                else:
+                    self._fail_run(tag, error)
 
     def health(self) -> RuntimeHealth:
         """A consistent snapshot of the supervision counters."""
@@ -943,7 +966,7 @@ class SharedGraphRuntime:
                     p is not None and p.is_alive() for p in self._procs
                 ),
                 restarts=self._restarts,
-                retries=self._retries_total,
+                retries=self.retries,
                 degraded=self._degraded,
             )
 
@@ -958,15 +981,9 @@ class SharedGraphRuntime:
         never consumed, and joins on already-dead processes return
         immediately.
         """
-        with self._shutdown_lock:
-            if self._closed:
-                return
-            self._closed = True
+        if not self._close():
+            return
         deadline = time.monotonic() + max(float(timeout), 0.1)
-        with self._cv:
-            if self._failure is None:
-                self._failure = "runtime is shut down"
-            self._cv.notify_all()
         self._collector.join(timeout=min(5.0, max(deadline - time.monotonic(), 0.1)))
         for _ in self._procs:
             try:
@@ -1099,12 +1116,11 @@ def runtime_health(graph=None) -> Optional[RuntimeHealth]:
 # Distributed runtime binding
 # ----------------------------------------------------------------------
 # Graphs with a multi-host sampling runtime attached (repro.dist) are
-# registered here so the chunk executor below can route batch work to
-# the coordinator without this module ever importing repro.dist (dist
-# imports parallel for the job/payload contract — the dependency only
-# points one way).  The registry holds anything duck-typed like
-# DistributedRuntime: ``.run(kind, jobs, params)``, ``.active``,
-# ``.degraded`` and ``.health()``.
+# registered here so _run_chunks below can route batch work to the
+# coordinator without this module ever importing repro.dist (dist
+# imports parallel for the executor and the job/payload contract — the
+# dependency only points one way).  The registry holds ChunkExecutors
+# that also report ``.health()``.
 _DIST_RUNTIMES: Dict[int, Any] = {}
 _DIST_LOCK = threading.Lock()
 
@@ -1172,8 +1188,8 @@ def run_chunks_local(
 ) -> List[List[np.ndarray]]:
     """Run chunk jobs on the local shared runtime, or serially in-process
     when ``workers <= 1`` / no fork — never through a distributed
-    binding.  This is what ``repro dist-worker`` hosts (and the
-    coordinator's degraded fallback) call, so a worker process that
+    binding.  This is what ``repro dist-worker`` hosts and both
+    executors' degraded fallbacks call, so a worker process that
     happens to share an interpreter with a coordinator can never bounce
     its own chunks back over the wire."""
     if workers > 1 and fork_available() and len(jobs) > 1:
@@ -1273,120 +1289,3 @@ def parallel_rr_csr(
     return _columns(
         _run_chunks(graph, "rr", rng, count, (), _resolve_workers(workers))
     )
-
-
-# ----------------------------------------------------------------------
-# Legacy per-call pool path (benchmark baseline)
-# ----------------------------------------------------------------------
-_LEGACY_CHUNK = 64
-
-_worker_graph: Optional[DiGraph] = None
-_worker_seeds: Optional[frozenset] = None
-_worker_k: int = 0
-
-
-def _init_worker(graph: DiGraph, seeds: frozenset, k: int) -> None:
-    global _worker_graph, _worker_seeds, _worker_k
-    _worker_graph = graph
-    _worker_seeds = seeds
-    _worker_k = k
-    SamplingEngine.for_graph(graph)
-
-
-def _worker_sample_graphs(args: Tuple[int, int, int]) -> Tuple[int, tuple]:
-    chunk_id, seed, count = args
-    rng = np.random.default_rng(seed)
-    arena = sample_prr_arena(_worker_graph, _worker_seeds, _worker_k, rng, count)
-    return chunk_id, arena.payload()
-
-
-def _worker_sample_critical(
-    args: Tuple[int, int, int]
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    chunk_id, seed, count = args
-    rng = np.random.default_rng(seed)
-    engine = SamplingEngine.for_graph(_worker_graph)
-    counts = np.empty(count, dtype=np.int64)
-    members: List[np.ndarray] = []
-    for i in range(count):
-        _status, crit, _explored = engine.critical_members(_worker_seeds, rng)
-        counts[i] = crit.size
-        members.append(crit)
-    values = (
-        np.concatenate(members).astype(np.int32, copy=False)
-        if members
-        else np.empty(0, dtype=np.int32)
-    )
-    return chunk_id, counts, values
-
-
-def _legacy_chunk_jobs(count: int, master_seed: int) -> List[Tuple[int, int, int]]:
-    num_chunks = math.ceil(count / _LEGACY_CHUNK)
-    base, extra = divmod(count, num_chunks)
-    sizes = [base + (1 if i < extra else 0) for i in range(num_chunks)]
-    seq = np.random.SeedSequence(master_seed)
-    seeds = [int(s.generate_state(1)[0]) for s in seq.spawn(num_chunks)]
-    return [
-        (cid, seed, size)
-        for cid, (seed, size) in enumerate(zip(seeds, sizes))
-        if size > 0
-    ]
-
-
-def legacy_parallel_prr_collection(
-    graph: DiGraph,
-    seeds,
-    k: int,
-    count: int,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> PRRArena:
-    """The PR-2 parallel path, preserved verbatim as a baseline: a fork
-    pool spun up per call (graph pickled to every worker via initargs),
-    single-sample chunk loops, pickled payload results."""
-    seed_set = frozenset(int(s) for s in seeds)
-    workers = _resolve_workers(workers)
-    if workers <= 1 or count < _LEGACY_CHUNK or not fork_available():
-        rng = np.random.default_rng(master_seed)
-        return sample_prr_arena(graph, seed_set, k, rng, count)
-    jobs = _legacy_chunk_jobs(count, master_seed)
-    ctx = mp.get_context("fork")
-    with ctx.Pool(
-        workers, initializer=_init_worker, initargs=(graph, seed_set, k)
-    ) as pool:
-        parts = list(pool.imap_unordered(_worker_sample_graphs, jobs))
-    parts.sort(key=lambda part: part[0])
-    return PRRArena.from_payloads([payload for _cid, payload in parts])
-
-
-def legacy_parallel_critical_sets(
-    graph: DiGraph,
-    seeds,
-    count: int,
-    master_seed: int = 0,
-    workers: int | None = None,
-) -> List[FrozenSet[int]]:
-    """The PR-2 parallel critical-set path (see
-    :func:`legacy_parallel_prr_collection`)."""
-    seed_set = frozenset(int(s) for s in seeds)
-    workers = _resolve_workers(workers)
-    if workers <= 1 or count < _LEGACY_CHUNK or not fork_available():
-        rng = np.random.default_rng(master_seed)
-        engine = SamplingEngine.for_graph(graph)
-        return [
-            critical
-            for _status, critical, _explored in (
-                engine.critical_set(seed_set, rng) for _ in range(count)
-            )
-        ]
-    jobs = _legacy_chunk_jobs(count, master_seed)
-    ctx = mp.get_context("fork")
-    with ctx.Pool(
-        workers, initializer=_init_worker, initargs=(graph, seed_set, 1)
-    ) as pool:
-        parts = list(pool.imap_unordered(_worker_sample_critical, jobs))
-    parts.sort(key=lambda part: part[0])
-    out: List[FrozenSet[int]] = []
-    for _cid, counts, values in parts:
-        out.extend(csr_to_frozensets(counts, values))
-    return out

@@ -14,14 +14,16 @@ sample chunks across worker *hosts*:
   runs assigned chunks through its own local
   :class:`~repro.core.parallel.SharedGraphRuntime`,
 * :mod:`repro.dist.coordinator` — :class:`DistributedRuntime`, the
-  client-side coordinator that scatters chunks, supervises hosts
+  client-side coordinator: a :class:`~repro.core.parallel.ChunkExecutor`
+  (the run / merge / retry / degrade core the local pool shares) whose
+  transport scatters chunks over the hosts and supervises them
   (bounded re-assignment on loss, degraded fallback to the local
-  runtime) and merges results deterministically.
+  runtime).
 
 The determinism contract is the one the local runtime keeps: every
 chunk carries the roots and world seeds its samples were drawn with
 from the query's RNG, evaluating them is a pure function, and the
-gatherer restores submission order — so results are bit-identical to
+executor restores submission order — so results are bit-identical to
 the in-process and single-host paths regardless of host count, chunk
 interleaving, or which host computed what.
 """

@@ -1,8 +1,8 @@
 """Coordinator side of the distributed sampling runtime.
 
-:class:`DistributedRuntime` satisfies the same duck-typed runtime
-interface the chunk executor in :mod:`repro.core.parallel` dispatches to
-(``submit``/``gather``/``run``/``health``/``shutdown``), but scatters
+:class:`DistributedRuntime` is a
+:class:`~repro.core.parallel.ChunkExecutor` — the same run / stash /
+retry / degrade core the local pool uses — whose transport scatters
 chunk jobs over TCP to remote worker hosts instead of local fork
 workers:
 
@@ -11,35 +11,34 @@ workers:
   stream back, so fast hosts naturally take more of the tail (the same
   dynamic balance the local runtime's shared queue gives).
 * **Deterministic merge** — every job carries its samples' roots and
-  world seeds, drawn from the query's RNG before dispatch; results are
-  stashed by ``chunk_id`` and reassembled in submission order, so the
-  merged payload is bit-identical to the in-process and single-host
-  paths regardless of host count, chunk interleaving, or which host
-  computed what.
+  world seeds, drawn from the query's RNG before dispatch; the executor
+  stashes results by ``chunk_id`` and returns them in submission order,
+  so the merged payload is bit-identical to the in-process and
+  single-host paths regardless of host count, chunk interleaving, or
+  which host computed what.
 * **Supervision** (the host-level analogue of the local pool's worker
   supervision) — a lost connection re-assigns that host's outstanding
-  chunks to the survivors, each chunk at most ``max_chunk_retries``
-  times; with no hosts left the runtime **degrades**: remaining and
-  future chunks run on the local runtime instead, results unchanged.
+  chunks to the survivors, each chunk at most
+  :data:`~repro.core.parallel.MAX_TASK_RETRIES` times; with no hosts
+  left the runtime **degrades**: remaining and future chunks run on the
+  local runtime instead, results unchanged.  A ``chunk_error`` from a
+  host fails only the run (query) it belongs to; the host stays
+  connected.
 
 The runtime is bound to a graph with
 :func:`repro.core.parallel.bind_distributed_runtime` (the
 ``Session(hosts=...)`` constructor does this), after which every
 chunked sampling entry point routes through it transparently.
 """
-
 from __future__ import annotations
 
 import socket
 import threading
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.parallel import (
-    MAX_TASK_RETRIES,
-    Job,
+    ChunkExecutor,
     RuntimeHealth,
     _resolve_workers,
     run_chunks_local,
@@ -56,10 +55,10 @@ from .protocol import (
 
 __all__ = ["DistributedRuntime", "parse_hosts"]
 
-# Handshake must complete within this; after it, reads block until the
-# host answers or the connection drops (liveness is EOF-driven, bounded
-# by the OS keepalive/connection teardown).
-_HANDSHAKE_TIMEOUT = 10.0
+# Seconds the connect + handshake may take; after it, reads block until
+# the host answers or the connection drops (liveness is EOF-driven,
+# bounded by the OS keepalive/connection teardown).
+HANDSHAKE_TIMEOUT = 10.0
 
 HostSpec = Union[str, Tuple[str, int]]
 
@@ -97,7 +96,7 @@ class _Host:
         self.window = 2 * self.workers + 2
         self.send_lock = threading.Lock()
         self.alive = True
-        self.outstanding: Dict[Tuple[int, int], tuple] = {}
+        self.outstanding: Set[Tuple[int, int]] = set()  # (tag, cid) unanswered
         self.chunks_done = 0
         self.chunks_lost = 0
         self.reader: Optional[threading.Thread] = None
@@ -107,8 +106,13 @@ class _Host:
         return f"{self.addr[0]}:{self.addr[1]}"
 
 
-class DistributedRuntime:
+class DistributedRuntime(ChunkExecutor):
     """Shard chunk jobs across worker hosts; merge deterministically.
+
+    The run bookkeeping (submission-order merge, retries, failure scope,
+    degraded fallback) is :class:`~repro.core.parallel.ChunkExecutor`'s;
+    this class is the transport: the handshake, one reader thread per
+    host, the host windows and host loss.
 
     Parameters
     ----------
@@ -122,9 +126,6 @@ class DistributedRuntime:
     fallback_workers:
         Local parallelism of the degraded path (default: one per core,
         like the local runtime).
-    max_chunk_retries:
-        Re-assignments a single chunk survives before the whole
-        submission fails (mirrors the local pool's task-retry bound).
     """
 
     def __init__(
@@ -132,28 +133,15 @@ class DistributedRuntime:
         graph,
         hosts: Union[str, Sequence[HostSpec]],
         fallback_workers: Optional[int] = None,
-        connect_timeout: float = _HANDSHAKE_TIMEOUT,
-        max_chunk_retries: int = MAX_TASK_RETRIES,
     ) -> None:
+        super().__init__()
         self.graph = graph
-        self.max_chunk_retries = int(max_chunk_retries)
         self._fallback_workers = (
             _resolve_workers(None) if fallback_workers is None
             else max(1, int(fallback_workers))
         )
-        self._cv = threading.Condition()
-        self._queue: deque = deque()
-        self._next_tag = 0
-        self._pending: Dict[int, set] = {}
-        self._order: Dict[int, List[int]] = {}
-        self._stash: Dict[int, Dict[int, List[np.ndarray]]] = {}
-        self._specs: Dict[int, tuple] = {}
-        self._retries: Dict[Tuple[int, int], int] = {}
-        self._failure: Optional[BaseException] = None
-        self._degraded = False
-        self._closed = False
+        self._queue: deque = deque()  # (tag, cid) awaiting a host window
         self.host_losses = 0
-        self.reassignments = 0
 
         store = publishable_store(graph)
         hello = {
@@ -165,9 +153,7 @@ class DistributedRuntime:
         self._hosts: List[_Host] = []
         try:
             for addr in parse_hosts(hosts):
-                self._hosts.append(
-                    self._connect(addr, hello, connect_timeout)
-                )
+                self._hosts.append(self._connect(addr, hello))
         except Exception:
             self.shutdown()
             raise
@@ -181,8 +167,8 @@ class DistributedRuntime:
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    def _connect(self, addr, hello, timeout) -> _Host:
-        sock = socket.create_connection(addr, timeout=timeout)
+    def _connect(self, addr, hello) -> _Host:
+        sock = socket.create_connection(addr, timeout=HANDSHAKE_TIMEOUT)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             send_msg(sock, hello)
@@ -207,7 +193,12 @@ class DistributedRuntime:
             raise
 
     def _reader(self, host: _Host) -> None:
-        """Drain one host's result stream until it drops."""
+        """Drain one host's answers until it drops.
+
+        A ``chunk_error`` fails only the run it belongs to: that run's
+        chunks are no longer owed by this host, and the connection stays
+        open for every other run.
+        """
         try:
             while True:
                 msg = recv_msg(host.sock)
@@ -215,137 +206,119 @@ class DistributedRuntime:
                     break
                 header, arrays = msg
                 mtype = header.get("type")
-                if mtype == "result":
-                    self._on_result(host, header["tag"], header["cid"],
-                                    arrays)
-                elif mtype == "chunk_error":
-                    self._fail(RuntimeError(
-                        f"worker host {host.label} failed chunk "
-                        f"{header.get('cid')}: {header.get('detail')}"
-                    ))
+                if mtype not in ("result", "chunk_error"):
                     break
-                else:
-                    break
-        except (ProtocolError, OSError, ValueError):
+                tag = header["tag"]
+                with self._cv:
+                    if mtype == "result":
+                        task = (tag, header["cid"])
+                        host.outstanding.discard(task)
+                        if self._deliver(*task, arrays):
+                            host.chunks_done += 1
+                    else:
+                        self._fail_run(
+                            tag, f"worker host {host.label} failed chunk "
+                                 f"{header.get('cid')}: {header.get('detail')}"
+                        )
+                        host.outstanding = {
+                            task for task in host.outstanding
+                            if task[0] != tag
+                        }
+                self._dispatch()
+        except (ProtocolError, OSError, ValueError, KeyError, TypeError):
             pass
         self._host_lost(host)
 
-    def _on_result(self, host: _Host, tag: int, cid: int,
-                   arrays: List[np.ndarray]) -> None:
-        with self._cv:
-            host.outstanding.pop((tag, cid), None)
-            pend = self._pending.get(tag)
-            if pend is not None and cid in pend:
-                # First answer wins; late duplicates from a half-dead
-                # connection (chunk already re-assigned) are dropped —
-                # both copies are identical bytes anyway.
-                pend.discard(cid)
-                self._stash[tag][cid] = arrays
-                host.chunks_done += 1
-            self._cv.notify_all()
-        self._dispatch()
-
     def _host_lost(self, host: _Host) -> None:
-        """Re-queue a dropped host's chunks; degrade when none remain."""
+        """Re-queue a dropped host's owed chunks; degrade when no host
+        remains."""
         with self._cv:
             if not host.alive or self._closed:
                 return
             host.alive = False
             self.host_losses += 1
-            orphans = list(host.outstanding.items())
+            orphans = sorted(host.outstanding)
             host.outstanding.clear()
             host.chunks_lost += len(orphans)
-            for task_id, task in orphans:
-                tag, cid = task_id
-                if cid not in self._pending.get(tag, ()):  # already done
-                    continue
-                retries = self._retries.get(task_id, 0) + 1
-                self._retries[task_id] = retries
-                if retries > self.max_chunk_retries:
-                    self._failure = RuntimeError(
-                        f"chunk {cid} of tag {tag} lost "
-                        f"{retries} times (last host {host.label})"
-                    )
-                    self._cv.notify_all()
-                    return
-                self.reassignments += 1
-                self._queue.appendleft(task)
+            why = f"host {host.label} lost"
+            self._queue.extendleft(reversed(
+                [task for task in orphans if self._retry(*task, why)]
+            ))
             if not any(h.alive for h in self._hosts):
-                self._degraded = True
-            self._cv.notify_all()
+                self._queue.clear()  # runs claim their chunks themselves
+                self._degrade()
         try:
             host.sock.close()
         except OSError:
             pass
         self._dispatch()
 
-    def _fail(self, exc: BaseException) -> None:
-        with self._cv:
-            if self._failure is None:
-                self._failure = exc
-            self._cv.notify_all()
-
     # ------------------------------------------------------------------
     # Scatter
     # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        """Refill every live host's window from the task queue."""
+    def _send(self, tag: int, run, cids) -> None:
         with self._cv:
-            if self._closed or self._degraded or self._failure is not None:
-                return
+            self._queue.extend((tag, cid) for cid in cids)
+        self._dispatch()
+
+    def _fallback(self, kind: str, jobs, params: tuple):
+        return run_chunks_local(
+            self.graph, kind, jobs, params, self._fallback_workers
+        )
+
+    def _pop_owed(self) -> Optional[Tuple[int, int]]:
+        """The next queued chunk still owed (caller holds the lock);
+        chunks of failed, finished or degraded-and-claimed runs are
+        dropped on the way."""
+        while self._queue:
+            task = self._queue.popleft()
+            if self._owed(*task) is not None:
+                return task
+        return None
+
+    def _frame(self, tag: int, cids: List[int]) -> tuple:
+        """The ``chunks`` frame for chunks ``cids`` of run ``tag`` — one
+        frame per run, so it carries one (kind, params) (caller holds
+        the lock)."""
+        run = self._runs[tag]
+        header = {"type": "chunks", "tag": tag, "kind": run.kind,
+                  "params": list(run.params), "jobs": cids}
+        return header, [a for cid in cids for a in run.jobs[cid]]
+
+    def _dispatch(self) -> None:
+        """Refill every live host's window from the queue."""
+        frames: Dict[_Host, Dict[int, List[int]]] = {}
+        with self._cv:
             # Round-robin one chunk at a time so a batch smaller than one
             # host's window still spreads across every live host; the
             # windows then only cap in-flight depth.
-            batches: Dict[int, List[tuple]] = {}
-            progress = True
-            while self._queue and progress:
-                progress = False
-                for idx, host in enumerate(self._hosts):
-                    if not self._queue:
-                        break
-                    if not host.alive:
-                        continue
-                    assigned = len(host.outstanding)
-                    if assigned >= host.window:
-                        continue
-                    task = self._queue.popleft()
-                    host.outstanding[(task[0], task[1])] = task
-                    batches.setdefault(idx, []).append(task)
-                    progress = True
-            assignments = [
-                (self._hosts[idx], batch) for idx, batch in batches.items()
+            while self.active:
+                hosts = [h for h in self._hosts
+                         if h.alive and len(h.outstanding) < h.window]
+                tasks = [task for task in (self._pop_owed() for _ in hosts)
+                         if task is not None]
+                if not tasks:
+                    break
+                for host, task in zip(hosts, tasks):
+                    host.outstanding.add(task)
+                    frames.setdefault(host, {}).setdefault(
+                        task[0], []
+                    ).append(task[1])
+            sends = [
+                (host, [self._frame(tag, cids) for tag, cids in by_tag.items()])
+                for host, by_tag in frames.items()
             ]
-        for host, batch in assignments:
-            # Group by tag so each frame carries one (kind, params).
-            by_tag: Dict[int, List[tuple]] = {}
-            for task in batch:
-                by_tag.setdefault(task[0], []).append(task)
+        for host, host_frames in sends:
             try:
                 with host.send_lock:
-                    for tag, tasks in by_tag.items():
-                        _t, _c, _r, _s, kind, params = tasks[0]
-                        send_msg(host.sock, {
-                            "type": "chunks",
-                            "tag": tag,
-                            "kind": kind,
-                            "params": list(params),
-                            "jobs": [task[1] for task in tasks],
-                        }, [a for task in tasks for a in task[2:4]])
+                    for header, arrays in host_frames:
+                        send_msg(host.sock, header, arrays)
             except (OSError, ValueError):
                 self._host_lost(host)
 
     # ------------------------------------------------------------------
     # Runtime interface
     # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
-
-    @property
-    def active(self) -> bool:
-        """Whether chunk dispatch should route here (open, hosts left)."""
-        return not self._closed and not self._degraded
-
     @property
     def capacity(self) -> int:
         """Summed remote worker capacity (all configured hosts)."""
@@ -355,88 +328,6 @@ class DistributedRuntime:
     def alive_capacity(self) -> int:
         return sum(h.workers for h in self._hosts if h.alive)
 
-    def submit(self, kind: str, jobs: Sequence[Job], params: tuple) -> int:
-        """Queue ``(chunk_id, roots, world_seeds)`` jobs for the hosts;
-        returns the gather tag."""
-        with self._cv:
-            if self._closed:
-                raise RuntimeError("distributed runtime is shut down")
-            tag = self._next_tag
-            self._next_tag += 1
-            self._order[tag] = [cid for cid, _r, _s in jobs]
-            self._pending[tag] = {cid for cid, _r, _s in jobs}
-            self._stash[tag] = {}
-            self._specs[tag] = (
-                kind, params, {cid: (r, s) for cid, r, s in jobs},
-            )
-            for cid, roots, world_seeds in jobs:
-                self._queue.append(
-                    (tag, cid, roots, world_seeds, kind, params)
-                )
-        self._dispatch()
-        return tag
-
-    def gather(self, tag: int) -> List[List[np.ndarray]]:
-        """Block until every chunk of ``tag`` answered; results in
-        submission order.  On degradation the remaining chunks run on
-        the local runtime — the merged payload is identical either way.
-        """
-        while True:
-            with self._cv:
-                if tag not in self._pending:
-                    raise KeyError(f"unknown or already-gathered tag {tag}")
-                if self._failure is not None:
-                    raise RuntimeError(
-                        "distributed sampling failed"
-                    ) from self._failure
-                if self._closed:
-                    raise RuntimeError("distributed runtime is shut down")
-                if not self._pending[tag]:
-                    break
-                if self._degraded:
-                    claimed = self._claim_locked(tag)
-                else:
-                    self._cv.wait(0.2)
-                    continue
-            if claimed:
-                kind, params, _jobs = self._specs[tag]
-                parts = run_chunks_local(
-                    self.graph, kind, claimed, params,
-                    self._fallback_workers,
-                )
-                with self._cv:
-                    for (cid, _roots, _seeds), arrays in zip(claimed, parts):
-                        self._stash[tag][cid] = arrays
-                        self._pending[tag].discard(cid)
-                    self._cv.notify_all()
-        with self._cv:
-            order = self._order.pop(tag)
-            stash = self._stash.pop(tag)
-            self._pending.pop(tag)
-            self._specs.pop(tag)
-        return [stash[cid] for cid in order]
-
-    def _claim_locked(self, tag: int) -> List[Job]:
-        """Claim ``tag``'s unanswered chunks for local execution
-        (degraded path).  Rebuilt from the submission spec — complete
-        even for a chunk lost in a send race — and purged from the
-        queue so nothing runs twice.  Caller holds the lock."""
-        _kind, _params, job_specs = self._specs[tag]
-        pend = self._pending[tag]
-        claimed = [
-            (cid, *job_specs[cid]) for cid in self._order[tag] if cid in pend
-        ]
-        self._queue = deque(
-            task for task in self._queue
-            if not (task[0] == tag and task[1] in pend)
-        )
-        return claimed
-
-    def run(self, kind: str, jobs: Sequence[Job],
-            params: tuple) -> List[List[np.ndarray]]:
-        """submit + gather in one call (what the chunk executor uses)."""
-        return self.gather(self.submit(kind, jobs, params))
-
     def health(self) -> RuntimeHealth:
         """Host-granular supervision snapshot (see
         :class:`~repro.core.parallel.RuntimeHealth`)."""
@@ -445,7 +336,7 @@ class DistributedRuntime:
                 workers=self.capacity,
                 workers_alive=self.alive_capacity,
                 restarts=self.host_losses,
-                retries=self.reassignments,
+                retries=self.retries,
                 degraded=self._degraded,
                 hosts=tuple(
                     {
@@ -461,12 +352,9 @@ class DistributedRuntime:
 
     def shutdown(self) -> None:
         """Close every host connection (idempotent)."""
-        with self._cv:
-            if self._closed:
-                return
-            self._closed = True
-            self._cv.notify_all()
-        for host in getattr(self, "_hosts", []):
+        if not self._close():
+            return
+        for host in self._hosts:
             try:
                 with host.send_lock:
                     send_msg(host.sock, {"type": "bye"})
@@ -476,6 +364,6 @@ class DistributedRuntime:
                 host.sock.close()
             except OSError:
                 pass
-        for host in getattr(self, "_hosts", []):
+        for host in self._hosts:
             if host.reader is not None:
                 host.reader.join(timeout=5.0)

@@ -30,8 +30,10 @@ Message types
 ``error``        worker → coordinator: handshake refused / fatal failure
 ``chunks``       coordinator → worker: a slice of chunk jobs to run
 ``result``       worker → coordinator: one chunk's flat array payload
-``chunk_error``  worker → coordinator: a chunk raised (deterministic
-                 failures fail fast — retrying elsewhere reproduces them)
+``chunk_error``  worker → coordinator: a chunk raised.  It fails only
+                 the coordinator run (query) it belongs to, without a
+                 retry — retrying elsewhere would reproduce a
+                 deterministic failure — and the connection stays open
 ``bye``          coordinator → worker: session over, close the connection
 
 A worker answers a malformed ``chunks`` frame (missing keys, unknown

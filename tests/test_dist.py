@@ -41,7 +41,9 @@ from repro.api import (
     estimate_cost,
 )
 from repro.core import parallel
-from repro.dist import DistributedRuntime, parse_hosts, serve_worker
+from repro.dist import (
+    DistributedRuntime, coordinator, parse_hosts, serve_worker,
+)
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -174,14 +176,14 @@ class TestHandshake:
         finally:
             other.join()
 
-    def test_connect_refused_raises(self, graph):
+    def test_connect_refused_raises(self, graph, monkeypatch):
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))  # bound but never listening/accepting
         port = sock.getsockname()[1]
         sock.close()
+        monkeypatch.setattr(coordinator, "HANDSHAKE_TIMEOUT", 0.5)
         with pytest.raises(OSError):
-            DistributedRuntime(graph, [f"127.0.0.1:{port}"],
-                               connect_timeout=0.5)
+            DistributedRuntime(graph, [f"127.0.0.1:{port}"])
 
 
 class TestDeterministicMerge:
@@ -281,6 +283,41 @@ class TestSupervision:
         for g, w in zip(later, local_reference(ref, "rr", 1024, 5)):
             assert np.array_equal(g, w)
 
+    def test_chunk_error_fails_only_its_run(self, graph, two_hosts,
+                                           monkeypatch):
+        from repro.dist import worker
+
+        real = worker.run_chunks_local
+        poisoned = []
+
+        def run_chunks_local(host_graph, *args):
+            if host_graph is two_hosts[0].graph and not poisoned:
+                poisoned.append(True)
+                raise ValueError("poison chunk")
+            return real(host_graph, *args)
+
+        monkeypatch.setattr(worker, "run_chunks_local", run_chunks_local)
+        rt = DistributedRuntime(
+            graph, [h.addr for h in two_hosts], fallback_workers=1
+        )
+        parallel.bind_distributed_runtime(graph, rt)
+        try:
+            with pytest.raises(RuntimeError, match="poison chunk"):
+                parallel.parallel_rr_csr(graph, 1024, 42)
+            before = [h["chunks_done"] for h in rt.health().hosts]
+            got = parallel.parallel_rr_csr(graph, 1024, 42)
+            health = rt.health()
+        finally:
+            parallel.unbind_distributed_runtime(graph)
+            rt.shutdown()
+        for g, w in zip(got, local_reference(fresh_graph(), "rr", 1024, 42)):
+            assert np.array_equal(g, w)
+        assert poisoned
+        assert health.restarts == 0 and not health.degraded
+        assert [h["alive"] for h in health.hosts] == [True, True]
+        done = [h["chunks_done"] - b for h, b in zip(health.hosts, before)]
+        assert sum(done) == 4 and all(d > 0 for d in done), done
+
     def test_health_reports_per_host_counters(self, graph, two_hosts):
         rt = DistributedRuntime(
             graph, [h.addr for h in two_hosts], fallback_workers=1
@@ -301,7 +338,7 @@ class TestSupervision:
         rt.shutdown()
         job = (0, np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.uint64))
         with pytest.raises(RuntimeError):
-            rt.submit("rr", [job], ())
+            rt.run("rr", [job], ())
 
 
 class TestSessionHosts:

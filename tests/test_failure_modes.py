@@ -257,7 +257,8 @@ class TestWorkerSupervision:
             shutdown_runtime()
         assert _shm_orphans() == []
 
-    def test_dropped_result_reenqueued(self, sized_graph):
+    def test_dropped_result_reenqueued(self, sized_graph, monkeypatch):
+        from repro.core import parallel
         from repro.core.parallel import (
             SharedGraphRuntime, _chunk_jobs, _draw, _run_task,
         )
@@ -269,8 +270,9 @@ class TestWorkerSupervision:
             _run_task(sized_graph, "prr", roots, world_seeds, params)
             for _cid, roots, world_seeds in jobs
         ]
+        monkeypatch.setattr(parallel, "TASK_TIMEOUT", 0.25)
         with faults.inject(drop_worker=0, drop_on_chunk=1):
-            runtime = SharedGraphRuntime(sized_graph, 2, task_timeout=0.25)
+            runtime = SharedGraphRuntime(sized_graph, 2)
             try:
                 out = runtime.run("prr", jobs, params)
                 health = runtime.health()
@@ -297,9 +299,7 @@ class TestWorkerSupervision:
         with faults.inject(
             kill_worker="any", kill_on_chunk=1, kill_all_generations=True
         ):
-            runtime = SharedGraphRuntime(
-                sized_graph, 2, max_consecutive_deaths=3
-            )
+            runtime = SharedGraphRuntime(sized_graph, 2)
             try:
                 out = runtime.run("prr", jobs, params)
                 health = runtime.health()
@@ -312,7 +312,10 @@ class TestWorkerSupervision:
                 assert np.array_equal(a, b)
         assert _shm_orphans() == []
 
-    def test_degraded_runtime_bypassed_by_entry_points(self, sized_graph):
+    def test_degraded_runtime_bypassed_by_entry_points(
+        self, sized_graph, monkeypatch
+    ):
+        from repro.core import parallel
         from repro.core.parallel import (
             get_runtime,
             parallel_prr_collection,
@@ -325,8 +328,8 @@ class TestWorkerSupervision:
             with faults.inject(
                 kill_worker="any", kill_on_chunk=1, kill_all_generations=True
             ):
+                monkeypatch.setattr(parallel, "MAX_CONSECUTIVE_DEATHS", 2)
                 runtime = get_runtime(sized_graph, 2)
-                runtime.max_consecutive_deaths = 2
                 first = parallel_prr_collection(
                     sized_graph, self.SEEDS, 5, self.COUNT,
                     rng=42, workers=2,
@@ -343,22 +346,78 @@ class TestWorkerSupervision:
         assert [p.root for p in first] == [p.root for p in reference]
         assert [p.root for p in again] == [p.root for p in reference]
 
-    def test_retries_exhausted_is_unrecoverable(self, sized_graph):
+    def test_retries_exhausted_is_unrecoverable(self, sized_graph,
+                                                monkeypatch):
+        from repro.core import parallel
         from repro.core.parallel import SharedGraphRuntime, _chunk_jobs, _draw
         from repro.testing import faults
 
         jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, 512))
+        # Degradation disabled (huge threshold) and only one retry: the
+        # re-killed chunk must exhaust and fail its run loudly.
+        monkeypatch.setattr(parallel, "MAX_TASK_RETRIES", 1)
+        monkeypatch.setattr(parallel, "MAX_CONSECUTIVE_DEATHS", 10_000)
         with faults.inject(
             kill_worker="any", kill_on_chunk=1, kill_all_generations=True
         ):
-            # Degradation disabled (huge threshold) and only one retry:
-            # the re-killed chunk must exhaust and fail loudly.
-            runtime = SharedGraphRuntime(
-                sized_graph, 2,
-                max_task_retries=1, max_consecutive_deaths=10_000,
-            )
-            with pytest.raises(RuntimeError, match="retries exhausted"):
-                runtime.run("prr", jobs, (self.SEEDS, 5))
+            runtime = SharedGraphRuntime(sized_graph, 2)
+            try:
+                with pytest.raises(RuntimeError, match="retries exhausted"):
+                    runtime.run("prr", jobs, (self.SEEDS, 5))
+                assert runtime.active  # only the run failed
+            finally:
+                runtime.shutdown()
+        assert _shm_orphans() == []
+
+    def test_failing_chunk_fails_only_its_own_run(self, sized_graph,
+                                                  monkeypatch):
+        import threading
+        import time
+
+        from repro.core import parallel
+
+        reference = parallel.parallel_rr_csr(sized_graph, 4096, 3, workers=1)
+        real_run_task = parallel._run_task
+
+        def run_task(graph, kind, roots, world_seeds, params):
+            if kind == "critical":
+                raise ValueError("poison chunk")
+            time.sleep(0.02)  # keep the RR run in flight meanwhile
+            return real_run_task(graph, kind, roots, world_seeds, params)
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(parallel, "_run_task", run_task)
+        parallel.shutdown_runtime()
+        try:
+            runtime = parallel.get_runtime(sized_graph, 2)
+            outcome = {}
+
+            def rr_draw():
+                try:
+                    outcome["rr"] = parallel.parallel_rr_csr(
+                        sized_graph, 4096, 3, workers=2
+                    )
+                except Exception as exc:  # surfaced by the asserts below
+                    outcome["rr"] = exc
+
+            lane = threading.Thread(target=rr_draw)
+            lane.start()
+            time.sleep(0.05)  # the RR chunks are queued first
+            with pytest.raises(RuntimeError, match="poison chunk"):
+                parallel.parallel_critical_csr(
+                    sized_graph, self.SEEDS, 1024, 4, workers=2
+                )
+            lane.join(timeout=30)
+            assert not lane.is_alive()
+            assert not isinstance(outcome["rr"], Exception), outcome["rr"]
+            for got, want in zip(outcome["rr"], reference):
+                assert np.array_equal(got, want)
+            assert runtime.active and not runtime._closed
+            again = parallel.parallel_rr_csr(sized_graph, 1024, 5, workers=2)
+            assert parallel.get_runtime(sized_graph, 2) is runtime
+            assert len(again[0]) == 1024
+        finally:
+            parallel.shutdown_runtime()
         assert _shm_orphans() == []
 
 

@@ -5,8 +5,10 @@ The distributed runtime lets chunk results arrive in *any* interleaving
 them by chunk id and reassembles in submission order before merging.
 That contract only yields bit-identical envelopes if
 
-* reassembly-by-cid erases the arrival permutation entirely — the
-  merged :class:`~repro.core.prr.PRRArena` payload and the
+* reassembly-by-cid — the shared
+  :class:`~repro.core.parallel.ChunkExecutor` core, driven here by a
+  fake backend — erases the arrival permutation entirely: the merged
+  :class:`~repro.core.prr.PRRArena` payload and the
   :class:`~repro.engine.coverage.CoverageIndex` CSR arrays must be
   byte-equal no matter how chunks arrived, and
 * the semantic queries (``coverage_count``, ``greedy``) are themselves
@@ -21,7 +23,7 @@ the in-order reference merge.
 import numpy as np
 import pytest
 
-from repro.core.parallel import _chunk_jobs, _draw, _run_task
+from repro.core.parallel import ChunkExecutor, _chunk_jobs, _draw, _run_task
 from repro.core.prr import PRRArena
 from repro.engine.coverage import CoverageIndex
 from repro.graphs import learned_like, preferential_attachment
@@ -54,14 +56,26 @@ def arrival_orders(n_chunks):
         yield list(rng.permutation(n_chunks))
 
 
+class ArrivalOrder(ChunkExecutor):
+    """A backend whose chunk results arrive in a fixed order."""
+
+    def __init__(self, chunks, order):
+        super().__init__()
+        self.chunks = chunks
+        self.order = order
+
+    def _send(self, tag, run, cids):
+        with self._cv:
+            for pos in self.order:
+                cid, arrays = self.chunks[pos]
+                self._deliver(tag, cid, arrays)
+
+
 def reassemble(chunks, order):
-    """Stash-by-cid then read back in submission order — the
-    coordinator's merge discipline."""
-    stash = {}
-    for pos in order:
-        cid, arrays = chunks[pos]
-        stash[cid] = arrays
-    return [stash[cid] for cid, _arrays in chunks]
+    """The results the chunk executor every runtime shares returns when
+    ``chunks`` arrive in ``order``."""
+    jobs = [(cid, None, None) for cid, _arrays in chunks]  # never read
+    return ArrivalOrder(chunks, order).run("merge", jobs, ())
 
 
 class TestPRRArenaMerge:
