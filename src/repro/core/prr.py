@@ -24,8 +24,8 @@ points (:func:`sample_prr_batch`, :func:`sample_critical_batch`) amortize
 engine setup across hundreds of roots.  :func:`sample_prr_lanes` is the
 lane-parallel fast path: whole lane batches explore at once over per-lane
 hashed worlds (bit-for-bit the ``world_seed`` single-sample path, pinned
-in ``tests/test_lanes.py``) and compress straight into the arena.  This
-module keeps the domain side:
+in ``tests/test_lanes.py``), and each batch is compressed in one pass
+into arena payload arrays.  This module keeps the domain side:
 
 * :class:`PRRGraph` — the compressed graph with ``f_R`` evaluation and
   incremental "which single node would activate the root" queries used by
@@ -38,10 +38,14 @@ module keeps the domain side:
   worker processes ship a handful of large arrays instead of pickled
   object lists.  :class:`PRRGraph` stays available as a lazy per-graph
   view (``arena[i]``),
-* :func:`_compress_core` — phase II (super-seed merge, dead-node removal,
-  live shortcut edges to the root) returning plain arrays, shared by the
-  object path and the arena path so seeded equivalence is testable
-  end-to-end.
+* :func:`compress_lanes` — phase II (super-seed merge, dead-node removal,
+  live shortcut edges to the root) for a whole lane batch at once: both
+  0-1 BFS passes, the edge dedupe and the cleanup run over all lanes in
+  disjoint ``lane * n + node`` key ranges, and the result is the batch's
+  arena payload arrays.  It is the only compressor: single samples
+  (:func:`prr_graph_from_phase1`, :meth:`PRRArena.add_phase1`) go
+  through it as one-lane batches, and ``tests/test_compression_oracle.py``
+  checks it against brute-force ``f_R(B)`` on tiny graphs.
 """
 
 from __future__ import annotations
@@ -55,8 +59,20 @@ from ..engine import SamplingEngine
 from ..engine import world as engine_world
 from ..engine.batch import ACTIVATED, BOOSTABLE, HOPELESS, PhaseOneResult
 from ..engine.hashing import hash_draw as _hash_draw
-from ..engine.lanes import draw_lane_inputs
-from ..engine.traversal import grow_reachable
+from ..engine.lanes import (
+    CODE_ACTIVATED,
+    CODE_BOOSTABLE,
+    CODE_HOPELESS,
+    LanePhase1,
+    draw_lane_inputs,
+    lane_batch,
+)
+from ..engine.traversal import (
+    frontier_edge_positions,
+    grow_reachable,
+    next_level_frontier,
+    unique_sorted,
+)
 
 from ..graphs.digraph import DiGraph
 
@@ -247,27 +263,9 @@ class PRRGraph:
 # ----------------------------------------------------------------------
 def prr_graph_from_phase1(result: PhaseOneResult, k: int) -> PRRGraph:
     """Assemble a :class:`PRRGraph` from a raw phase-I exploration."""
-    if result.activated:
-        return PRRGraph(root=result.root, status=ACTIVATED)
-    if result.seeds_found.size == 0:
-        return PRRGraph(
-            root=result.root,
-            status=HOPELESS,
-            uncompressed_nodes=result.node_count,
-            uncompressed_edges=int(result.edge_src.size),
-        )
-    return _graph_from_core(
-        result.root,
-        _compress_core(
-            result.root,
-            result.seeds_found,
-            result.edge_src,
-            result.edge_dst,
-            result.edge_boost,
-            k,
-            result.node_count,
-        ),
-    )
+    arena = PRRArena(1)  # n only guards merges; this arena is never merged
+    arena.add_phase1(result, k)
+    return arena[0]
 
 
 def sample_prr_graph(
@@ -323,35 +321,6 @@ def sample_prr_batch(
     return out
 
 
-def _extend_arena_from_lanes(arena: PRRArena, ph, k: int) -> None:
-    """Append one lane batch to ``arena`` — phase-II compression straight
-    from the lane output slices, no :class:`PhaseOneResult` objects."""
-    edge_indptr = ph.edge_indptr
-    seed_indptr = ph.seed_indptr
-    for i in range(ph.roots.size):
-        root = int(ph.roots[i])
-        if ph.activated[i]:
-            arena.add_activated(root)
-            continue
-        lo, hi = int(edge_indptr[i]), int(edge_indptr[i + 1])
-        slo, shi = int(seed_indptr[i]), int(seed_indptr[i + 1])
-        if shi == slo:
-            arena.add_hopeless(root, int(ph.node_count[i]), hi - lo)
-            continue
-        arena.add_core(
-            root,
-            _compress_core(
-                root,
-                ph.seed_nodes[slo:shi],
-                ph.edge_src[lo:hi],
-                ph.edge_dst[lo:hi],
-                ph.edge_boost[lo:hi],
-                k,
-                int(ph.node_count[i]),
-            ),
-        )
-
-
 def sample_prr_lanes(
     graph: DiGraph,
     seeds: AbstractSet[int],
@@ -361,33 +330,37 @@ def sample_prr_lanes(
     roots: Sequence[int] | None = None,
     world_seeds: Sequence[int] | None = None,
     arena: Optional[PRRArena] = None,
-    lane_width: int = 64,
 ) -> PRRArena:
     """Sample ``count`` PRR-graphs with the multi-source lane kernel.
 
-    ``lane_width`` roots advance per frontier step; each sample's world is
-    fixed by hashing a per-lane seed, so sample ``i`` is bit-for-bit the
-    graph :func:`sample_prr_graph` returns for ``root=roots[i],
-    world_seed=world_seeds[i]`` (``tests/test_lanes.py`` pins this).
-    Roots and world seeds not passed in are two upfront draws from
-    ``rng`` (:func:`~repro.engine.lanes.draw_lane_inputs`) — a different,
-    equally valid stream than :func:`sample_prr_arena`, which stays the
-    RNG-consumption oracle.  Compression lands straight in the arena; no
-    per-sample Python objects.
+    Sample ``i``'s world is fixed by hashing its world seed, so it is
+    bit-for-bit the graph :func:`sample_prr_graph` returns for
+    ``root=roots[i], world_seed=world_seeds[i]`` (``tests/test_lanes.py``
+    pins this), whatever the batch it rides in.  Roots and world seeds
+    not passed in are two upfront draws from ``rng``
+    (:func:`~repro.engine.lanes.draw_lane_inputs`) — a different, equally
+    valid stream than :func:`sample_prr_arena`, which stays the
+    RNG-consumption oracle.  Each lane batch
+    (:func:`~repro.engine.lanes.lane_batch` roots) runs phase I on the
+    engine and is compressed in one pass (:func:`compress_lanes`) into
+    arena payload arrays; no per-sample Python objects.
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)
-    if arena is None:
-        arena = PRRArena(graph.n)
     all_roots, all_seeds = draw_lane_inputs(rng, graph.n, count, roots, world_seeds)
-    done = 0
-    while done < count:
-        b = min(lane_width, count - done)
+    width = lane_batch(graph.n)
+    parts = []
+    for lo in range(0, count, width):
         ph = engine.prr_phase1_lanes(
-            mask, all_roots[done : done + b], k, all_seeds[done : done + b]
+            mask, all_roots[lo : lo + width], k, all_seeds[lo : lo + width]
         )
-        _extend_arena_from_lanes(arena, ph, k)
-        done += b
+        parts.append(
+            (graph.n, *compress_lanes(ph, k, graph.n, engine.prr_dist_plane(ph.roots.size)))
+        )
+    if arena is None:
+        return PRRArena.from_payloads(parts) if parts else PRRArena(graph.n)
+    if parts:
+        arena.extend_arena(PRRArena.from_payloads(parts))
     return arena
 
 
@@ -422,183 +395,261 @@ def sample_critical_batch(
 
 
 # ----------------------------------------------------------------------
-# Phase II compression (vectorized over the collected edge arrays)
+# Phase II compression, one vectorized pass per lane batch
 # ----------------------------------------------------------------------
-_BIG = np.int64(1) << 40
-
-
-def _bfs01_arrays(
-    nn: int,
-    tails: np.ndarray,
-    heads: np.ndarray,
-    weights: np.ndarray,
-    starts: np.ndarray,
-) -> np.ndarray:
-    """0-1 shortest distances from ``starts`` by scatter-min relaxation.
-
-    Converges in O(diameter) passes of O(edges) vectorized work — the
-    compressed graphs are small and shallow, so this beats the deque BFS
-    it replaced by a wide margin.
-    """
-    dist = np.full(nn, _BIG, dtype=np.int64)
-    dist[starts] = 0
-    while True:
-        cand = dist[tails] + weights
-        relax = cand < dist[heads]
-        if not relax.any():
-            return dist
-        np.minimum.at(dist, heads[relax], cand[relax])
-
-
-# ``_compress_core`` return shape: (status, node_globals, edge_src,
-# edge_dst, edge_boost, root_local, critical, uncompressed_nodes,
-# uncompressed_edges) — plain arrays, consumed by both the PRRGraph
-# object path and the PRRArena append path.
-_CoreResult = Tuple[
-    str, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, np.ndarray, int, int
-]
+_UNREACHED = np.int16(np.iinfo(np.int16).max)  # the lane distance sentinel
 _EMPTY_EB = np.empty(0, dtype=bool)
 
 
-def _core_non_boostable(
-    status: str, un_nodes: int, un_edges: int
-) -> _CoreResult:
-    return (status, _EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS, _EMPTY_EB, -1, _EMPTY_IDS, un_nodes, un_edges)
+def _lookup(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(index, found)`` of ``queries`` in the sorted unique ``keys``."""
+    idx = np.searchsorted(keys, queries)
+    found = idx < keys.size
+    found[found] = keys[idx[found]] == queries[found]
+    return idx, found
 
 
-def _graph_from_core(root: int, core: _CoreResult) -> PRRGraph:
-    """Materialize a :class:`PRRGraph` object from ``_compress_core`` output."""
-    status, ng, es, ed, eb, rl, crit, un_nodes, un_edges = core
-    if status == ACTIVATED:
-        return PRRGraph(root=root, status=ACTIVATED)
-    if status == HOPELESS:
-        return PRRGraph(
-            root=root,
-            status=HOPELESS,
-            uncompressed_nodes=un_nodes,
-            uncompressed_edges=un_edges,
-        )
-    return PRRGraph(
-        root=root,
-        status=BOOSTABLE,
-        node_globals=ng.tolist(),
-        edge_src=es.tolist(),
-        edge_dst=ed.tolist(),
-        edge_boost=eb.tolist(),
-        root_local=rl,
-        critical=frozenset(crit.tolist()),
-        uncompressed_nodes=un_nodes,
-        uncompressed_edges=un_edges,
-    )
-
-
-def _compress_core(
-    r: int,
-    seeds_found: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
+def _bfs01(
+    dist: np.ndarray,
+    n: int,
+    num: int,
+    sources: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
     boost: np.ndarray,
     k: int,
-    uncompressed_nodes: int,
-) -> _CoreResult:
-    """Phase II: merge the super-seed, prune, shortcut, and clean up.
+    touched: list,
+) -> None:
+    """0-1 shortest distances ``<= k`` from ``sources`` along the key-space
+    edges ``tails -> heads`` (weight 1 on ``boost`` edges), written into
+    the int16 plane ``dist`` (at the sentinel except ``dist[sources] ==
+    0``) for keys ``lane * n + node`` of ``num`` lanes.  Every key written
+    is appended to ``touched``.
 
-    Operates on the phase-I edge arrays with a compacted local id space;
-    the super-seed is local id ``nn`` during the rewrite and becomes 0 in
-    the output, matching the paper's Figure 2 compression.  Returns plain
-    arrays (see ``_CoreResult``) so the arena path never constructs
-    Python lists.
+    Dial's algorithm with every lane at its own level, as in the phase-I
+    lane kernel (:func:`~repro.engine.traversal.next_level_frontier`).
     """
-    num_edges = int(src.size)
-    nodes = np.unique(np.concatenate([src, dst, seeds_found, [r]]))
-    nn = int(nodes.size)
-    ls = np.searchsorted(nodes, src)
-    ld = np.searchsorted(nodes, dst)
-    lseeds = np.searchsorted(nodes, seeds_found)
-    lr = int(np.searchsorted(nodes, r))
-    wi = boost.astype(np.int64)
+    size = tails.size
+    if size == 0:
+        return
+    # Group the edges by tail: one sort of (tail, position) keys.
+    key = tails * size
+    key += np.arange(size)
+    key.sort()
+    tails, order = np.divmod(key, size)
+    del key
+    heads = heads[order]
+    boost = boost[order]
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(tails[1:], tails[:-1], out=first[1:])
+    run_indptr = np.append(np.flatnonzero(first), size)
+    run_keys = tails[run_indptr[:-1]]
+    del tails, order, first
+    level = np.zeros(num, dtype=np.int64)
+    pool = _EMPTY_IDS
+    f = sources
+    while f.size:
+        f = unique_sorted(f)
+        ri, found = _lookup(run_keys, f)
+        pos, _counts = frontier_edge_positions(run_indptr, ri[found])
+        h = heads.take(pos)
+        w = boost.take(pos)
+        e_level = level.take(h // n)
+        upd = dist[h] > e_level + w
+        upd &= ~w | (e_level < k)  # a boost edge at level k leads past k
+        # Boost writes first, so a key reached both ways keeps the live
+        # distance.
+        step = np.flatnonzero(upd & w)
+        nxt = h.take(step)
+        dist[nxt] = e_level.take(step) + 1
+        step = np.flatnonzero(upd & ~w)
+        live = h.take(step)
+        dist[live] = e_level.take(step)
+        touched += [nxt, live]
+        f, pool = next_level_frontier(dist, n, level, f // n, live, pool, nxt)
 
-    def hopeless() -> _CoreResult:
-        return _core_non_boostable(HOPELESS, uncompressed_nodes, num_edges)
 
-    # dS: min #boost-edges from any seed (forward direction).
-    d_seed = _bfs01_arrays(nn, ls, ld, wi, lseeds)
-    if d_seed[lr] == 0:  # defensive; Phase I should have caught this
-        return _core_non_boostable(ACTIVATED, 0, 0)
-    merged = d_seed == 0
+def compress_lanes(
+    ph: LanePhase1, k: int, n: int, dist: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """Phase II for a whole lane batch: merge the super-seed, prune,
+    shortcut and clean up every boostable lane's phase-I graph at once.
 
-    # d'_r: min #boost-edges to the root avoiding the super-seed — a
-    # backward relaxation over reversed edges that never enters the merged
-    # region.
-    rev = ~merged[ls]
-    d_root = _bfs01_arrays(
-        nn, ld[rev], ls[rev], wi[rev], np.array([lr], dtype=np.int64)
-    )
+    Returns the batch's arena payload arrays, in
+    ``PRRArena.payload()[1:]`` order.  Each graph comes out as the
+    paper's Figure 2 compression: local id 0 is the super-seed, the
+    other nodes are numbered in global id order, edges are sorted by
+    ``(src, dst, boost)`` with the super-seed's out-edges last.  Lanes
+    live in disjoint ``lane * n + node`` key ranges (the Δ̂ kernels'
+    trick), so both 0-1 BFS passes, the dedupe and the cleanup run over
+    all lanes together.  ``dist`` is an int16 scratch plane of at least
+    ``lanes * n`` entries at the sentinel; it is restored on return.
+    """
+    num = int(ph.roots.size)
+    roots = ph.roots
+    lane_ids = np.arange(num, dtype=np.int64)
+    e_counts = np.diff(ph.edge_indptr)
+    s_counts = np.diff(ph.seed_indptr)
+    status = np.where(
+        ph.activated, CODE_ACTIVATED, np.where(s_counts == 0, CODE_HOPELESS, CODE_BOOSTABLE)
+    ).astype(np.int8)
+    un_nodes = np.where(ph.activated, 0, ph.node_count).astype(np.int64)
+    un_edges = np.where(ph.activated, 0, e_counts).astype(np.int64)
+    root_keys = lane_ids * n + roots
 
-    # Critical nodes: boost edge from the merged region into v, plus a live
-    # path from v to the root (both measured before the shortcut rewrite).
-    crit_edges = boost & merged[ls] & ~merged[ld] & (d_root[ld] == 0)
-    critical = nodes[np.unique(ld[crit_edges])]
+    boostable = status == CODE_BOOSTABLE
+    if not boostable.any():  # nothing to compress (most single samples)
+        no_ids = np.empty(0, dtype=np.int32)
+        return (
+            roots, status, np.full(num, -1, dtype=np.int64), un_nodes, un_edges,
+            np.zeros(num + 1, dtype=np.int64), no_ids,
+            np.zeros(num + 1, dtype=np.int64), no_ids, no_ids, _EMPTY_EB,
+            np.zeros(num + 1, dtype=np.int64), no_ids,
+        )
 
-    # Nodes that can sit on a <=k-boost path from super-seed to root.
-    kept = ~merged & (d_seed + d_root <= k)
-    if not kept[lr]:
-        # Root unreachable within budget after exact accounting.
-        return hopeless()
+    # Phase-I edges and seeds of the boostable lanes, as key-space arrays.
+    use = np.repeat(boostable, e_counts)
+    base = np.repeat(lane_ids[boostable] * n, e_counts[boostable])
+    tails = base + ph.edge_src[use]
+    heads = base + ph.edge_dst[use]
+    w = ph.edge_boost[use]
+    del use, base
+    seed_keys = np.repeat(lane_ids[boostable] * n, s_counts[boostable])
+    seed_keys += ph.seed_nodes[np.repeat(boostable, s_counts)]
 
-    # Rebuild edges over {super-seed} ∪ kept, applying the live-shortcut
-    # rule: a non-root node with a live path to the root keeps no out-edges
-    # and gains a direct live edge to the root.
-    shortcut = kept & (d_root == 0)
-    shortcut[lr] = False
-    src_merged = merged[ls]
-    keep_edge = (
-        (src_merged | (kept[ls] & ~shortcut[ls])) & kept[ld] & (ls != lr)
-    )
-    super_id = nn  # local id of the super-seed during the rewrite
-    src_key = np.where(src_merged[keep_edge], super_id, ls[keep_edge])
-    # Deduplicate (src, dst, boost) triples via integer encoding.
-    enc = (src_key * (nn + 1) + ld[keep_edge]) * 2 + wi[keep_edge]
-    shortcut_ids = np.flatnonzero(shortcut)
-    enc = np.unique(
-        np.concatenate([enc, (shortcut_ids * (nn + 1) + lr) * 2])
-    )
-    e_pair = enc >> 1
-    e_src = e_pair // (nn + 1)
-    e_dst = e_pair % (nn + 1)
+    # d_seed: min #boost edges from any seed (forward), capped at k.
+    touched = [seed_keys]
+    dist[seed_keys] = 0
+    try:
+        _bfs01(dist, n, num, seed_keys, tails, heads, w, k, touched)
+        ds_tail = dist[tails]
+        ds_head = dist[heads]
+        ds_root = dist[root_keys]
+    finally:
+        for chunk in touched:
+            dist[chunk] = _UNREACHED
+    # Defensive (phase I catches live seed->root paths): a root in the
+    # merged region is activated.  A root more than k boosts from every
+    # seed makes its graph hopeless.
+    hit = (status == CODE_BOOSTABLE) & (ds_root == 0)
+    status[hit] = CODE_ACTIVATED
+    un_nodes[hit] = 0
+    un_edges[hit] = 0
+    status[(status == CODE_BOOSTABLE) & (ds_root > k)] = CODE_HOPELESS
+    boostable = status == CODE_BOOSTABLE
+
+    # From here on only edges between nodes within k boosts of a seed,
+    # into the unmerged region, can matter: a node on a path through any
+    # other edge is more than k boosts from the seeds and the root.
+    useful = (ds_head != 0) & (ds_head <= k) & (ds_tail <= k)
+    useful &= boostable[tails // n]
+    tails, heads, w = tails[useful], heads[useful], w[useful]
+    ds_tail, ds_head = ds_tail[useful], ds_head[useful]
+    el = tails // n
+    merged_tail = ds_tail == 0
+
+    # d'_root: min #boost edges to the root avoiding the merged region —
+    # a backward pass over reversed edges that never enters it.
+    start = root_keys[boostable]
+    touched = [start]
+    dist[start] = 0
+    try:
+        rev = ~merged_tail
+        _bfs01(dist, n, num, start, heads[rev], tails[rev], w[rev], k, touched)
+        dr_tail = dist[tails]
+        dr_head = dist[heads]
+    finally:
+        for chunk in touched:
+            dist[chunk] = _UNREACHED
+
+    # Critical nodes: boost edge from the merged region into v, plus a
+    # live path from v to the root (both measured before the shortcut
+    # rewrite).
+    crit = unique_sorted(heads[w & merged_tail & (dr_head == 0)])
+
+    # Nodes on a <= k-boost super-seed -> root path.
+    kept_tail = ~merged_tail & (dr_tail <= k - ds_tail)
+    kept_head = dr_head <= k - ds_head
+    lane_root = root_keys[el]
+    # The live-shortcut rule: a non-root node with a live path to the root
+    # keeps no out-edges and gains a direct live edge to the root.
+    short_tail = kept_tail & (dr_tail == 0) & (tails != lane_root)
+    short_head = kept_head & (dr_head == 0) & (heads != lane_root)
+    keep = (merged_tail | (kept_tail & ~short_tail)) & kept_head & (tails != lane_root)
+    shortcut = unique_sorted(np.concatenate([tails[short_tail], heads[short_head]]))
+
+    # Deduplicate (lane, src, dst, boost) in one sort, over node ids
+    # n + 1 wide so the super-seed (id n) sorts after every real source.
+    m = n + 1
+    e_lane = el[keep]
+    e_src = np.where(merged_tail[keep], n, tails[keep] - e_lane * n)
+    enc = ((e_lane * m + e_src) * m + (heads[keep] - e_lane * n)) * 2 + w[keep]
+    s_lane, s_node = np.divmod(shortcut, n)
+    enc_short = ((s_lane * m + s_node) * m + roots[s_lane]) * 2
+    enc = unique_sorted(np.concatenate([enc, enc_short]))
     e_boost = (enc & 1).astype(bool)
+    pair = enc >> 1
+    src_key = pair // m  # lane * m + src
+    dst_key = src_key - src_key % m + pair % m  # lane * m + dst
 
-    # Cleanup: keep only nodes on super-seed -> root paths.
-    from_super = np.zeros(nn + 1, dtype=bool)
-    from_super[super_id] = True
-    grow_reachable(e_src, e_dst, from_super)
-    to_root = np.zeros(nn + 1, dtype=bool)
-    to_root[lr] = True
-    grow_reachable(e_dst, e_src, to_root)
+    # Cleanup: keep only nodes on super-seed -> root paths, over compact
+    # ids of the nodes left.  The root stays alive exactly when the
+    # super-seed reaches it (which keeps the super-seed alive too); a
+    # lane where it does not is hopeless and keeps no alive node.
+    nodes = unique_sorted(np.concatenate([src_key, dst_key]))
+    src_id = np.searchsorted(nodes, src_key)
+    dst_id = np.searchsorted(nodes, dst_key)
+    from_super = nodes % m == n
+    grow_reachable(src_id, dst_id, from_super)
+    root_id, root_in = _lookup(nodes, lane_ids * m + roots)
+    root_in &= boostable
+    to_root = np.zeros(nodes.size, dtype=bool)
+    to_root[root_id[root_in]] = True
+    grow_reachable(dst_id, src_id, to_root)
     alive = from_super & to_root
-    if not (alive[lr] and alive[super_id]):
-        return hopeless()
-    edge_alive = alive[e_src] & alive[e_dst]
+    root_alive = np.zeros(num, dtype=bool)
+    root_alive[root_in] = alive[root_id[root_in]]
+    status[boostable & ~root_alive] = CODE_HOPELESS
+    boostable = status == CODE_BOOSTABLE
 
-    # Local id assignment: super-seed = 0, the rest ordered by global id.
-    alive_real = np.flatnonzero(alive[:nn])
-    local_out = np.zeros(nn + 1, dtype=np.int64)
-    local_out[alive_real] = np.arange(1, alive_real.size + 1)
-    local_out[super_id] = 0
+    # Local ids: super-seed 0, the rest in global id order.
+    real = alive & (nodes % m != n)
+    real_lane, real_node = np.divmod(nodes[real], m)
+    real_counts = np.bincount(real_lane, minlength=num)
+    local = np.zeros(nodes.size, dtype=np.int64)
+    firsts = np.cumsum(real_counts) - real_counts
+    local[real] = np.arange(real_lane.size) - firsts[real_lane] + 1
+    node_counts = np.where(boostable, real_counts + 1, 0)
+    node_indptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(node_counts, out=node_indptr[1:])
+    node_globals = np.full(int(node_indptr[-1]), -1, dtype=np.int32)
+    node_globals[node_indptr[real_lane] + local[real]] = real_node
 
-    node_globals = np.concatenate(
-        [np.array([-1], dtype=np.int64), nodes[alive_real]]
-    )
+    live_edge = alive[src_id] & alive[dst_id]
+    edge_counts = np.bincount(src_key[live_edge] // m, minlength=num)
+    edge_indptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(edge_counts, out=edge_indptr[1:])
+    root_local = np.full(num, -1, dtype=np.int64)
+    root_local[boostable] = local[root_id[boostable]]
+
+    crit_lane, crit = np.divmod(crit[boostable[crit // n]], n)
+    crit_indptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(np.bincount(crit_lane, minlength=num), out=crit_indptr[1:])
     return (
-        BOOSTABLE,
+        roots,
+        status,
+        root_local,
+        un_nodes,
+        un_edges,
+        node_indptr,
         node_globals,
-        local_out[e_src[edge_alive]],
-        local_out[e_dst[edge_alive]],
-        e_boost[edge_alive],
-        int(local_out[lr]),
-        critical,
-        uncompressed_nodes,
-        num_edges,
+        edge_indptr,
+        local[src_id[live_edge]].astype(np.int32),
+        local[dst_id[live_edge]].astype(np.int32),
+        e_boost[live_edge],
+        crit_indptr,
+        crit.astype(np.int32),
     )
 
 
@@ -706,46 +757,34 @@ class PRRArena:
     def add_activated(self, root: int) -> None:
         self._append(root, 0, _EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS, _EMPTY_EB, -1, _EMPTY_IDS, 0, 0)
 
-    def add_hopeless(self, root: int, un_nodes: int, un_edges: int) -> None:
-        self._append(
-            root, 1, _EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS, _EMPTY_EB, -1, _EMPTY_IDS, un_nodes, un_edges
-        )
-
-    def add_core(self, root: int, core: _CoreResult) -> None:
-        """Append one ``_compress_core`` result."""
-        status, ng, es, ed, eb, rl, crit, un_nodes, un_edges = core
-        if status == ACTIVATED:
-            self.add_activated(root)
-        elif status == HOPELESS:
-            self.add_hopeless(root, un_nodes, un_edges)
-        else:
-            self._append(root, 2, ng, es, ed, eb, rl, crit, un_nodes, un_edges)
-
     def add_phase1(self, result: PhaseOneResult, k: int) -> None:
-        """Append one phase-I exploration, compressing when boostable.
-
-        Mirrors :func:`prr_graph_from_phase1` without constructing a
-        :class:`PRRGraph`.
-        """
-        if result.activated:
-            self.add_activated(result.root)
-            return
-        if result.seeds_found.size == 0:
-            self.add_hopeless(
-                result.root, result.node_count, int(result.edge_src.size)
-            )
-            return
-        self.add_core(
+        """Append one phase-I exploration, compressed as a one-lane batch
+        of :func:`compress_lanes`."""
+        lane = LanePhase1(
+            roots=np.array([result.root], dtype=np.int64),
+            activated=np.array([result.activated]),
+            edge_indptr=np.array([0, result.edge_src.size], dtype=np.int64),
+            edge_src=result.edge_src,
+            edge_dst=result.edge_dst,
+            edge_boost=result.edge_boost,
+            seed_indptr=np.array([0, result.seeds_found.size], dtype=np.int64),
+            seed_nodes=result.seeds_found,
+            node_count=np.array([result.node_count], dtype=np.int64),
+            explored=np.array([result.explored_edges], dtype=np.int64),
+        )
+        # The lane's key space is its own node ids; size the scratch
+        # plane to the largest one instead of the graph.
+        size = 1 + max(
             result.root,
-            _compress_core(
-                result.root,
-                result.seeds_found,
-                result.edge_src,
-                result.edge_dst,
-                result.edge_boost,
-                k,
-                result.node_count,
-            ),
+            int(result.edge_src.max(initial=0)),
+            int(result.edge_dst.max(initial=0)),
+        )
+        dist = np.full(size, _UNREACHED, dtype=np.int16)
+        (roots, status, root_local, un_nodes, un_edges, _ni, node_globals,
+         _ei, esrc, edst, eboost, _ci, crit) = compress_lanes(lane, k, size, dist)
+        self._append(
+            int(roots[0]), int(status[0]), node_globals, esrc, edst, eboost,
+            int(root_local[0]), crit, int(un_nodes[0]), int(un_edges[0]),
         )
 
     def add_graph(self, prr: PRRGraph) -> None:

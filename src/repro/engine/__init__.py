@@ -10,8 +10,9 @@ exploration — runs on the primitives in this package:
   dense edge id (replacing the per-edge ``(u, v)`` tuple-dict cache),
 * :mod:`repro.engine.traversal` — frontier-based CSR traversal primitives
   (mask-driven BFS over ``DiGraph``'s indptr/indices arrays),
-* :mod:`repro.engine.lanes` — multi-source lane kernels: up to
-  :data:`~repro.engine.lanes.LANE_WIDTH` roots advance per frontier step
+* :mod:`repro.engine.lanes` — multi-source lane kernels: a batch of
+  roots (PRR and critical batches sized by
+  :data:`~repro.engine.lanes.LANE_BUDGET`) advances per frontier step
   over stacked ``(B, n)`` stamp planes, each lane sampling the
   independent world fixed by its own splitmix64 seed — the single-sample
   paths stay as seeded distributional oracles (bit-for-bit for

@@ -28,7 +28,8 @@ valid* world — only the distribution is preserved.
 
 Batch forms run on the lane kernels of :mod:`repro.engine.lanes`:
 ``sample_rr_batch`` (default mode) and ``sample_critical_batch`` advance
-up to :data:`~repro.engine.lanes.LANE_WIDTH` roots per frontier step over
+a batch of roots per frontier step (:data:`~repro.engine.lanes.RR_LANE_WIDTH`
+RR roots, :func:`~repro.engine.lanes.lane_batch` critical roots) over
 per-lane hashed worlds, and the CSR entry points (``rr_lane_csr``,
 ``critical_lane_csr``, ``prr_phase1_lanes``) hand their flat output
 arrays straight to :class:`~repro.engine.coverage.CoverageIndex` /
@@ -57,6 +58,7 @@ from .lanes import (
     critical_lanes,
     draw_lane_inputs,
     draw_lane_seeds,
+    lane_batch,
     prr_phase1_lanes,
     rr_member_lanes,
 )
@@ -129,7 +131,7 @@ class SamplingEngine:
         "_out_src", "_out_hash", "_node_hash",
         "_in_indptr", "_in_nodes", "_in_p", "_in_pp", "_in_eid",
         "_in_hash", "_in_thr64", "_lane_visited", "_rr_dense",
-        "_prr_dist", "_prr_proc", "_lane_acc",
+        "_prr_dist", "_lane_acc",
         "_edge_states", "_visit", "_proc", "_dist", "_dist_stamp",
         "_region", "_stamp", "_seeds_key_mask",
     )
@@ -187,7 +189,6 @@ class SamplingEngine:
         self._lane_acc: Optional[np.ndarray] = None
         self._rr_dense: Optional[bool] = None  # learned on first lane batch
         self._prr_dist: Optional[np.ndarray] = None
-        self._prr_proc: Optional[np.ndarray] = None
         self._visit = np.zeros(self.n, dtype=np.int64)
         self._proc = np.zeros(self.n, dtype=np.int64)
         self._dist = np.zeros(self.n, dtype=np.int64)
@@ -274,9 +275,10 @@ class SamplingEngine:
             self._lane_acc = buf
         return buf
 
-    def _prr_planes(self, lanes: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Reusable ``(lanes, n)`` distance (int16, filled with the lane
-        sentinel) and processed (bool) planes for the PRR lane kernel.
+    def prr_dist_plane(self, lanes: int) -> np.ndarray:
+        """Reusable ``(lanes, n)`` int16 distance plane (flattened, filled
+        with the lane sentinel), borrowed by the PRR lane kernel and by
+        phase-II compression (:func:`repro.core.prr.compress_lanes`).
         Borrowers must restore every entry they touch before returning —
         the fill cost is paid once per engine, not per batch."""
         need = lanes * self.n
@@ -284,8 +286,7 @@ class SamplingEngine:
         if dist is None or dist.size < need:
             dist = np.full(need, np.iinfo(np.int16).max, dtype=np.int16)
             self._prr_dist = dist
-            self._prr_proc = np.zeros(need, dtype=bool)
-        return dist, self._prr_proc
+        return dist
 
     def seeds_mask(self, seeds: AbstractSet[int]) -> np.ndarray:
         key = seeds if isinstance(seeds, frozenset) else frozenset(int(s) for s in seeds)
@@ -475,7 +476,7 @@ class SamplingEngine:
 
         The default mode drives the multi-source lane kernel
         (:func:`repro.engine.lanes.rr_member_lanes`): up to
-        :data:`~repro.engine.lanes.LANE_WIDTH` roots advance per frontier
+        :data:`~repro.engine.lanes.RR_LANE_WIDTH` roots advance per frontier
         step over per-lane hashed worlds — same distribution as
         :meth:`rr_set`, a different (equally valid) stream.  Pass
         ``strict=True`` for batches bit-for-bit equal to ``count``
@@ -900,7 +901,6 @@ class SamplingEngine:
         count: int,
         roots: Sequence[int] | None = None,
         world_seeds: Sequence[int] | None = None,
-        lane_width: int = LANE_WIDTH,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``count`` critical-set samples via the lane kernel.
 
@@ -909,7 +909,10 @@ class SamplingEngine:
         critical sets as a lane-grouped ``(counts, members)`` CSR, and the
         per-sample explored-edge counters.  Distribution matches
         :meth:`critical_set`; roots and world seeds not passed in are
-        drawn from ``rng``, one ``lane_width`` block at a time.
+        drawn from ``rng`` one :data:`~repro.engine.lanes.LANE_WIDTH`
+        block at a time.  Sample ``i`` is a pure function of its
+        ``(root, world_seed)`` pair, evaluated
+        :func:`~repro.engine.lanes.lane_batch` samples per batch.
         """
         if count <= 0:
             return (
@@ -917,14 +920,14 @@ class SamplingEngine:
             )
         mask = self.seeds_mask(seeds)
         all_roots, all_seeds = draw_lane_inputs(
-            rng, self.n, count, roots, world_seeds, block=lane_width
+            rng, self.n, count, roots, world_seeds, block=LANE_WIDTH
         )
+        width = lane_batch(self.n)
         parts = [
             critical_lanes(
-                self, mask, all_roots[lo : lo + lane_width],
-                all_seeds[lo : lo + lane_width],
+                self, mask, all_roots[lo : lo + width], all_seeds[lo : lo + width]
             )
-            for lo in range(0, count, lane_width)
+            for lo in range(0, count, width)
         ]
         return tuple(np.concatenate(column) for column in zip(*parts))
 

@@ -40,6 +40,11 @@ definition of that consumption order); after that, sample ``i`` is a
 pure function of its pair, however the pairs are sliced into lane
 batches, pool chunks or remote jobs.
 
+PRR and critical batches hold :func:`lane_batch` roots: as many as fit
+:data:`LANE_BUDGET` ``(lanes × n)`` plane entries, at least
+:data:`LANE_WIDTH`.  Wider batches share their frontier passes among
+more roots, so they cost fewer passes per sample.
+
 Kernels (each takes the owning :class:`~repro.engine.batch.SamplingEngine`
 for its CSR arrays and scratch buffers):
 
@@ -47,8 +52,10 @@ for its CSR arrays and scratch buffers):
   CSR (``counts, members``) ready for
   :meth:`repro.engine.coverage.CoverageIndex.extend_csr`,
 * :func:`prr_phase1_lanes` — backward PRR exploration (Algorithm 1 phase
-  I, Dial's 0–1 BFS) for ``B`` roots at once, collecting per-lane edge /
-  seed arrays for phase-II compression,
+  I, Dial's 0–1 BFS with every lane at its own distance level) for ``B``
+  roots at once, collecting per-lane edge / seed arrays for phase-II
+  compression (:func:`repro.core.prr.compress_lanes`, one pass per
+  batch),
 * :func:`critical_lanes` — critical node sets ``C_R`` (boost-distance-1
   exploration + one batched live-reachability fixed point across all
   lanes),
@@ -66,19 +73,21 @@ Status codes follow :data:`repro.core.prr.PRRArena.status_names` order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .hashing import SEED_MULT, TWO64, splitmix_finalize
-from .traversal import frontier_edge_positions, unique_sorted
+from .traversal import frontier_edge_positions, next_level_frontier, unique_sorted
 
 __all__ = [
     "LANE_WIDTH",
     "RR_LANE_WIDTH",
     "CASCADE_LANE_WIDTH",
+    "LANE_BUDGET",
     "LanePhase1",
+    "lane_batch",
     "draw_lane_seeds",
     "draw_lane_inputs",
     "rr_member_lanes",
@@ -91,15 +100,25 @@ __all__ = [
     "CODE_BOOSTABLE",
 ]
 
-# Default number of roots advanced per lane batch.  PRR lanes keep B
-# moderate (their distance planes are int64); RR lanes go wider — the
-# visited plane is one bool per (lane, node) and deeper batches amortize
-# the per-level call overhead further.  Forward cascades start every lane
-# from the same (possibly large) seed set, so their frontiers are wide
-# from level 0 and a moderate width amortizes enough.
+# Lane widths.  LANE_WIDTH is the block in which critical draws take
+# their (root, world_seed) pairs from the RNG (draw_lane_inputs; the
+# stream contract core.parallel._draw reproduces) and the fewest roots a
+# PRR or critical batch holds.  RR lanes go wider — the visited plane is
+# one bool per (lane, node) and deeper batches amortize the per-level
+# call overhead further.  Forward cascades start every lane from the same
+# (possibly large) seed set, so their frontiers are wide from level 0 and
+# a moderate width amortizes enough.
 LANE_WIDTH = 64
 RR_LANE_WIDTH = 512
 CASCADE_LANE_WIDTH = 64
+
+# PRR and critical batches are sized by memory, not by a fixed width:
+# the most (lanes × n) entries their scratch planes (an int16 distance
+# plane; the critical kernel also borrows the bool visited plane) may
+# span.  A batch's transient edge arrays grow with its lanes as well.
+# On the digg-like PRR-Boost benchmark (1k nodes) 2^16, 2^17 and 2^18
+# cost +2%, +7% and +17% peak RSS over 64-lane batches.  See lane_batch.
+LANE_BUDGET = 1 << 17
 
 CODE_ACTIVATED = 0
 CODE_HOPELESS = 1
@@ -108,6 +127,12 @@ CODE_BOOSTABLE = 2
 _BIG = np.int16(np.iinfo(np.int16).max)  # lane distance sentinel
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def lane_batch(n: int) -> int:
+    """Roots per PRR or critical lane batch on an ``n``-node graph: as many
+    as fit :data:`LANE_BUDGET` plane entries, at least :data:`LANE_WIDTH`."""
+    return max(LANE_WIDTH, LANE_BUDGET // max(n, 1))
 
 
 def draw_lane_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -171,6 +196,8 @@ def _lane_draw_ints(
 def _lane_csr(lanes: np.ndarray, num_lanes: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(counts, order)`` grouping flat per-lane rows by lane id."""
     counts = np.bincount(lanes, minlength=num_lanes)
+    if num_lanes <= np.iinfo(np.uint16).max:
+        lanes = lanes.astype(np.uint16)  # stable sorts of 16-bit keys are radix sorts
     order = np.argsort(lanes, kind="stable")
     return counts, order
 
@@ -271,18 +298,20 @@ def prr_phase1_lanes(
 ) -> LanePhase1:
     """Backward 0–1 BFS from ``B`` roots at once, distance-``> k`` pruned.
 
-    Runs Dial's algorithm in lockstep over all lanes: every distance level
-    ``d`` processes the union of the lanes' level-``d`` frontiers as flat
-    ``lane * n + node`` keys.  Since each lane's world is fixed by its
-    seed, the lockstep schedule yields, per lane, exactly the edge and
-    seed sets (and node counts) of a solo world-seeded
-    :meth:`~repro.engine.batch.SamplingEngine.prr_phase1` run.
+    Runs Dial's algorithm for all lanes at once: every pass processes the
+    union of the lanes' current frontiers as flat ``lane * n + node``
+    keys, each lane at its own distance level.  Since each lane's world
+    is fixed by its seed, the shared schedule yields, per lane, exactly
+    the edge and seed sets (and node counts) of a solo world-seeded
+    :meth:`~repro.engine.batch.SamplingEngine.prr_phase1` run, in the
+    order the lane explored them.
 
     Roots that are seeds come back activated without exploration.  The
     per-lane ``explored`` edge counters of lanes that activate *during*
-    level 0 may exceed the solo path's (the lockstep frontier finishes its
-    merged step before the activation takes effect) — diagnostics only;
-    every arena-visible output is identical.
+    level 0 may exceed the solo path's (the shared pass finishes before
+    the activation takes effect) — diagnostics only; every arena-visible
+    output is identical.  The engine's int16 distance plane is restored
+    before returning, also when the pass loop raises.
     """
     if k + 1 >= int(_BIG):
         raise ValueError("k exceeds the lane kernel's int16 distance range")
@@ -290,63 +319,26 @@ def prr_phase1_lanes(
     num = int(roots.size)
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
     roots = roots.astype(np.int64, copy=False)
-    activated = seeds_mask[roots].copy()
-    dist, proc = engine._prr_planes(num)
-    lane_ids = np.arange(num, dtype=np.int64)
-    node_count = np.ones(num, dtype=np.int64)
-    explored = np.zeros(num, dtype=np.int64)
-    el_chunks: list = []
-    es_chunks: list = []
-    ed_chunks: list = []
-    eb_chunks: list = []
-    sl_chunks: list = []
-    sn_chunks: list = []
-
-    init = lane_ids[~activated] * n + roots[~activated]
+    seed_roots = seeds_mask[roots]
+    activated = seed_roots.copy()
+    dist = engine.prr_dist_plane(num)
+    init = np.flatnonzero(~activated) * n + roots[~activated]
     dist[init] = 0
-    touched_chunks: list = [init]  # keys whose planes need restoring
-    buckets: list = [[] for _ in range(k + 2)]
-    if init.size:
-        buckets[0].append(init)
-
+    out = _Phase1Chunks(touched=[init])
     try:
-        _prr_level_loop(
-            engine, seeds_mask, k, lane_seeds, num, activated, dist, proc,
-            node_count, explored, buckets, touched_chunks,
-            el_chunks, es_chunks, ed_chunks, eb_chunks, sl_chunks, sn_chunks,
-        )
+        _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, out)
     finally:
-        # Restore the shared planes even on interrupt/OOM — the engine is
+        # Restore the shared plane even on interrupt/OOM — the engine is
         # cached on the graph, so stale marks would corrupt later batches.
-        for chunk in touched_chunks:
-            dist[chunk] = _BIG
-            proc[chunk] = False
+        touched = _drain(out.touched)
+        dist[touched] = _BIG
 
-    if el_chunks:
-        el = np.concatenate(el_chunks)
-        es = np.concatenate(es_chunks)
-        ed = np.concatenate(ed_chunks)
-        eb = np.concatenate(eb_chunks)
-        live_lane = ~activated[el]
-        el, es, ed, eb = el[live_lane], es[live_lane], ed[live_lane], eb[live_lane]
-    else:
-        el = es = ed = _EMPTY_I64
-        eb = np.empty(0, dtype=bool)
-    e_counts, e_order = _lane_csr(el, num)
-    edge_indptr = np.zeros(num + 1, dtype=np.int64)
-    np.cumsum(e_counts, out=edge_indptr[1:])
-
-    if sl_chunks:
-        skeys = np.concatenate(
-            [sl * n + sn for sl, sn in zip(sl_chunks, sn_chunks)]
-        )
-        skeys = unique_sorted(skeys[~activated[skeys // n]])
-        s_lane = skeys // n
-        seed_nodes = skeys - s_lane * n
-        s_counts = np.bincount(s_lane, minlength=num)
-    else:
-        seed_nodes = _EMPTY_I64
-        s_counts = np.zeros(num, dtype=np.int64)
+    node_count, explored = _lane_counters(engine, touched, out.done, seed_roots)
+    edge_indptr, edge_src, edge_dst, edge_boost = _lane_edges(out, activated, n)
+    skeys = unique_sorted(_drain(out.seeds))
+    s_lane, seed_nodes = np.divmod(skeys, n)
+    live = ~activated[s_lane]
+    s_counts = np.bincount(s_lane[live], minlength=num)
     seed_indptr = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(s_counts, out=seed_indptr[1:])
 
@@ -354,94 +346,153 @@ def prr_phase1_lanes(
         roots=roots,
         activated=activated,
         edge_indptr=edge_indptr,
-        edge_src=es[e_order],
-        edge_dst=ed[e_order],
-        edge_boost=eb[e_order],
+        edge_src=edge_src,
+        edge_dst=edge_dst,
+        edge_boost=edge_boost,
         seed_indptr=seed_indptr,
-        seed_nodes=seed_nodes,
+        seed_nodes=seed_nodes[live],
         node_count=node_count,
         explored=explored,
     )
 
 
-def _prr_level_loop(
-    engine, seeds_mask, k, lane_seeds, num, activated, dist, proc,
-    node_count, explored, buckets, touched_chunks,
-    el_chunks, es_chunks, ed_chunks, eb_chunks, sl_chunks, sn_chunks,
-) -> None:
-    """Dial's level loop of :func:`prr_phase1_lanes` (split out so the
-    caller can guarantee plane restoration around it)."""
+def _lane_counters(engine, touched, done, seed_roots) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-lane ``(node_count, explored)``, one bincount each: distinct
+    discovered keys (a seed root counts itself), and the in-degrees of
+    the processed keys."""
     n = engine.n
+    num = seed_roots.size
+    node_count = np.bincount(unique_sorted(touched) // n, minlength=num) + seed_roots
+    lane, node = np.divmod(_drain(done), n)
+    indptr = engine._in_indptr
+    degree = indptr[node + 1] - indptr[node]
+    explored = np.bincount(lane, weights=degree, minlength=num).astype(np.int64)
+    return node_count, explored
+
+
+def _lane_edges(out, activated, n):
+    """``(edge_indptr, src, dst, boost)``: the kept edges of the lanes that
+    did not activate, grouped by lane in exploration order."""
+    num = activated.size
+    lane, srcs = np.divmod(_drain(out.src), n)
+    lane[activated[lane]] = num  # sorts after every live lane, then dropped
+    counts, order = _lane_csr(lane, num + 1)
+    del lane
+    order = order[: order.size - counts[num]]
+    edge_indptr = np.zeros(num + 1, dtype=np.int64)
+    np.cumsum(counts[:num], out=edge_indptr[1:])
+    return (
+        edge_indptr,
+        srcs.take(order),
+        _drain(out.dst).take(order),
+        _drain(out.boost, bool).take(order),
+    )
+
+
+def _drain(chunks: list, dtype=np.int64) -> np.ndarray:
+    """The concatenation of ``chunks``, which is emptied (the chunks are
+    released as soon as the caller drops the result's inputs)."""
+    if not chunks:
+        return np.empty(0, dtype=dtype)
+    out = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    chunks.clear()
+    return out
+
+
+@dataclass
+class _Phase1Chunks:
+    """Per-pass outputs of :func:`_prr_level_loop`, concatenated once at
+    the end: keys whose distance left the sentinel, processed frontier
+    keys, kept edges (source keys, head nodes, boost flags) and the keys
+    of discovered seeds."""
+
+    touched: list
+    done: list = field(default_factory=list)
+    src: list = field(default_factory=list)
+    dst: list = field(default_factory=list)
+    boost: list = field(default_factory=list)
+    seeds: list = field(default_factory=list)
+
+
+def _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, out) -> None:
+    """Dial's 0-1 BFS of :func:`prr_phase1_lanes`, each lane at its own
+    distance level (split out so the caller can guarantee plane
+    restoration around it).
+
+    A pass processes every lane's current frontier.  A lane's live-edge
+    candidates stay at its level for the next pass; its boost-edge
+    candidates wait in a pool until the lane runs out of live candidates
+    and moves up a level (to ``k`` at most).  So each lane processes the
+    frontiers of a solo run in the same order, and no lane waits for the
+    others to finish a level.  Every distance write is a strict
+    improvement: a key is queued at most once per level and never after
+    it was processed, and a pooled key improved since fails the ``dist
+    == level`` check when its lane moves up.  No processed-mark plane is
+    kept.
+    """
+    n = engine.n
+    num = activated.size
     in_indptr = engine._in_indptr
     in_nodes = engine._in_nodes
     in_p = engine._in_p
     in_pp = engine._in_pp
     edge_hash = engine._in_hash
-    for d in range(k + 1):
-        pending = buckets[d]
-        while pending:
-            f = np.concatenate(pending) if len(pending) > 1 else pending[0]
-            pending.clear()
-            ok = ~proc[f] & (dist[f] == d) & ~activated[f // n]
-            f = f[ok]
-            if f.size == 0:
-                continue
-            f = unique_sorted(f)
-            proc[f] = True
-            lane = f // n
-            node = f - lane * n
-            pos, counts = frontier_edge_positions(in_indptr, node)
-            e_lane = np.repeat(lane, counts)
-            explored += np.bincount(e_lane, minlength=num)
-            if pos.size == 0:
-                continue
-            heads = np.repeat(node, counts)
-            srcs = in_nodes.take(pos)
-            draws = (
-                _lane_draw_ints(lane_seeds, e_lane, edge_hash, pos).astype(
-                    np.float64
-                )
-                / TWO64
-            )
-            live = draws < in_p.take(pos)
-            w = ~live & (draws < in_pp.take(pos))
-            keep = (live | w) if d < k else live
-            if not keep.any():
-                continue
-            e_lane = e_lane[keep]
-            srcs = srcs[keep]
-            heads = heads[keep]
-            wk = w[keep]
-            el_chunks.append(e_lane)
-            es_chunks.append(srcs)
-            ed_chunks.append(heads)
-            eb_chunks.append(wk)
-            is_seed = seeds_mask[srcs]
-            if is_seed.any():
-                if d == 0:
-                    # Live edge from a seed at distance 0: those lanes'
-                    # roots activate without boosting.
-                    act = e_lane[is_seed & ~wk]
-                    if act.size:
-                        activated[np.unique(act)] = True
-                sl_chunks.append(e_lane[is_seed])
-                sn_chunks.append(srcs[is_seed])
-            src_keys = e_lane * n + srcs
-            for boost_step in (False, True):
-                sel = wk if boost_step else ~wk
-                g = src_keys[sel]
-                if g.size == 0:
-                    continue
-                dv = d + 1 if boost_step else d
-                fresh = dist[g] == _BIG
-                if fresh.any():
-                    fresh_keys = np.unique(g[fresh])
-                    node_count += np.bincount(fresh_keys // n, minlength=num)
-                    touched_chunks.append(fresh_keys)
-                np.minimum.at(dist, g, dv)
-                cand = g[(~is_seed[sel]) & (dist[g] == dv) & ~proc[g]]
-                if cand.size:
-                    (buckets[dv] if boost_step else pending).append(cand)
+    with np.errstate(over="ignore"):
+        seed_mult = lane_seeds * SEED_MULT  # the per-lane half of every draw
+    level = np.zeros(num, dtype=np.int64)  # each lane's distance level
+    pool = _EMPTY_I64  # boost candidates of lanes not yet at their level
+    f = init
+    while f.size:
+        f = unique_sorted(f)
+        out.done.append(f)
+        lane, node = np.divmod(f, n)
+        pos, counts = frontier_edge_positions(in_indptr, node)
+        e_lane = lane.repeat(counts)
+        e_level = level.take(e_lane)
+        # hash_draw(lane seed, src, head) of every frontier edge.
+        x = seed_mult.take(e_lane)
+        x += edge_hash.take(pos)
+        draws = splitmix_finalize(x).astype(np.float64)
+        draws /= TWO64
+        live = draws < in_p.take(pos)
+        boost = draws < in_pp.take(pos)
+        boost &= ~live
+        boost &= e_level < k  # a boost edge at level k leads past k
+        kept = np.flatnonzero(live | boost)
+        srcs = in_nodes.take(pos.take(kept))
+        e_lane = e_lane.take(kept)
+        e_level = e_level.take(kept)
+        boost = boost.take(kept)
+        g = e_lane * n
+        g += srcs
+        out.src.append(g)
+        out.dst.append(node.repeat(counts).take(kept))
+        out.boost.append(boost)
+        is_seed = seeds_mask.take(srcs)
+        act = None
+        if is_seed.any():
+            out.seeds.append(g[is_seed])
+            # A live edge from a seed at level 0 activates its lane's root
+            # without boosting.
+            act = e_lane[is_seed & ~boost & (e_level == 0)]
+            if act.size:
+                activated[act] = True
+            else:
+                act = None
+        # Scatter the new distances (boost edges first, so a key reached
+        # both ways this pass keeps the live distance).
+        upd = dist[g] > e_level + boost
+        out.touched.append(g[upd])
+        upd &= ~is_seed  # seeds are never expanded
+        step = np.flatnonzero(upd & boost)
+        nxt = g.take(step)
+        dist[nxt] = e_level.take(step) + 1
+        step = np.flatnonzero(upd & ~boost)
+        live = g.take(step)
+        dist[live] = e_level.take(step)
+        f, pool = next_level_frontier(dist, n, level, lane, live, pool, nxt)
+        if act is not None:
+            f = f[~activated[f // n]]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@
 All engine traversals share the same building blocks: expand a frontier of
 node ids into the flat CSR positions of their incident edges, mask those
 positions, and dedupe the discovered endpoints into the next frontier —
-no per-neighbour Python loop anywhere.
+no per-neighbour Python loop anywhere.  :func:`next_level_frontier` is
+the level step the lane-parallel 0-1 BFS passes share (PRR phase I and
+both phase-II distance passes).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ __all__ = [
     "first_occurrence",
     "unique_sorted",
     "grow_reachable",
+    "next_level_frontier",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -94,3 +97,36 @@ def grow_reachable(
         if not grow.any():
             return reached
         reached[heads[grow]] = True
+
+
+def next_level_frontier(
+    dist: np.ndarray,
+    n: int,
+    level: np.ndarray,
+    lanes: np.ndarray,
+    live: np.ndarray,
+    pool: np.ndarray,
+    deferred: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The next frontier of a lane-parallel Dial's 0-1 BFS in which every
+    lane keeps its own distance level (keys are ``lane * n + node``).
+
+    ``lanes`` are the lanes of the frontier just processed, ``live`` its
+    candidates over weight-0 edges (at their lane's level), ``deferred``
+    its candidates over weight-1 edges (one level up).  A lane of
+    ``lanes`` without live candidates has finished its level: it moves
+    up (``level`` is updated in place) and takes its pooled keys whose
+    ``dist`` is still that level — a pooled key improved since was
+    processed at the lower level.  Other lanes keep their keys pooled.
+    Returns ``(frontier, pool)``; every lane processes the frontiers of
+    a solo run, in the same order, without waiting for the others.
+    """
+    moving = np.zeros(level.size, dtype=bool)
+    moving[lanes] = True
+    moving[live // n] = False
+    pool = np.concatenate([pool, deferred])
+    pulled = moving[pool // n]
+    up = pool[pulled]
+    level[moving] += 1
+    up = up[dist[up] == level[up // n]]
+    return np.concatenate([live, up]), pool[~pulled]

@@ -14,7 +14,9 @@ Pins the contracts of the multi-source lane engine
   chi-square,
 * **runtime** — collections are a pure function of the RNG and
   ``count`` across worker counts including the in-process path, and the
-  engine cache is thread-safe.
+  engine cache is thread-safe,
+* **scratch** — a PRR or critical batch that raises midway (in phase I
+  or in compression) leaves the engine's planes as it found them.
 """
 
 import threading
@@ -31,9 +33,11 @@ from repro.core import (
     sample_prr_lanes,
     shutdown_runtime,
 )
+from repro.core import prr as prr_module
 from repro.core.parallel import fork_available, get_runtime
 from repro.core.prr import PRRArena
 from repro.engine import LANE_WIDTH, SamplingEngine
+from repro.engine import lanes as lanes_module
 from repro.engine.coverage import CoverageIndex
 from repro.engine.hashing import hash_draw, hash_draw_pairs
 from repro.engine.world import BLOCKED, BOOST, LIVE, EdgeStateArray, lane_states, lane_uniforms
@@ -300,6 +304,94 @@ class TestCriticalLanes:
             assert status_name in ("activated", "hopeless", "boostable")
             assert isinstance(crit, frozenset)
             assert explored >= 0
+
+
+class TestScratchRestoredOnFailure:
+    """A batch that raises midway leaves the engine's scratch planes as it
+    found them: the engine is cached on the graph, so a leaked mark would
+    silently corrupt every later sample drawn on it."""
+
+    SEEDS = frozenset({0, 1, 2})
+
+    @pytest.fixture
+    def fresh_graph(self):
+        rng = np.random.default_rng(5)
+        return learned_like(preferential_attachment(150, 3, rng), rng, 0.3)
+
+    @staticmethod
+    def raise_on_call(monkeypatch, module, nth):
+        """Make ``module.frontier_edge_positions`` raise on its ``nth``
+        call; returns the call counter."""
+        real = module.frontier_edge_positions
+        calls = [0]
+
+        def flaky(indptr, frontier):
+            calls[0] += 1
+            if calls[0] == nth:
+                raise MemoryError("injected")
+            return real(indptr, frontier)
+
+        monkeypatch.setattr(module, "frontier_edge_positions", flaky)
+        return calls
+
+    def call_numbers(self, monkeypatch, module, draw, graph):
+        """The 1st, 2nd, middle and last call of a clean ``draw``."""
+        with monkeypatch.context() as patch:
+            calls = self.raise_on_call(patch, module, 0)
+            draw(graph)
+        total = calls[0]
+        assert total >= 2
+        return sorted({1, 2, (total + 1) // 2, total})
+
+    @staticmethod
+    def assert_clean(engine):
+        assert engine._prr_dist is not None
+        assert (engine._prr_dist == np.iinfo(np.int16).max).all()
+        if engine._lane_visited is not None:
+            assert not engine._lane_visited.any()
+
+    @staticmethod
+    def prr_draw(graph):
+        return sample_prr_lanes(
+            graph, TestScratchRestoredOnFailure.SEEDS, 3, np.random.default_rng(8), 300
+        ).payload()
+
+    @staticmethod
+    def critical_draw(graph):
+        engine = SamplingEngine.for_graph(graph)
+        return engine.critical_lane_csr(
+            TestScratchRestoredOnFailure.SEEDS, np.random.default_rng(8), 300
+        )
+
+    def assert_next_draw_is_fresh(self, graph, draw):
+        cached = draw(graph)
+        graph._engine_cache = None  # the next for_graph builds a fresh engine
+        fresh = draw(graph)
+        assert len(cached) == len(fresh)
+        for a, b in zip(cached, fresh):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("draw_name", ["prr_draw", "critical_draw"])
+    def test_phase1_failure(self, monkeypatch, fresh_graph, draw_name):
+        draw = getattr(self, draw_name)
+        for nth in self.call_numbers(monkeypatch, lanes_module, draw, fresh_graph):
+            engine = SamplingEngine.for_graph(fresh_graph)
+            with monkeypatch.context() as patch:
+                self.raise_on_call(patch, lanes_module, nth)
+                with pytest.raises(MemoryError):
+                    draw(fresh_graph)
+            self.assert_clean(engine)
+            self.assert_next_draw_is_fresh(fresh_graph, draw)
+
+    def test_compression_failure(self, monkeypatch, fresh_graph):
+        for nth in self.call_numbers(monkeypatch, prr_module, self.prr_draw, fresh_graph):
+            engine = SamplingEngine.for_graph(fresh_graph)
+            with monkeypatch.context() as patch:
+                self.raise_on_call(patch, prr_module, nth)
+                with pytest.raises(MemoryError):
+                    self.prr_draw(fresh_graph)
+            self.assert_clean(engine)
+            self.assert_next_draw_is_fresh(fresh_graph, self.prr_draw)
 
 
 class TestEngineCacheThreadSafety:
