@@ -39,10 +39,11 @@ into arena payload arrays.  This module keeps the domain side:
   object lists.  :class:`PRRGraph` stays available as a lazy per-graph
   view (``arena[i]``),
 * :func:`compress_lanes` — phase II (super-seed merge, dead-node removal,
-  live shortcut edges to the root) for a whole lane batch at once: both
+  live shortcut edges to the root) for a whole lane batch, or a slice of
+  at most :data:`COMPRESS_SLICE_EDGES` phase-I edges of it, at once: both
   0-1 BFS passes, the edge dedupe and the cleanup run over all lanes in
-  disjoint ``lane * n + node`` key ranges, and the result is the batch's
-  arena payload arrays.  It is the only compressor: single samples
+  disjoint ``lane * n + node`` key ranges, and the result is the arena
+  payload arrays of those lanes.  It is the only compressor: single samples
   (:func:`prr_graph_from_phase1`, :meth:`PRRArena.add_phase1`) go
   through it as one-lane batches, and ``tests/test_compression_oracle.py``
   checks it against brute-force ``f_R(B)`` on tiny graphs.
@@ -87,6 +88,8 @@ __all__ = [
     "sample_critical_set",
     "sample_critical_batch",
     "prr_graph_from_phase1",
+    "compress_lanes",
+    "COMPRESS_SLICE_EDGES",
     "ACTIVATED",
     "HOPELESS",
     "BOOSTABLE",
@@ -106,6 +109,12 @@ class EdgeState:
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+# Phase-I edges per compression slice.  Phase II holds ~100 bytes of
+# transient arrays per edge, so a slice stays near 13 MB however many
+# edges the lanes of a batch explored (a 131-lane digg-like batch at
+# k=20 has ~40k).
+COMPRESS_SLICE_EDGES = 1 << 17
 
 
 @dataclass
@@ -342,8 +351,10 @@ def sample_prr_lanes(
     valid stream than :func:`sample_prr_arena`, which stays the
     RNG-consumption oracle.  Each lane batch
     (:func:`~repro.engine.lanes.lane_batch` roots) runs phase I on the
-    engine and is compressed in one pass (:func:`compress_lanes`) into
-    arena payload arrays; no per-sample Python objects.
+    engine and is compressed into arena payload arrays by
+    :func:`compress_lanes`, one pass per slice of at most
+    :data:`COMPRESS_SLICE_EDGES` phase-I edges; no per-sample Python
+    objects.
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)
@@ -354,9 +365,11 @@ def sample_prr_lanes(
         ph = engine.prr_phase1_lanes(
             mask, all_roots[lo : lo + width], k, all_seeds[lo : lo + width]
         )
-        parts.append(
-            (graph.n, *compress_lanes(ph, k, graph.n, engine.prr_dist_plane(ph.roots.size)))
-        )
+        dist = engine.prr_dist_plane(ph.roots.size)
+        parts += [
+            (graph.n, *compress_lanes(part, k, graph.n, dist))
+            for part in ph.slices(COMPRESS_SLICE_EDGES)
+        ]
     if arena is None:
         return PRRArena.from_payloads(parts) if parts else PRRArena(graph.n)
     if parts:

@@ -55,7 +55,7 @@ for its CSR arrays and scratch buffers):
   I, Dial's 0–1 BFS with every lane at its own distance level) for ``B``
   roots at once, collecting per-lane edge / seed arrays for phase-II
   compression (:func:`repro.core.prr.compress_lanes`, one pass per
-  batch),
+  batch, or per edge-bounded slice of it),
 * :func:`critical_lanes` — critical node sets ``C_R`` (boost-distance-1
   exploration + one batched live-reachability fixed point across all
   lanes),
@@ -74,7 +74,7 @@ Status codes follow :data:`repro.core.prr.PRRArena.status_names` order:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -287,6 +287,32 @@ class LanePhase1:
     seed_nodes: np.ndarray
     node_count: np.ndarray
     explored: np.ndarray
+
+    def slices(self, max_edges: int) -> Iterator["LanePhase1"]:
+        """The batch as runs of consecutive lanes holding at most
+        ``max_edges`` edges each (a lane with more gets a run of its own).
+        Every array of a run is a view, the rebased indptrs aside."""
+        num = self.roots.size
+        lo = 0
+        while lo < num:
+            end = self.edge_indptr[lo] + max_edges
+            hi = int(np.searchsorted(self.edge_indptr, end, side="right")) - 1
+            hi = min(max(hi, lo + 1), num)
+            e0, e1 = self.edge_indptr[lo], self.edge_indptr[hi]
+            s0, s1 = self.seed_indptr[lo], self.seed_indptr[hi]
+            yield LanePhase1(
+                roots=self.roots[lo:hi],
+                activated=self.activated[lo:hi],
+                edge_indptr=self.edge_indptr[lo : hi + 1] - e0,
+                edge_src=self.edge_src[e0:e1],
+                edge_dst=self.edge_dst[e0:e1],
+                edge_boost=self.edge_boost[e0:e1],
+                seed_indptr=self.seed_indptr[lo : hi + 1] - s0,
+                seed_nodes=self.seed_nodes[s0:s1],
+                node_count=self.node_count[lo:hi],
+                explored=self.explored[lo:hi],
+            )
+            lo = hi
 
 
 def prr_phase1_lanes(

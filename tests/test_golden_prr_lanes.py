@@ -16,7 +16,9 @@ The digests were recorded before the lane batches were sized by
 whole batches at once.  Every sample is a pure function of its
 ``(root, world_seed)`` pair, so the digests must not depend on how many
 lanes a batch holds: the lane-width tests re-run the matrix with the
-budget patched to 1-lane, 7-lane, 64-lane and whole-draw batches.
+budget patched to 1-lane, 7-lane, 64-lane and whole-draw batches, and
+with phase II compressing each batch in slices of one lane or of a few
+thousand edges.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import prr as prr_module
 from repro.core.prr import PRRArena, prr_graph_from_phase1, sample_prr_lanes
 from repro.datasets import load_dataset
 from repro.engine import SamplingEngine
@@ -219,6 +222,20 @@ class TestLaneWidthInvariance:
                     key = f"{name}/k{k}/rng{rng_seed}/n{count}"
                     assert prr_case(graph, seeds, k, rng_seed, count) == golden["prr"][key], key
                     _assert_widths(seen, width, count)
+
+    @pytest.mark.parametrize("slice_edges", [1, 3000])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_prr_compression_slices(self, golden, graphs, monkeypatch, name, slice_edges):
+        """Compressing a batch lane by lane, or in runs of a few thousand
+        edges, gives the payloads of one pass over the batch."""
+        monkeypatch.setattr(prr_module, "COMPRESS_SLICE_EDGES", slice_edges)
+        graph, seeds = graphs[name]
+        counts = COUNTS if slice_edges > 1 else COUNTS[:1]
+        for k in KS:
+            for rng_seed in RNG_SEEDS:
+                for count in counts:
+                    key = f"{name}/k{k}/rng{rng_seed}/n{count}"
+                    assert prr_case(graph, seeds, k, rng_seed, count) == golden["prr"][key], key
 
     @pytest.mark.parametrize("width", [1, 7, 64, None])
     @pytest.mark.parametrize("name", GRAPHS)
