@@ -495,16 +495,14 @@ def _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, ou
         out.dst.append(node.repeat(counts).take(kept))
         out.boost.append(boost)
         is_seed = seeds_mask.take(srcs)
-        act = None
+        activating = False
         if is_seed.any():
             out.seeds.append(g[is_seed])
             # A live edge from a seed at level 0 activates its lane's root
             # without boosting.
             act = e_lane[is_seed & ~boost & (e_level == 0)]
-            if act.size:
-                activated[act] = True
-            else:
-                act = None
+            activated[act] = True
+            activating = act.size > 0
         # Scatter the new distances (boost edges first, so a key reached
         # both ways this pass keeps the live distance).
         upd = dist[g] > e_level + boost
@@ -517,7 +515,7 @@ def _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, ou
         live = g.take(step)
         dist[live] = e_level.take(step)
         f, pool = next_level_frontier(dist, n, level, lane, live, pool, nxt)
-        if act is not None:
+        if activating:
             f = f[~activated[f // n]]
 
 
