@@ -29,11 +29,11 @@ budget's ``epsilon`` doubles as DP-Boost's FPTAS accuracy parameter, and
 loop oracle instead of the vectorized kernels.
 
 Baseline handlers generate their candidate boost sets and, by default,
-Monte-Carlo rank them (shared sampled worlds when there is more than one
-candidate, so ranking is a paired experiment).  ``params={"evaluate":
-False}`` skips the ranking and returns the raw candidate sets in
-``extra["candidate_sets"]`` — the form the experiment harness consumes
-to run its own paired evaluation across *algorithms*.
+Monte-Carlo rank them on shared sampled worlds, so ranking is a paired
+experiment.  ``params={"evaluate": False}`` skips the ranking and
+returns the raw candidate sets in ``extra["candidate_sets"]`` — the form
+the experiment harness consumes to run its own paired evaluation across
+*algorithms*.
 """
 
 from __future__ import annotations
@@ -161,19 +161,14 @@ def rank_candidates(
     """Monte-Carlo pick of the best candidate boost set.
 
     The one paired-evaluation protocol of the reproduction (the
-    experiment harness delegates here too): a single candidate is
-    estimated directly with the common-random-number Δ estimator;
-    several candidates share one sampled world collection so the ranking
-    is paired, not at the mercy of independent draws.
+    experiment harness delegates here too): every candidate is scored on
+    one sampled :class:`~repro.diffusion.worlds.WorldCollection`, so the
+    ranking is paired, not at the mercy of independent draws.  Its worlds
+    are the ones :func:`~repro.diffusion.estimate_boost` draws from the
+    same ``rng``, so a single candidate gets exactly that estimate.
     """
-    from ..diffusion.simulator import estimate_boost
-
-    if len(candidate_sets) == 1:
-        value = estimate_boost(graph, seeds, candidate_sets[0], rng, runs=mc_runs)
-        return list(candidate_sets[0]), float(value)
     worlds = WorldCollection(graph, list(seeds), rng, runs=mc_runs)
-    ranked = worlds.rank(candidate_sets)
-    best_idx, best_boost = ranked[0]
+    best_idx, best_boost = worlds.rank(candidate_sets)[0]
     return list(candidate_sets[best_idx]), float(best_boost)
 
 

@@ -15,8 +15,9 @@ Computing ``Δ_S(B)`` exactly is #P-hard (Theorem 1), hence simulation.
 
 All Monte Carlo paths run on the shared vectorized engine
 (:class:`repro.engine.SamplingEngine`): cascades are frontier BFS over the
-out-CSR with numpy masks, and the estimators stream whole batches of worlds
-through one engine instance.
+out-CSR with numpy masks.  The estimators draw one lane seed per world from
+the RNG and advance :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` hashed
+worlds per frontier step (:meth:`~repro.engine.SamplingEngine.cascades`).
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ def estimate_boost(
     """Monte Carlo estimate of ``Δ_S(B) = σ_S(B) − σ_S(∅)``.
 
     Uses common random numbers: each run evaluates both the boosted and
-    unboosted cascade in the *same* world (one uniform per edge for the
-    default IC; a shared hashed world per run for the other models), so
-    the difference estimator has far lower variance than two independent
-    ``estimate_sigma`` calls.  Because ``p' >= p``, the boosted world's
+    unboosted cascade in the *same* hashed world, fixed by one lane seed
+    drawn from ``rng``, so the difference estimator has far lower
+    variance than two independent ``estimate_sigma`` calls.  Because ``p' >= p``, the boosted world's
     live edges are a superset of the base world's under the IC family, so
     every per-run difference is non-negative.
     """

@@ -6,9 +6,11 @@ comparison* fair and low-variance: sample ``runs`` worlds once, then score
 every candidate boost set against the same worlds — a paired experiment in
 which estimator noise cancels when sets are compared.
 
-The benchmark harness uses this for the baseline sweeps (HighDegree returns
-four candidate sets; evaluating them on shared worlds removes the luck of
-independent Monte Carlo draws).
+The baselines' ``rank_candidates`` and the benchmark harness use this for
+the baseline sweeps (HighDegree returns four candidate sets; evaluating them
+on shared worlds removes the luck of independent Monte Carlo draws).  A
+world is one lane seed, so a collection costs 8 bytes per world however
+large the graph.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import AbstractSet, List, Sequence
 import numpy as np
 
 from ..engine import SamplingEngine
+from ..engine.lanes import draw_lane_seeds
 from ..graphs.digraph import DiGraph
 
 __all__ = ["WorldCollection"]
@@ -26,9 +29,12 @@ __all__ = ["WorldCollection"]
 class WorldCollection:
     """``runs`` sampled worlds over a graph with a fixed seed set.
 
-    One uniform draw per CSR out-edge per world; a world's live edges for a
-    boost set ``B`` are ``draw < threshold(B)``, with the Definition 3
-    coupling (``draw < p`` live, ``p <= draw < p'`` live-upon-boost).
+    Each world is fixed by one lane seed (the hashed worlds of
+    :meth:`SamplingEngine.cascades <repro.engine.SamplingEngine.cascades>`,
+    drawn from ``rng`` exactly like :meth:`~repro.engine.SamplingEngine.estimate_boost`
+    draws them); an edge is live for a boost set ``B`` when its hash draw
+    falls below ``threshold(B)``, with the Definition 3 coupling
+    (``draw < p`` live, ``p <= draw < p'`` live-upon-boost).
 
     The unboosted cascade size of each world is computed once at
     construction, so :meth:`boost` costs one cascade per world.
@@ -49,15 +55,11 @@ class WorldCollection:
         if self.seed_idx.size == 0:
             raise ValueError("seed set must be non-empty")
         self.runs = runs
-        self._draws = rng.random((runs, graph.m))
-        base_thr = self._engine.thresholds(set())
-        self._base_sizes = np.array(
-            [
-                self._engine.cascade_count(self.seed_idx, self._draws[r] < base_thr)
-                for r in range(runs)
-            ],
-            dtype=np.int64,
-        )
+        self.lane_seeds = draw_lane_seeds(rng, runs)
+        self._base_sizes = self._sizes(())
+
+    def _sizes(self, boost) -> np.ndarray:
+        return self._engine.cascades(self.seed_idx, boost, self.lane_seeds)[0]
 
     @property
     def sigma_empty(self) -> float:
@@ -66,23 +68,14 @@ class WorldCollection:
 
     def sigma(self, boost: AbstractSet[int] | Sequence[int]) -> float:
         """``σ_S(B)`` on these worlds."""
-        thr = self._engine.thresholds(set(boost))
-        total = 0
-        for r in range(self.runs):
-            total += self._engine.cascade_count(self.seed_idx, self._draws[r] < thr)
-        return total / self.runs
+        return float(self._sizes(boost).mean())
 
     def boost(self, boost: AbstractSet[int] | Sequence[int]) -> float:
         """``Δ_S(B)`` as a paired difference against the cached base sizes."""
         boost_set = set(boost)
         if not boost_set:
             return 0.0
-        thr = self._engine.thresholds(boost_set)
-        total = 0
-        for r in range(self.runs):
-            size = self._engine.cascade_count(self.seed_idx, self._draws[r] < thr)
-            total += size - int(self._base_sizes[r])
-        return total / self.runs
+        return int((self._sizes(boost_set) - self._base_sizes).sum()) / self.runs
 
     def rank(
         self, candidates: Sequence[Sequence[int]]

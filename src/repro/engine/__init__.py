@@ -23,7 +23,8 @@ exploration — runs on the primitives in this package:
   forward-cascade kernels, so every diffusion semantics shares the
   frontier traversal, world hashing, and lane planes,
 * :mod:`repro.engine.batch` — :class:`SamplingEngine`, the batch API
-  (``sample_rr_batch``, ``simulate_batch``, ``sample_critical_batch``,
+  (``sample_rr_batch``, ``cascades`` — the one Monte-Carlo loop behind
+  ``simulate_batch`` and the σ / Δ estimators — ``sample_critical_batch``,
   ``prr_phase1`` and the lane CSR entry points ``rr_lane_csr`` /
   ``critical_lane_csr`` / ``prr_phase1_lanes`` consumed by
   :func:`repro.core.prr.sample_prr_lanes`) that reuses one set of

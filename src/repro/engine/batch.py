@@ -6,25 +6,30 @@ One engine instance per graph owns
   sample costs no O(n) allocation,
 * an :class:`~repro.engine.world.EdgeStateArray` for PRR worlds,
 * the three hot-path samplers: forward cascades (``simulate`` /
-  ``simulate_batch``), backward RR sets (``rr_set`` / ``sample_rr_batch``)
+  ``cascades``), backward RR sets (``rr_set`` / ``sample_rr_batch``)
   and backward PRR exploration (``prr_phase1`` / ``critical_set`` /
   ``sample_critical_batch``; PRR-graph assembly lives above in
   :mod:`repro.core.prr`, which loops ``prr_phase1`` for its batches).
 
 Forward cascades are parameterized by a pluggable
 :class:`~repro.engine.models.DiffusionModel` (``model=`` on
-``simulate`` / ``simulate_batch`` / ``estimate_sigma`` /
+``simulate`` / ``cascades`` / ``simulate_batch`` / ``estimate_sigma`` /
 ``estimate_boost`` / ``simulate_hashed`` / ``cascade_lane_csr``):
 incoming-boost IC (the default, and the only semantics the backward
 samplers serve), the outgoing-boost IC variant, and boosted LT all run
 on the same frontier traversal, hashed worlds and lane planes.
 
-RR sets and forward cascades are bit-for-bit compatible with the
-pre-engine pure-Python samplers (same RNG consumption, same results), as
-is PRR sampling when ``world_seed`` pins the world by hashing.  RNG-driven
-PRR/critical sampling draws edge states per frontier slice instead of per
-edge, so for a given generator state it samples a *different but equally
-valid* world — only the distribution is preserved.
+Every Monte Carlo estimate goes through one loop, :meth:`SamplingEngine.cascades`:
+one lane seed per world, drawn from the caller's RNG by
+:func:`~repro.engine.lanes.draw_lane_seeds`, and
+:data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` hashed worlds per frontier
+step.  The single-cascade ``simulate`` instead consumes the RNG
+draw-for-draw like the pre-engine pure-Python simulator, as ``rr_set``
+does for RR sets and PRR sampling does when ``world_seed`` pins the world
+by hashing.  RNG-driven PRR/critical sampling draws edge states per
+frontier slice instead of per edge, so for a given generator state it
+samples a *different but equally valid* world — only the distribution is
+preserved.
 
 Batch forms run on the lane kernels of :mod:`repro.engine.lanes`:
 ``sample_rr_batch`` (default mode) and ``sample_critical_batch`` advance
@@ -62,7 +67,7 @@ from .lanes import (
     prr_phase1_lanes,
     rr_member_lanes,
 )
-from .models import DEFAULT_MODEL, resolve_model
+from .models import resolve_model
 from .traversal import first_occurrence, frontier_edge_positions, unique_sorted
 from .world import BLOCKED, BOOST, EdgeStateArray
 
@@ -551,28 +556,35 @@ class SamplingEngine:
             chunks.append(frontier)
         return set(np.concatenate(chunks).tolist()) if len(chunks) > 1 else set(chunks[0].tolist())
 
-    def cascade_count(self, seed_idx: np.ndarray, live: np.ndarray) -> int:
-        """Cascade size in the fixed world where out-position ``i`` is live
-        iff ``live[i]`` (no RNG involved)."""
-        cur = self._next_stamp()
-        visit = self._visit
-        visit[seed_idx] = cur
-        total = seed_idx.size
-        frontier = seed_idx
-        indptr = self._out_indptr
-        nodes = self._out_nodes
-        while frontier.size:
-            pos, _counts = frontier_edge_positions(indptr, frontier)
-            if pos.size == 0:
-                break
-            heads = nodes.take(pos[live.take(pos)])
-            fresh = heads[visit.take(heads) != cur]
-            if fresh.size == 0:
-                break
-            frontier = unique_sorted(fresh)
-            visit[frontier] = cur
-            total += frontier.size
-        return int(total)
+    def cascades(
+        self,
+        seeds,
+        boost,
+        lane_seeds: np.ndarray,
+        model=None,
+        members: bool = False,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The cascade of ``model`` in the world fixed by each lane seed —
+        the one Monte Carlo loop behind every forward estimator.
+
+        Worlds are evaluated :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH`
+        per frontier step.  Returns ``(sizes, values)``: the activated-set
+        size of every world and, with ``members``, the activated sets as
+        one CSR of sorted node ids (counts are ``sizes``; ``values`` is
+        None otherwise).  World ``i`` is a pure function of ``(seeds,
+        boost, lane_seeds[i])``, so the same lane seeds replay the same
+        worlds under any boost set — paired comparisons come free.
+        """
+        run = resolve_model(model).cascade_plan(self, seeds, boost)
+        parts = [
+            run(lane_seeds[lo : lo + CASCADE_LANE_WIDTH], members=members)
+            for lo in range(0, lane_seeds.size, CASCADE_LANE_WIDTH)
+        ]
+        if not parts:
+            return _EMPTY_I64, (_EMPTY_I64 if members else None)
+        sizes = np.concatenate([s for s, _c, _v in parts])
+        values = np.concatenate([v for _s, _c, v in parts]) if members else None
+        return sizes, values
 
     def simulate_batch(
         self,
@@ -582,46 +594,10 @@ class SamplingEngine:
         runs: int,
         model=None,
     ) -> np.ndarray:
-        """Cascade sizes of ``runs`` independent worlds under ``boost``.
-
-        The default incoming-boost IC draws one uniform per edge per
-        world from ``rng`` (the historical stream); every other model
-        runs the cascade lane kernels over per-run hashed worlds seeded
-        from ``rng`` — same distribution, evaluated
-        :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` worlds per
-        frontier step.
-        """
-        mdl = resolve_model(model)
-        if mdl is DEFAULT_MODEL:
-            seed_idx = np.fromiter(set(seeds), dtype=np.int64)
-            thr = self.thresholds(set(boost))
-            sizes = np.empty(runs, dtype=np.int64)
-            for i in range(runs):
-                draws = rng.random(self.m)
-                sizes[i] = self.cascade_count(seed_idx, draws < thr)
-            return sizes
-        return self._cascade_sizes_lanes(mdl, seeds, boost, rng, runs)
-
-    def _cascade_sizes_lanes(
-        self,
-        mdl,
-        seeds,
-        boost,
-        rng: np.random.Generator,
-        runs: int,
-        lane_width: int = CASCADE_LANE_WIDTH,
-    ) -> np.ndarray:
-        """Per-run cascade sizes from the lane kernels, worlds hashed
-        from per-run seeds drawn upfront from ``rng``."""
-        run = mdl.cascade_plan(self, seeds, boost)
-        sizes = np.empty(runs, dtype=np.int64)
-        done = 0
-        while done < runs:
-            b = min(lane_width, runs - done)
-            s, _c, _v = run(draw_lane_seeds(rng, b))
-            sizes[done : done + b] = s
-            done += b
-        return sizes
+        """Cascade sizes of ``runs`` independent worlds under ``boost``,
+        one hashed world per lane seed drawn from ``rng``
+        (:func:`~repro.engine.lanes.draw_lane_seeds`)."""
+        return self.cascades(seeds, boost, draw_lane_seeds(rng, runs), model)[0]
 
     def simulate_hashed(
         self, seeds, boost, world_seed: int, model=None
@@ -641,7 +617,6 @@ class SamplingEngine:
         rng: np.random.Generator,
         count: int,
         model=None,
-        lane_width: int = CASCADE_LANE_WIDTH,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``count`` activated sets via the cascade lane kernels, as a
         ``(counts, members)`` CSR of sorted node ids per sample.
@@ -653,17 +628,9 @@ class SamplingEngine:
         """
         if count <= 0:
             return _EMPTY_I64, _EMPTY_I64
-        run = resolve_model(model).cascade_plan(self, seeds, boost)
-        count_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        done = 0
-        while done < count:
-            b = min(lane_width, count - done)
-            _s, c, v = run(draw_lane_seeds(rng, b), members=True)
-            count_parts.append(c)
-            value_parts.append(v)
-            done += b
-        return np.concatenate(count_parts), np.concatenate(value_parts)
+        return self.cascades(
+            seeds, boost, draw_lane_seeds(rng, count), model, members=True
+        )
 
     def estimate_sigma(
         self, seeds, boost, rng, runs: int = 1000, model=None
@@ -678,40 +645,15 @@ class SamplingEngine:
     def estimate_boost(
         self, seeds, boost, rng, runs: int = 1000, model=None
     ) -> float:
-        """Monte Carlo ``Δ_S(B)`` with common random numbers: each world is
-        evaluated under both ``B`` and ``∅``, so variance of the paired
-        difference stays small.
-
-        For the hashed-world models the pairing is free: the same lane
-        seeds fix the same worlds (IC edge draws / LT thresholds), so
-        both arms replay identical randomness by construction.
-        """
+        """Monte Carlo ``Δ_S(B)`` with common random numbers: the same
+        ``runs`` lane seeds fix the worlds of both arms, ``B`` and ``∅``,
+        so the variance of the paired difference stays small."""
         if runs <= 0:
             raise ValueError("runs must be positive")
-        mdl = resolve_model(model)
-        if mdl is DEFAULT_MODEL:
-            seed_idx = np.fromiter(set(seeds), dtype=np.int64)
-            base_thr = self._out_p
-            boosted_thr = self.thresholds(set(boost))
-            total = 0
-            for _ in range(runs):
-                draws = rng.random(self.m)
-                with_boost = self.cascade_count(seed_idx, draws < boosted_thr)
-                without = self.cascade_count(seed_idx, draws < base_thr)
-                total += with_boost - without
-            return total / runs
-        run_boosted = mdl.cascade_plan(self, seeds, boost)
-        run_base = mdl.cascade_plan(self, seeds, frozenset())
-        total = 0
-        done = 0
-        while done < runs:
-            b = min(CASCADE_LANE_WIDTH, runs - done)
-            lane_seeds = draw_lane_seeds(rng, b)
-            with_b, _c, _v = run_boosted(lane_seeds)
-            base, _c, _v = run_base(lane_seeds)
-            total += int((with_b - base).sum())
-            done += b
-        return total / runs
+        lane_seeds = draw_lane_seeds(rng, runs)
+        boosted, _ = self.cascades(seeds, boost, lane_seeds, model)
+        base, _ = self.cascades(seeds, (), lane_seeds, model)
+        return int((boosted - base).sum()) / runs
 
     # ------------------------------------------------------------------
     # Backward PRR exploration

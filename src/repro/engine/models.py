@@ -24,17 +24,19 @@ hashing and reusable lane planes: a model's hashed cascade is a pure
 function of ``(seeds, boost, world_seed)`` — evaluated one world at a
 time (:meth:`DiffusionModel.simulate_hashed`) or
 :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` worlds per frontier step
-(:meth:`DiffusionModel.cascade_lanes`) — which is what pins the lane
-kernels to the retained pure-Python oracles in
-:mod:`repro.engine.reference` bit-for-bit.
+(:meth:`DiffusionModel.cascade_lanes`).  Every Monte Carlo estimator of
+the engine runs a model's :meth:`~DiffusionModel.cascade_plan` on lane
+seeds drawn from the caller's RNG; only the single RNG-driven cascade
+(:meth:`DiffusionModel.simulate`) keeps the draw order of the retained
+pure-Python oracles in :mod:`repro.engine.reference`.
 
 Models are stateless singletons resolved by name::
 
     from repro.engine.models import resolve_model
     resolve_model("ic_out").simulate(engine, seeds, boost, rng)
 
-``None`` resolves to the default incoming-boost IC, so every engine
-entry point keeps its historical behaviour when no model is named.
+``None`` resolves to the default incoming-boost IC, the same model (and
+the same numbers) as ``"ic"``.
 """
 
 from __future__ import annotations

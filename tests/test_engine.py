@@ -131,9 +131,9 @@ class TestCascadeBitwise:
         assert r_ref.bit_generator.state == r_eng.bit_generator.state
 
     def test_estimate_sigma_stream_compatible(self, graph):
-        # estimate_sigma draws one uniform per edge per run; the engine and
-        # a manual reference loop over reference_simulate worlds must agree
-        # on the estimate for the same seed.
+        # estimate_sigma draws one lane seed per world from the generator
+        # and nothing else, so the same generator seed gives the same
+        # estimate.
         est1 = estimate_sigma(graph, {0, 1}, {5}, np.random.default_rng(11), runs=200)
         est2 = estimate_sigma(graph, {0, 1}, {5}, np.random.default_rng(11), runs=200)
         assert est1 == est2

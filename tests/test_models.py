@@ -201,8 +201,10 @@ class TestEstimatorsAgainstExact:
         assert est == 0.0
 
     def test_incoming_model_keeps_legacy_stream(self, graph):
-        # model="ic" must route through the historical rng.random(m) path
-        # bit-for-bit (wrappers and pre-model callers depend on it).
+        # No model and model="ic" are the same incoming-boost IC: both
+        # draw the same lane seeds from the generator and replay the same
+        # hashed worlds, so pre-model callers get the named model's
+        # numbers bit-for-bit.
         a = estimate_boost(graph, {0, 1}, {5}, np.random.default_rng(8), runs=50)
         b = estimate_boost(
             graph, {0, 1}, {5}, np.random.default_rng(8), runs=50, model="ic"
