@@ -15,69 +15,94 @@ expanding hop-by-hop until ``k`` nodes are available.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, NamedTuple, Set
 
 import numpy as np
 
+from ..engine.traversal import frontier_edge_positions
 from ..graphs.digraph import DiGraph
 
 __all__ = ["high_degree_global", "high_degree_local", "weighted_degree_variants"]
 
 
-def _score_out_prob(graph: DiGraph, v: int, chosen: Set[int]) -> float:
-    return float(graph.out_probs(v).sum())
+class WeightedDegree(NamedTuple):
+    """A node's score sums ``p`` over its outgoing edges (``outgoing``) or
+    ``p' − p`` over its incoming ones; ``discounted`` leaves out the edges
+    whose other end is already selected."""
 
-
-def _score_out_prob_discounted(graph: DiGraph, v: int, chosen: Set[int]) -> float:
-    targets = graph.out_neighbors(v)
-    probs = graph.out_probs(v)
-    return float(sum(p for t, p in zip(targets, probs) if int(t) not in chosen))
-
-
-def _score_in_gap(graph: DiGraph, v: int, chosen: Set[int]) -> float:
-    return float((graph.in_boosted_probs(v) - graph.in_probs(v)).sum())
-
-
-def _score_in_gap_discounted(graph: DiGraph, v: int, chosen: Set[int]) -> float:
-    sources = graph.in_neighbors(v)
-    gaps = graph.in_boosted_probs(v) - graph.in_probs(v)
-    return float(sum(g for s, g in zip(sources, gaps) if int(s) not in chosen))
+    outgoing: bool
+    discounted: bool
 
 
 _VARIANTS = (
-    _score_out_prob,
-    _score_out_prob_discounted,
-    _score_in_gap,
-    _score_in_gap_discounted,
+    WeightedDegree(outgoing=True, discounted=False),
+    WeightedDegree(outgoing=True, discounted=True),
+    WeightedDegree(outgoing=False, discounted=False),
+    WeightedDegree(outgoing=False, discounted=True),
 )
 
 
 def weighted_degree_variants() -> tuple:
-    """The four weighted-degree scoring functions, for ablation access."""
+    """The four weighted-degree definitions, in candidate-set order."""
     return _VARIANTS
 
 
-def _select_by_score(
-    graph: DiGraph,
-    candidates: Sequence[int],
-    k: int,
-    score_fn,
+def _slice_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights[indptr[v]:indptr[v + 1]].sum()`` for every row ``v``,
+    rounded exactly as numpy sums one slice.
+
+    ``np.add.reduceat`` adds a segment's tail onto its first element,
+    while a slice's ``sum()`` adds the whole slice onto zero — so every
+    segment gets a leading zero (which also gives empty rows a 0.0)."""
+    starts = indptr[:-1]
+    padded = np.insert(weights, starts, 0.0)
+    return np.add.reduceat(padded, starts + np.arange(starts.size))
+
+
+def _kept_sums(rows, weights: np.ndarray, members: np.ndarray, picked: np.ndarray):
+    """Per member row, its weights over edges to unpicked nodes added left
+    to right in CSR order, as Python's ``sum()`` adds them: ``np.bincount``
+    accumulates each row's entries in order, and a dropped edge adds 0.0
+    (with no edges at all it counts in ints, hence the cast)."""
+    pos, counts = frontier_edge_positions(rows.indptr, members)
+    kept = np.where(picked[rows.nodes[pos]], 0.0, weights[pos])
+    owner = np.repeat(np.arange(members.size), counts)
+    return np.bincount(owner, weights=kept, minlength=members.size).astype(float)
+
+
+def _select(
+    graph: DiGraph, pool: np.ndarray, k: int, variant: WeightedDegree
 ) -> List[int]:
-    chosen: Set[int] = set()
+    """Greedy picks of ``variant`` from ``pool``: each pick is the
+    highest-scoring unpicked node, ties to the first in pool order.
+
+    A discounted pick rescores only the rows with an edge to it, from
+    scratch: subtracting its weight from running totals would round
+    differently and flip exact ties.
+    """
+    out, inc = graph.out_csr(), graph.in_csr()
+    if variant.outgoing:
+        rows, reverse, weights = out, inc, out.p
+    else:
+        rows, reverse, weights = inc, out, inc.pp - inc.p
+    picked = np.zeros(graph.n, dtype=bool)
+    if variant.discounted:
+        scores = _kept_sums(rows, weights, pool, picked)
+    else:
+        scores = _slice_sums(rows.indptr, weights)[pool]
+    slot = np.full(graph.n, -1, dtype=np.int64)
+    slot[pool] = np.arange(pool.size)
     result: List[int] = []
-    pool = list(candidates)
-    for _ in range(min(k, len(pool))):
-        best, best_score = None, -1.0
-        for v in pool:
-            if v in chosen:
-                continue
-            s = score_fn(graph, v, chosen)
-            if s > best_score:
-                best, best_score = v, s
-        if best is None:
-            break
-        chosen.add(best)
+    for _ in range(min(k, pool.size)):
+        i = int(np.argmax(scores))
+        best = int(pool[i])
         result.append(best)
+        scores[i] = -np.inf
+        picked[best] = True
+        if variant.discounted:
+            touched = reverse.nodes[reverse.indptr[best] : reverse.indptr[best + 1]]
+            touched = np.unique(touched[(slot[touched] >= 0) & ~picked[touched]])
+            scores[slot[touched]] = _kept_sums(rows, weights, touched, picked)
     return result
 
 
@@ -90,9 +115,10 @@ def high_degree_global(
     paper, which reports "the maximum boost of influence among four
     solutions".
     """
-    seed_set = set(seeds)
-    candidates = [v for v in range(graph.n) if v not in seed_set]
-    return [_select_by_score(graph, candidates, k, fn) for fn in _VARIANTS]
+    is_seed = np.zeros(graph.n, dtype=bool)
+    is_seed[list(set(seeds))] = True
+    pool = np.flatnonzero(~is_seed)
+    return [_select(graph, pool, k, variant) for variant in _VARIANTS]
 
 
 def _nodes_within_hops(graph: DiGraph, seeds: Set[int], k: int) -> List[int]:
@@ -124,6 +150,5 @@ def high_degree_local(
     graph: DiGraph, seeds: Iterable[int], k: int
 ) -> List[List[int]]:
     """HighDegreeLocal: the four variants restricted to seed-adjacent nodes."""
-    seed_set = set(seeds)
-    candidates = _nodes_within_hops(graph, seed_set, k)
-    return [_select_by_score(graph, candidates, k, fn) for fn in _VARIANTS]
+    pool = np.array(_nodes_within_hops(graph, set(seeds), k), dtype=np.int64)
+    return [_select(graph, pool, k, variant) for variant in _VARIANTS]

@@ -57,6 +57,45 @@ class TestHighDegreeGlobal:
             assert len(s) == 5  # only 5 non-seeds exist
 
 
+class TestWeightedDegreeArithmetic:
+    """The array scores round exactly like the per-node loops they
+    replaced: numpy's slice ``sum()`` for the undiscounted variants,
+    Python's left-to-right ``sum()`` over the kept edges for the
+    discounted ones.  Ties between equal scores decide the picks."""
+
+    @pytest.fixture
+    def csr(self, rng):
+        degrees = rng.integers(0, 300, size=60)
+        degrees[::7] = 0
+        indptr = np.concatenate([[0], np.cumsum(degrees)])
+        weights = np.round(rng.lognormal(-2.0, 1.0, size=int(indptr[-1])), 3)
+        nodes = rng.integers(0, 60, size=weights.size)
+        return indptr, nodes, weights
+
+    def test_slice_sums_match_numpy_slices(self, csr):
+        from repro.baselines.degree import _slice_sums
+
+        indptr, _nodes, weights = csr
+        loop = [weights[a:b].sum() for a, b in zip(indptr[:-1], indptr[1:])]
+        assert _slice_sums(indptr, weights).tolist() == loop
+
+    def test_kept_sums_match_python_sums(self, csr, rng):
+        from repro.baselines.degree import _kept_sums
+        from repro.graphs.digraph import CSRView
+
+        indptr, nodes, weights = csr
+        rows = CSRView(indptr, nodes, weights, weights, np.arange(weights.size))
+        picked = rng.random(60) < 0.3
+        members = rng.permutation(60)[:40]
+        loop = [
+            float(sum(w for v, w in zip(nodes[indptr[r]:indptr[r + 1]],
+                                        weights[indptr[r]:indptr[r + 1]])
+                      if not picked[v]))
+            for r in members
+        ]
+        assert _kept_sums(rows, weights, members, picked).tolist() == loop
+
+
 class TestHighDegreeLocal:
     def test_prefers_seed_neighbours(self):
         # star: hub seed, leaves are the 1-hop neighbourhood
