@@ -46,10 +46,18 @@ __all__ = [
 
 
 def _node_tuple(nodes: Optional[Iterable[int]]) -> Tuple[int, ...]:
-    """Normalize a node collection to a sorted tuple of unique ints."""
+    """Normalize a node collection to a sorted tuple of unique ints.
+
+    Raises ``ValueError`` on a negative id, which numpy indexing would
+    otherwise wrap around to a node counted from the end.  Ids past the
+    graph's last node are rejected by the session, which knows ``n``.
+    """
     if nodes is None:
         return ()
-    return tuple(sorted({int(v) for v in nodes}))
+    out = tuple(sorted({int(v) for v in nodes}))
+    if out and out[0] < 0:
+        raise ValueError(f"node ids must be non-negative; got {out[0]}")
+    return out
 
 
 @dataclass(frozen=True)

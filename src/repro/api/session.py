@@ -554,6 +554,21 @@ class Session:
             self.fingerprint_for(query), getattr(self.graph, "version", 0), query
         )
 
+    def _check_node_ids(self, query: Query) -> None:
+        """Raise ``ValueError`` naming the first node id of ``query`` — a
+        seed, a boost node, the tree root or a ``candidates`` param entry
+        (mc_greedy's candidate pool) — that the session graph lacks."""
+        ids = [*getattr(query, "seeds", ()), *getattr(query, "boost", ())]
+        if hasattr(query, "root"):
+            ids.append(query.root)
+        ids.extend(query.param_dict.get("candidates") or ())
+        n = self.graph.n
+        for v in ids:
+            if not 0 <= int(v) < n:
+                raise ValueError(
+                    f"node id {v} is out of range for a graph of {n} nodes"
+                )
+
     def _run_admitted(
         self,
         query: Query,
@@ -582,6 +597,7 @@ class Session:
             elapsed = (time.perf_counter() - started) * 1000.0
             if elapsed >= deadline_ms:
                 raise QueryTimeout(query, deadline_ms, elapsed)
+        self._check_node_ids(query)
         key = self._cache_key(query)
         if self.cache is not None:
             hit = self.cache.get(key)

@@ -82,6 +82,60 @@ class TestQueries:
         assert SamplingBudget.from_dict(b.to_dict()) == b
 
 
+class TestNodeIds:
+    """Node ids outside ``0..n-1`` are rejected, never wrapped or left to
+    crash inside a handler (the path 0 -> 1 -> 2 -> 3 has n = 4)."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        from repro.api import ResultCache
+        from repro.graphs import constant_probability, path
+
+        with Session(constant_probability(path(4), 0.5), cache=ResultCache()) as s:
+            yield s
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EvalQuery(seeds=[0], boost=[-1]),
+            lambda: EvalQuery(seeds=[-4]),
+            lambda: BoostQuery(seeds=(-4,), k=1, algorithm="prr_boost"),
+        ],
+        ids=["eval-boost", "eval-seeds", "prr_boost-seeds"],
+    )
+    def test_negative_ids_rejected_by_the_query(self, make):
+        with pytest.raises(ValueError, match="non-negative"):
+            make()
+
+    @pytest.mark.parametrize(
+        "query,bad",
+        [
+            (EvalQuery(seeds=[0], boost=[7], rng_seed=1), 7),
+            (EvalQuery(seeds=[4], rng_seed=1), 4),
+            (BoostQuery(seeds=(9,), k=1, algorithm="degree_global", rng_seed=1), 9),
+            (BoostQuery(seeds=(0,), k=1, algorithm="mc_greedy", rng_seed=1,
+                        params={"candidates": [1, 5]}), 5),
+        ],
+        ids=["eval-boost", "eval-seeds", "degree_global-seeds", "mc_greedy-candidates"],
+    )
+    def test_ids_past_the_graph_rejected_before_the_cache(self, session, query, bad):
+        misses = session.cache.stats()["misses"]
+        with pytest.raises(ValueError, match=f"node id {bad} "):
+            session.run(query)
+        assert session.cache.stats()["misses"] == misses
+
+    def test_tree_root_past_the_graph_rejected(self, session):
+        from repro.api import TreeQuery
+
+        with pytest.raises(ValueError, match="node id 4 "):
+            session.run(TreeQuery(seeds=[0], k=1, root=4))
+
+    def test_last_node_is_valid(self, session):
+        res = session.run(EvalQuery(seeds=[0], boost=[3], rng_seed=1,
+                                    budget=SamplingBudget(mc_runs=50)))
+        assert res.estimates["boost"] >= 0.0
+
+
 class TestRegistry:
     def test_builtins_registered(self):
         names = algorithm_names()

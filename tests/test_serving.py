@@ -385,6 +385,35 @@ class TestServeNDJSON:
         assert summary["serve"]["errors"] == 2
         assert summary["cache"]["misses"] >= 1
 
+    def test_bad_node_ids_keep_stream_alive(self, graph):
+        lines = [
+            json.dumps({"type": "eval", "seeds": [0], "boost": [-1], "rng_seed": 1}),
+            json.dumps({"type": "boost", "algorithm": "prr_boost", "seeds": [-4],
+                        "k": 1, "rng_seed": 1}),
+            json.dumps({"type": "eval", "seeds": [0], "boost": [graph.n],
+                        "rng_seed": 1}),
+            json.dumps({"type": "boost", "algorithm": "degree_global",
+                        "seeds": [graph.n + 5], "k": 1, "rng_seed": 1}),
+            json.dumps({"type": "eval", "seeds": [0], "boost": [graph.n - 1],
+                        "rng_seed": 1}),
+        ]
+        out = io.StringIO()
+        with Session(graph, budget=BUDGET) as session:
+            summary = serve_ndjson(
+                session, io.StringIO("\n".join(lines) + "\n"), out
+            )
+        answers = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert len(answers) == 5
+        for answer, bad in zip(answers[:2], (-1, -4)):
+            assert answer["error"] == "bad_request"
+            assert f"got {bad}" in answer["detail"]
+        for answer, bad in zip(answers[2:4], (graph.n, graph.n + 5)):
+            assert answer["extra"]["error"] == "failed"
+            assert f"ValueError: node id {bad} " in answer["extra"]["detail"]
+        assert answers[4]["estimates"]["boost"] >= 0.0
+        assert summary["serve"]["errors"] == 4
+        assert summary["serve"]["results"] == 1
+
     def test_rejection_envelope_keeps_stream_alive(self, graph):
         policy = AdmissionPolicy(max_samples=10)
         lines = [
