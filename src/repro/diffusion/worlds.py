@@ -55,11 +55,11 @@ class WorldCollection:
         if self.seed_idx.size == 0:
             raise ValueError("seed set must be non-empty")
         self.runs = runs
-        self.lane_seeds = draw_lane_seeds(rng, runs)
+        self._lane_seeds = draw_lane_seeds(rng, runs)
         self._base_sizes = self._sizes(())
 
     def _sizes(self, boost) -> np.ndarray:
-        return self._engine.cascades(self.seed_idx, boost, self.lane_seeds)[0]
+        return self._engine.cascades(self.seed_idx, boost, self._lane_seeds)[0]
 
     @property
     def sigma_empty(self) -> float:
