@@ -20,7 +20,7 @@ from typing import Iterable, List, NamedTuple, Set
 import numpy as np
 
 from ..engine.traversal import frontier_edge_positions
-from ..graphs.digraph import DiGraph
+from ..graphs.digraph import CSRView, DiGraph
 
 __all__ = ["high_degree_global", "high_degree_local", "weighted_degree_variants"]
 
@@ -59,7 +59,9 @@ def _slice_sums(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.add.reduceat(padded, starts + np.arange(starts.size))
 
 
-def _kept_sums(rows, weights: np.ndarray, members: np.ndarray, picked: np.ndarray):
+def _kept_sums(
+    rows: CSRView, weights: np.ndarray, members: np.ndarray, picked: np.ndarray
+) -> np.ndarray:
     """Per member row, its weights over edges to unpicked nodes added left
     to right in CSR order, as Python's ``sum()`` adds them: ``np.bincount``
     accumulates each row's entries in order, and a dropped edge adds 0.0

@@ -87,9 +87,10 @@ def estimate_boost(
     Uses common random numbers: each run evaluates both the boosted and
     unboosted cascade in the *same* hashed world, fixed by one lane seed
     drawn from ``rng``, so the difference estimator has far lower
-    variance than two independent ``estimate_sigma`` calls.  Because ``p' >= p``, the boosted world's
-    live edges are a superset of the base world's under the IC family, so
-    every per-run difference is non-negative.
+    variance than two independent ``estimate_sigma`` calls.  Because
+    ``p' >= p``, the boosted world's live edges are a superset of the
+    base world's under the IC family, so every per-run difference is
+    non-negative.
     """
     return SamplingEngine.for_graph(graph).estimate_boost(
         seeds, boost, rng, runs, model=model
