@@ -500,14 +500,6 @@ class SamplingEngine:
     # ------------------------------------------------------------------
     # Forward cascades (pluggable diffusion models)
     # ------------------------------------------------------------------
-    def thresholds(
-        self, boost: AbstractSet[int], model=None
-    ) -> np.ndarray:
-        """Per-out-CSR-position activation thresholds for boost set ``B``
-        under ``model`` (default: incoming-boost IC — ``p'`` where the
-        edge's head is boosted, else ``p``)."""
-        return resolve_model(model).edge_thresholds(self, boost)
-
     def simulate(
         self,
         seeds,

@@ -78,8 +78,8 @@ class TestRegistry:
     def test_thresholds_dispatch(self, engine):
         g = engine.graph
         boost = {1}
-        thr_in = engine.thresholds(boost)
-        thr_out = engine.thresholds(boost, model="ic_out")
+        thr_in = resolve_model(None).edge_thresholds(engine, boost)
+        thr_out = resolve_model("ic_out").edge_thresholds(engine, boost)
         out = g.out_csr()
         heads_boosted = np.isin(out.nodes, list(boost))
         tails = np.repeat(np.arange(g.n), np.diff(out.indptr))
