@@ -117,9 +117,7 @@ def high_degree_global(
     paper, which reports "the maximum boost of influence among four
     solutions".
     """
-    is_seed = np.zeros(graph.n, dtype=bool)
-    is_seed[list(set(seeds))] = True
-    pool = np.flatnonzero(~is_seed)
+    pool = np.setdiff1d(np.arange(graph.n), np.fromiter(set(seeds), dtype=np.int64))
     return [_select(graph, pool, k, variant) for variant in _VARIANTS]
 
 
