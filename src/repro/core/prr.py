@@ -64,11 +64,13 @@ from ..engine.lanes import (
     CODE_ACTIVATED,
     CODE_BOOSTABLE,
     CODE_HOPELESS,
+    LANE_BYTES,
     LanePhase1,
+    batch_lanes,
     draw_lane_inputs,
-    lane_batch,
 )
 from ..engine.traversal import (
+    DIST_BASE,
     frontier_edge_positions,
     grow_reachable,
     next_level_frontier,
@@ -110,11 +112,16 @@ class EdgeState:
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
-# Phase-I edges per compression slice.  Phase II holds ~100 bytes of
-# transient arrays per edge, so a slice stays near 13 MB however many
-# edges the lanes of a batch explored (a 131-lane digg-like batch at
-# k=20 has ~40k).
-COMPRESS_SLICE_EDGES = 1 << 17
+# Phase-I edges per compression slice: one per 64 bytes of the lane
+# budget (2^17 at 8 MiB).  Phase II holds ~100 bytes of transient arrays
+# per edge, so a slice stays near 13 MB however many edges the lanes of a
+# batch explored (a 131-lane digg-like batch at k=20 has ~40k).
+COMPRESS_SLICE_EDGES = LANE_BYTES // 64
+
+# Transient bytes a PRR lane batch holds per phase-I edge it keeps (phase
+# I's per-pass chunks, their concatenation and phase II), the term that
+# sizes PRR batches next to their int16 plane: see sample_prr_lanes.
+_PRR_EDGE_BYTES = 128
 
 
 @dataclass
@@ -349,27 +356,38 @@ def sample_prr_lanes(
     not passed in are two upfront draws from ``rng``
     (:func:`~repro.engine.lanes.draw_lane_inputs`) — a different, equally
     valid stream than :func:`sample_prr_arena`, which stays the
-    RNG-consumption oracle.  Each lane batch
-    (:func:`~repro.engine.lanes.lane_batch` roots) runs phase I on the
-    engine and is compressed into arena payload arrays by
-    :func:`compress_lanes`, one pass per slice of at most
-    :data:`COMPRESS_SLICE_EDGES` phase-I edges; no per-sample Python
-    objects.
+    RNG-consumption oracle.  Each lane batch runs phase I on the engine
+    and is compressed into arena payload arrays by :func:`compress_lanes`,
+    one pass per slice of at most :data:`COMPRESS_SLICE_EDGES` phase-I
+    edges; no per-sample Python objects.  A batch holds as many roots as
+    fit :data:`~repro.engine.lanes.LANE_BYTES` with their int16 plane
+    (two bytes per lane and node) and :data:`_PRR_EDGE_BYTES` per edge a
+    lane of the earlier batches explored on average (before the first
+    batch: per edge of the graph).
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)
-    all_roots, all_seeds = draw_lane_inputs(rng, graph.n, count, roots, world_seeds)
-    width = lane_batch(graph.n)
+    n = graph.n
+    all_roots, all_seeds = draw_lane_inputs(rng, n, count, roots, world_seeds)
     parts = []
-    for lo in range(0, count, width):
-        ph = engine.prr_phase1_lanes(
-            mask, all_roots[lo : lo + width], k, all_seeds[lo : lo + width]
-        )
-        dist = engine.prr_dist_plane(ph.roots.size)
+    lo = kept = 0
+    while lo < count:
+        # Transients per lane: before the first batch, every edge of the
+        # graph once; then the mean kept edges of the batches so far,
+        # trusted for at most four times as many lanes as they hold.
+        if lo:
+            width = min(4 * lo, batch_lanes(n, "prr", _PRR_EDGE_BYTES * kept / lo))
+        else:
+            width = batch_lanes(n, "prr", _PRR_EDGE_BYTES * graph.m)
+        hi = min(count, lo + width)
+        ph = engine.prr_phase1_lanes(mask, all_roots[lo:hi], k, all_seeds[lo:hi])
+        dist = engine.lane_arena(2 * (hi - lo) * n).view(np.int16)
         parts += [
-            (graph.n, *compress_lanes(part, k, graph.n, dist))
+            (n, *compress_lanes(part, k, n, dist))
             for part in ph.slices(COMPRESS_SLICE_EDGES)
         ]
+        kept += int(ph.edge_indptr[-1])
+        lo = hi
     if arena is None:
         return PRRArena.from_payloads(parts) if parts else PRRArena(graph.n)
     if parts:
@@ -410,7 +428,6 @@ def sample_critical_batch(
 # ----------------------------------------------------------------------
 # Phase II compression, one vectorized pass per lane batch
 # ----------------------------------------------------------------------
-_UNREACHED = np.int16(np.iinfo(np.int16).max)  # the lane distance sentinel
 _EMPTY_EB = np.empty(0, dtype=bool)
 
 
@@ -435,9 +452,10 @@ def _bfs01(
 ) -> None:
     """0-1 shortest distances ``<= k`` from ``sources`` along the key-space
     edges ``tails -> heads`` (weight 1 on ``boost`` edges), written into
-    the int16 plane ``dist`` (at the sentinel except ``dist[sources] ==
-    0``) for keys ``lane * n + node`` of ``num`` lanes.  Every key written
-    is appended to ``touched``.
+    the :data:`~repro.engine.traversal.DIST_BASE`-encoded int16 plane
+    ``dist`` (zero, unreached, except at ``sources``, at distance 0) for
+    keys ``lane * n + node`` of ``num`` lanes.  Every key written is
+    appended to ``touched``.
 
     Dial's algorithm with every lane at its own level, as in the phase-I
     lane kernel (:func:`~repro.engine.traversal.next_level_frontier`).
@@ -469,16 +487,17 @@ def _bfs01(
         h = heads.take(pos)
         w = boost.take(pos)
         e_level = level.take(h // n)
-        upd = dist[h] > e_level + w
+        e_code = DIST_BASE - e_level
+        upd = dist[h] < e_code - w
         upd &= ~w | (e_level < k)  # a boost edge at level k leads past k
         # Boost writes first, so a key reached both ways keeps the live
         # distance.
         step = np.flatnonzero(upd & w)
         nxt = h.take(step)
-        dist[nxt] = e_level.take(step) + 1
+        dist[nxt] = e_code.take(step) - 1
         step = np.flatnonzero(upd & ~w)
         live = h.take(step)
-        dist[live] = e_level.take(step)
+        dist[live] = e_code.take(step)
         touched += [nxt, live]
         f, pool = next_level_frontier(dist, n, level, f // n, live, pool, nxt)
 
@@ -496,8 +515,10 @@ def compress_lanes(
     ``(src, dst, boost)`` with the super-seed's out-edges last.  Lanes
     live in disjoint ``lane * n + node`` key ranges (the Δ̂ kernels'
     trick), so both 0-1 BFS passes, the dedupe and the cleanup run over
-    all lanes together.  ``dist`` is an int16 scratch plane of at least
-    ``lanes * n`` entries at the sentinel; it is restored on return.
+    all lanes together.  ``dist`` is an all-zero int16 scratch plane of
+    at least ``lanes * n`` entries, read and written
+    :data:`~repro.engine.traversal.DIST_BASE`-encoded; it is zeroed
+    again on return.
     """
     num = int(ph.roots.size)
     roots = ph.roots
@@ -533,15 +554,15 @@ def compress_lanes(
 
     # d_seed: min #boost edges from any seed (forward), capped at k.
     touched = [seed_keys]
-    dist[seed_keys] = 0
+    dist[seed_keys] = DIST_BASE  # distance 0
     try:
         _bfs01(dist, n, num, seed_keys, tails, heads, w, k, touched)
-        ds_tail = dist[tails]
-        ds_head = dist[heads]
-        ds_root = dist[root_keys]
+        ds_tail = DIST_BASE - dist[tails]
+        ds_head = DIST_BASE - dist[heads]
+        ds_root = DIST_BASE - dist[root_keys]
     finally:
         for chunk in touched:
-            dist[chunk] = _UNREACHED
+            dist[chunk] = 0
     # Defensive (phase I catches live seed->root paths): a root in the
     # merged region is activated.  A root more than k boosts from every
     # seed makes its graph hopeless.
@@ -566,15 +587,15 @@ def compress_lanes(
     # a backward pass over reversed edges that never enters it.
     start = root_keys[boostable]
     touched = [start]
-    dist[start] = 0
+    dist[start] = DIST_BASE  # distance 0
     try:
         rev = ~merged_tail
         _bfs01(dist, n, num, start, heads[rev], tails[rev], w[rev], k, touched)
-        dr_tail = dist[tails]
-        dr_head = dist[heads]
+        dr_tail = DIST_BASE - dist[tails]
+        dr_head = DIST_BASE - dist[heads]
     finally:
         for chunk in touched:
-            dist[chunk] = _UNREACHED
+            dist[chunk] = 0
 
     # Critical nodes: boost edge from the merged region into v, plus a
     # live path from v to the root (both measured before the shortcut
@@ -792,7 +813,7 @@ class PRRArena:
             int(result.edge_src.max(initial=0)),
             int(result.edge_dst.max(initial=0)),
         )
-        dist = np.full(size, _UNREACHED, dtype=np.int16)
+        dist = np.zeros(size, dtype=np.int16)
         (roots, status, root_local, un_nodes, un_edges, _ni, node_globals,
          _ei, esrc, edst, eboost, _ci, crit) = compress_lanes(lane, k, size, dist)
         self._append(

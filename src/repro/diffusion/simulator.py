@@ -16,8 +16,9 @@ Computing ``Δ_S(B)`` exactly is #P-hard (Theorem 1), hence simulation.
 All Monte Carlo paths run on the shared vectorized engine
 (:class:`repro.engine.SamplingEngine`): cascades are frontier BFS over the
 out-CSR with numpy masks.  The estimators draw one lane seed per world from
-the RNG and advance :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` hashed
-worlds per frontier step (:meth:`~repro.engine.SamplingEngine.cascades`).
+the RNG and advance as many hashed worlds per frontier step as fit
+:data:`~repro.engine.lanes.LANE_BYTES` of lane planes
+(:meth:`~repro.engine.SamplingEngine.cascades`).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ exploration — runs on the primitives in this package:
 * :mod:`repro.engine.traversal` — frontier-based CSR traversal primitives
   (mask-driven BFS over ``DiGraph``'s indptr/indices arrays),
 * :mod:`repro.engine.lanes` — multi-source lane kernels: a batch of
-  roots (PRR and critical batches sized by
-  :data:`~repro.engine.lanes.LANE_BUDGET`) advances per frontier step
-  over stacked ``(B, n)`` stamp planes, each lane sampling the
+  roots (as many as fit :data:`~repro.engine.lanes.LANE_BYTES` of
+  planes) advances per frontier step over stacked ``(B, n)`` planes,
+  all views of the engine's one scratch arena, each lane sampling the
   independent world fixed by its own splitmix64 seed — the single-sample
   paths stay as seeded distributional oracles (bit-for-bit for
   world-seeded PRR lanes),
@@ -64,7 +64,7 @@ no engine instance, thread, or process identity leaks into the draw.
 from .batch import SamplingEngine, STATUS_NAMES
 from .coverage import CoverageIndex, SetsView
 from .hashing import hash_draw, hash_draw_array, hash_draw_pairs
-from .lanes import CASCADE_LANE_WIDTH, LANE_WIDTH, LanePhase1
+from .lanes import LANE_BYTES, LANE_WIDTH, LanePhase1
 from .models import (
     MODELS,
     DiffusionModel,
@@ -88,7 +88,7 @@ __all__ = [
     "EdgeStateArray",
     "LanePhase1",
     "LANE_WIDTH",
-    "CASCADE_LANE_WIDTH",
+    "LANE_BYTES",
     "STATUS_NAMES",
     "DiffusionModel",
     "MODELS",

@@ -3,7 +3,10 @@
 One engine instance per graph owns
 
 * reusable stamp buffers (visited marks, distances, processed flags) so a
-  sample costs no O(n) allocation,
+  single sample costs no O(n) allocation,
+* one zero-filled lane scratch arena (:meth:`SamplingEngine.lane_arena`)
+  that every lane kernel's planes view, at most
+  :data:`~repro.engine.lanes.LANE_BYTES` whatever mix of kernels runs,
 * an :class:`~repro.engine.world.EdgeStateArray` for PRR worlds,
 * the three hot-path samplers: forward cascades (``simulate`` /
   ``cascades``), backward RR sets (``rr_set`` / ``sample_rr_batch``)
@@ -21,9 +24,8 @@ on the same frontier traversal, hashed worlds and lane planes.
 
 Every Monte Carlo estimate goes through one loop, :meth:`SamplingEngine.cascades`:
 one lane seed per world, drawn from the caller's RNG by
-:func:`~repro.engine.lanes.draw_lane_seeds`, and
-:data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` hashed worlds per frontier
-step.  The single-cascade ``simulate`` instead consumes the RNG
+:func:`~repro.engine.lanes.draw_lane_seeds`, and as many hashed worlds
+per frontier step as fit the lane budget.  The single-cascade ``simulate`` instead consumes the RNG
 draw-for-draw like the pre-engine pure-Python simulator, as ``rr_set``
 does for RR sets and PRR sampling does when ``world_seed`` pins the world
 by hashing.  RNG-driven PRR/critical sampling draws edge states per
@@ -33,9 +35,11 @@ preserved.
 
 Batch forms run on the lane kernels of :mod:`repro.engine.lanes`:
 ``sample_rr_batch`` (default mode) and ``sample_critical_batch`` advance
-a batch of roots per frontier step (:data:`~repro.engine.lanes.RR_LANE_WIDTH`
-RR roots, :func:`~repro.engine.lanes.lane_batch` critical roots) over
-per-lane hashed worlds, and the CSR entry points (``rr_lane_csr``,
+a batch of roots per frontier step over per-lane hashed worlds, as many
+as fit :data:`~repro.engine.lanes.LANE_BYTES` of planes
+(:func:`~repro.engine.lanes.batch_lanes`; 838 RR or 419 critical roots
+on a 10k-node graph), all viewed in the engine's one scratch arena
+(:meth:`SamplingEngine.lane_arena`), and the CSR entry points (``rr_lane_csr``,
 ``critical_lane_csr``, ``prr_phase1_lanes``) hand their flat output
 arrays straight to :class:`~repro.engine.coverage.CoverageIndex` /
 :class:`~repro.core.prr.PRRArena` without a per-sample Python round-trip.
@@ -56,14 +60,12 @@ import numpy as np
 from .coverage import csr_to_frozensets
 from .hashing import SEED_MULT, edge_hash_base, node_hash_base, splitmix_finalize
 from .lanes import (
-    CASCADE_LANE_WIDTH,
     LANE_WIDTH,
-    RR_LANE_WIDTH,
     LanePhase1,
+    batch_lanes,
     critical_lanes,
     draw_lane_inputs,
     draw_lane_seeds,
-    lane_batch,
     prr_phase1_lanes,
     rr_member_lanes,
 )
@@ -135,8 +137,7 @@ class SamplingEngine:
         "_out_indptr", "_out_nodes", "_out_p", "_out_pp", "_out_eid",
         "_out_src", "_out_hash", "_node_hash",
         "_in_indptr", "_in_nodes", "_in_p", "_in_pp", "_in_eid",
-        "_in_hash", "_in_thr64", "_lane_visited", "_rr_dense",
-        "_prr_dist", "_lane_acc",
+        "_in_hash", "_in_thr64", "_arena", "_rr_dense",
         "_edge_states", "_visit", "_proc", "_dist", "_dist_stamp",
         "_region", "_stamp", "_seeds_key_mask",
     )
@@ -190,10 +191,8 @@ class SamplingEngine:
             )
             self._out_hash = edge_hash_base(self._out_src, self._out_nodes)
             self._node_hash = node_hash_base(np.arange(self.n, dtype=np.int64))
-        self._lane_visited: Optional[np.ndarray] = None
-        self._lane_acc: Optional[np.ndarray] = None
+        self._arena: Optional[np.ndarray] = None
         self._rr_dense: Optional[bool] = None  # learned on first lane batch
-        self._prr_dist: Optional[np.ndarray] = None
         self._visit = np.zeros(self.n, dtype=np.int64)
         self._proc = np.zeros(self.n, dtype=np.int64)
         self._dist = np.zeros(self.n, dtype=np.int64)
@@ -258,40 +257,17 @@ class SamplingEngine:
         self._stamp += 1
         return self._stamp
 
-    def _lane_plane(self, lanes: int) -> np.ndarray:
-        """Reusable ``(lanes, n)`` visited plane (flattened) for the RR
-        lane kernel.  Borrowers must clear every entry they set before
-        returning — the engine hands the same plane to the next batch."""
-        need = lanes * self.n
-        buf = self._lane_visited
-        if buf is None or buf.size < need:
-            buf = np.zeros(need, dtype=bool)
-            self._lane_visited = buf
-        return buf
-
-    def _acc_plane(self, lanes: int) -> np.ndarray:
-        """Reusable ``(lanes, n)`` float64 accumulator plane (flattened,
-        zero-filled) for the LT cascade lanes.  Borrowers must zero every
-        entry they touch before returning."""
-        need = lanes * self.n
-        buf = self._lane_acc
-        if buf is None or buf.size < need:
-            buf = np.zeros(need, dtype=np.float64)
-            self._lane_acc = buf
-        return buf
-
-    def prr_dist_plane(self, lanes: int) -> np.ndarray:
-        """Reusable ``(lanes, n)`` int16 distance plane (flattened, filled
-        with the lane sentinel), borrowed by the PRR lane kernel and by
-        phase-II compression (:func:`repro.core.prr.compress_lanes`).
-        Borrowers must restore every entry they touch before returning —
-        the fill cost is paid once per engine, not per batch."""
-        need = lanes * self.n
-        dist = self._prr_dist
-        if dist is None or dist.size < need:
-            dist = np.full(need, np.iinfo(np.int16).max, dtype=np.int16)
-            self._prr_dist = dist
-        return dist
+    def lane_arena(self, nbytes: int) -> np.ndarray:
+        """The first ``nbytes`` of the engine's zero-filled lane scratch, as
+        uint8.  Every lane kernel views its planes in this one buffer (as
+        bool, int16 or float64), so it grows to the largest batch's planes
+        — at most :data:`~repro.engine.lanes.LANE_BYTES` unless a single
+        lane needs more.  Borrowers must zero every byte they set before
+        returning: the next batch, of any kernel, gets the same bytes."""
+        arena = self._arena
+        if arena is None or arena.size < nbytes:
+            arena = self._arena = np.zeros(nbytes, dtype=np.uint8)
+        return arena[:nbytes]
 
     def seeds_mask(self, seeds: AbstractSet[int]) -> np.ndarray:
         key = seeds if isinstance(seeds, frozenset) else frozenset(int(s) for s in seeds)
@@ -422,7 +398,6 @@ class SamplingEngine:
         count: int,
         roots: Sequence[int] | None = None,
         world_seeds: Sequence[int] | None = None,
-        lane_width: int = RR_LANE_WIDTH,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``count`` RR-sets via the lane kernel, as a ``(counts, members)``
         CSR — the shape :meth:`CoverageIndex.extend_csr` ingests directly.
@@ -431,9 +406,10 @@ class SamplingEngine:
         from ``rng`` upfront — two generator calls total, see
         :func:`~repro.engine.lanes.draw_lane_inputs` — after which sample
         ``i`` is a pure function of ``(roots[i], world_seeds[i])``: the
-        RR-set of that root in that hashed world.  The
-        lane kernel evaluates ``lane_width`` samples per frontier step;
-        on graphs whose RR-sets come back dense (mean size above
+        RR-set of that root in that hashed world.  The lane kernel
+        evaluates as many samples per frontier step as fit
+        :data:`~repro.engine.lanes.LANE_BYTES` of visited plane (one byte
+        per lane and node); on graphs whose RR-sets come back dense (mean size above
         :data:`RR_DENSE_CUTOFF`, learned from the first batch and cached
         per engine) the same samples are evaluated by the single-sample
         hashed loop instead, which wins once array work dominates call
@@ -445,6 +421,7 @@ class SamplingEngine:
         all_roots, all_seeds = draw_lane_inputs(
             rng, self.n, count, roots, world_seeds
         )
+        width = batch_lanes(self.n, "rr")
         count_parts: List[np.ndarray] = []
         value_parts: List[np.ndarray] = []
         done = 0
@@ -460,7 +437,9 @@ class SamplingEngine:
                 count_parts.append(sizes)
                 break
             # Probe narrowly before the first wide batch on a fresh graph.
-            b = min(32 if self._rr_dense is None else lane_width, count - done)
+            b = min(width, count - done)
+            if self._rr_dense is None:
+                b = min(b, 32)
             c, v = rr_member_lanes(
                 self, all_roots[done : done + b], all_seeds[done : done + b]
             )
@@ -480,9 +459,9 @@ class SamplingEngine:
         """``count`` RR-sets in one batch.
 
         The default mode drives the multi-source lane kernel
-        (:func:`repro.engine.lanes.rr_member_lanes`): up to
-        :data:`~repro.engine.lanes.RR_LANE_WIDTH` roots advance per frontier
-        step over per-lane hashed worlds — same distribution as
+        (:func:`repro.engine.lanes.rr_member_lanes`) through
+        :meth:`rr_lane_csr`: a budget-sized batch of roots advances per
+        frontier step over per-lane hashed worlds — same distribution as
         :meth:`rr_set`, a different (equally valid) stream.  Pass
         ``strict=True`` for batches bit-for-bit equal to ``count``
         :meth:`rr_set` calls on the same generator.
@@ -559,18 +538,21 @@ class SamplingEngine:
         """The cascade of ``model`` in the world fixed by each lane seed —
         the one Monte Carlo loop behind every forward estimator.
 
-        Worlds are evaluated :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH`
-        per frontier step.  Returns ``(sizes, values)``: the activated-set
+        Worlds are evaluated as many per frontier step as the model's
+        planes fit :data:`~repro.engine.lanes.LANE_BYTES` (one byte per
+        lane and node for IC, nine for LT).  Returns ``(sizes, values)``: the activated-set
         size of every world and, with ``members``, the activated sets as
         one CSR of sorted node ids (counts are ``sizes``; ``values`` is
         None otherwise).  World ``i`` is a pure function of ``(seeds,
         boost, lane_seeds[i])``, so the same lane seeds replay the same
         worlds under any boost set — paired comparisons come free.
         """
-        run = resolve_model(model).cascade_plan(self, seeds, boost)
+        mdl = resolve_model(model)
+        run = mdl.cascade_plan(self, seeds, boost)
+        width = batch_lanes(self.n, mdl.lane_kernel)
         parts = [
-            run(lane_seeds[lo : lo + CASCADE_LANE_WIDTH], members=members)
-            for lo in range(0, lane_seeds.size, CASCADE_LANE_WIDTH)
+            run(lane_seeds[lo : lo + width], members=members)
+            for lo in range(0, lane_seeds.size, width)
         ]
         if not parts:
             return _EMPTY_I64, (_EMPTY_I64 if members else None)
@@ -845,8 +827,9 @@ class SamplingEngine:
         :meth:`critical_set`; roots and world seeds not passed in are
         drawn from ``rng`` one :data:`~repro.engine.lanes.LANE_WIDTH`
         block at a time.  Sample ``i`` is a pure function of its
-        ``(root, world_seed)`` pair, evaluated
-        :func:`~repro.engine.lanes.lane_batch` samples per batch.
+        ``(root, world_seed)`` pair, evaluated as many samples per batch
+        as fit :data:`~repro.engine.lanes.LANE_BYTES` of int16 distance
+        plane (two bytes per lane and node).
         """
         if count <= 0:
             return (
@@ -856,7 +839,7 @@ class SamplingEngine:
         all_roots, all_seeds = draw_lane_inputs(
             rng, self.n, count, roots, world_seeds, block=LANE_WIDTH
         )
-        width = lane_batch(self.n)
+        width = batch_lanes(self.n, "critical")
         parts = [
             critical_lanes(
                 self, mask, all_roots[lo : lo + width], all_seeds[lo : lo + width]

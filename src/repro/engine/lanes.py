@@ -40,10 +40,18 @@ definition of that consumption order); after that, sample ``i`` is a
 pure function of its pair, however the pairs are sliced into lane
 batches, pool chunks or remote jobs.
 
-PRR and critical batches hold :func:`lane_batch` roots: as many as fit
-:data:`LANE_BUDGET` ``(lanes × n)`` plane entries, at least
-:data:`LANE_WIDTH`.  Wider batches share their frontier passes among
-more roots, so they cost fewer passes per sample.
+A lane batch holds as many lanes as fit :data:`LANE_BYTES` of scratch
+(:func:`batch_lanes`, at least one): :data:`ENTRY_BYTES` per ``(lane,
+node)`` entry of the kernel's planes, plus, for PRR batches, an estimate
+of the batch's transient arrays per lane.  Wider batches share their
+frontier passes among more roots, so they cost fewer passes per sample.
+Every plane is a view of the engine's one zero-filled scratch buffer
+(:meth:`~repro.engine.batch.SamplingEngine.lane_arena`), as bool, int16
+or float64, so an engine's lane scratch stays within the budget
+whatever mix of kernels runs.  A zero byte means idle: every kernel
+zeroes the entries it set before returning, also when it raises, and
+int16 distance planes are :data:`~repro.engine.traversal.DIST_BASE`
+encoded so that zero reads as unreached.
 
 Kernels (each takes the owning :class:`~repro.engine.batch.SamplingEngine`
 for its CSR arrays and scratch buffers):
@@ -79,15 +87,19 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .hashing import SEED_MULT, TWO64, splitmix_finalize
-from .traversal import frontier_edge_positions, next_level_frontier, unique_sorted
+from .traversal import (
+    DIST_BASE,
+    frontier_edge_positions,
+    next_level_frontier,
+    unique_sorted,
+)
 
 __all__ = [
     "LANE_WIDTH",
-    "RR_LANE_WIDTH",
-    "CASCADE_LANE_WIDTH",
-    "LANE_BUDGET",
+    "LANE_BYTES",
+    "ENTRY_BYTES",
     "LanePhase1",
-    "lane_batch",
+    "batch_lanes",
     "draw_lane_seeds",
     "draw_lane_inputs",
     "rr_member_lanes",
@@ -100,39 +112,39 @@ __all__ = [
     "CODE_BOOSTABLE",
 ]
 
-# Lane widths.  LANE_WIDTH is the block in which critical draws take
-# their (root, world_seed) pairs from the RNG (draw_lane_inputs; the
-# stream contract core.parallel._draw reproduces) and the fewest roots a
-# PRR or critical batch holds.  RR lanes go wider — the visited plane is
-# one bool per (lane, node) and deeper batches amortize the per-level
-# call overhead further.  Forward cascades start every lane from the same
-# (possibly large) seed set, so their frontiers are wide from level 0 and
-# a moderate width amortizes enough.
+# The block in which critical draws take their (root, world_seed) pairs
+# from the RNG (draw_lane_inputs; the stream contract core.parallel._draw
+# reproduces).  It sizes no batch.
 LANE_WIDTH = 64
-RR_LANE_WIDTH = 512
-CASCADE_LANE_WIDTH = 64
 
-# PRR and critical batches are sized by memory, not by a fixed width:
-# the most (lanes × n) entries their scratch planes (an int16 distance
-# plane; the critical kernel also borrows the bool visited plane) may
-# span.  A batch's transient edge arrays grow with its lanes as well.
-# On the digg-like PRR-Boost benchmark (1k nodes) 2^16, 2^17 and 2^18
-# cost +2%, +7% and +17% peak RSS over 64-lane batches.  See lane_batch.
-LANE_BUDGET = 1 << 17
+# Scratch bytes a lane batch may span (see batch_lanes).  Going from
+# per-kernel widths (RR 512 lanes, cascades 64, PRR and critical 2^17
+# plane entries) to this budget widened critical batches on the 10k-node
+# benchmark graph from 64 lanes to 419; a 16 MiB budget ran faster still
+# but cost +14% peak RSS on that workload.
+LANE_BYTES = 1 << 23
+
+# Plane bytes per (lane, node) entry of each kernel: a bool visited plane
+# (RR, IC cascades), a bool plane plus a float64 accumulator (LT), an
+# int16 distance plane (PRR, and critical sets, whose live-reachability
+# region reuses the same bytes as a bool view once phase I has zeroed
+# them).
+ENTRY_BYTES = {"rr": 1, "ic": 1, "lt": 9, "critical": 2, "prr": 2}
 
 CODE_ACTIVATED = 0
 CODE_HOPELESS = 1
 CODE_BOOSTABLE = 2
 
-_BIG = np.int16(np.iinfo(np.int16).max)  # lane distance sentinel
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def lane_batch(n: int) -> int:
-    """Roots per PRR or critical lane batch on an ``n``-node graph: as many
-    as fit :data:`LANE_BUDGET` plane entries, at least :data:`LANE_WIDTH`."""
-    return max(LANE_WIDTH, LANE_BUDGET // max(n, 1))
+def batch_lanes(n: int, kernel: str, transient: float = 0) -> int:
+    """Lanes per batch of ``kernel`` (a key of :data:`ENTRY_BYTES`) on an
+    ``n``-node graph: as many as fit :data:`LANE_BYTES` with their planes
+    and ``transient`` further bytes each, at least one."""
+    per_lane = n * ENTRY_BYTES[kernel] + transient
+    return max(1, int(LANE_BYTES // max(per_lane, 1)))
 
 
 def draw_lane_seeds(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -215,8 +227,9 @@ def rr_member_lanes(
     Returns ``(counts, members)`` — lane ``b``'s members are
     ``members[sum(counts[:b]) : sum(counts[:b+1])]``, sorted per lane.
 
-    Uses the engine's reusable visited plane; touched entries are cleared
-    on exit, so repeated batches cost no fresh O(B·n) allocation.
+    The visited plane is a bool view of the engine's lane arena; touched
+    entries are cleared on exit, so repeated batches cost no fresh
+    O(B·n) allocation.
     """
     n = engine.n
     num = int(roots.size)
@@ -225,7 +238,7 @@ def rr_member_lanes(
     edge_hash = engine._in_hash
     thr = engine._in_thr64
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
-    visited = engine._lane_plane(num)
+    visited = engine.lane_arena(num * n).view(bool)
     lane = np.arange(num, dtype=np.int64)
     node = roots.astype(np.int64, copy=False)
     key = lane * n + node
@@ -336,10 +349,11 @@ def prr_phase1_lanes(
     per-lane ``explored`` edge counters of lanes that activate *during*
     level 0 may exceed the solo path's (the shared pass finishes before
     the activation takes effect) — diagnostics only; every arena-visible
-    output is identical.  The engine's int16 distance plane is restored
-    before returning, also when the pass loop raises.
+    output is identical.  The int16 distance plane (a view of the engine's
+    lane arena) is zeroed again before returning, also when the pass loop
+    raises.
     """
-    if k + 1 >= int(_BIG):
+    if k + 1 >= int(DIST_BASE):
         raise ValueError("k exceeds the lane kernel's int16 distance range")
     n = engine.n
     num = int(roots.size)
@@ -347,9 +361,9 @@ def prr_phase1_lanes(
     roots = roots.astype(np.int64, copy=False)
     seed_roots = seeds_mask[roots]
     activated = seed_roots.copy()
-    dist = engine.prr_dist_plane(num)
+    dist = engine.lane_arena(2 * num * n).view(np.int16)
     init = np.flatnonzero(~activated) * n + roots[~activated]
-    dist[init] = 0
+    dist[init] = DIST_BASE  # distance 0
     out = _Phase1Chunks(touched=[init])
     try:
         _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, out)
@@ -357,7 +371,7 @@ def prr_phase1_lanes(
         # Restore the shared plane even on interrupt/OOM — the engine is
         # cached on the graph, so stale marks would corrupt later batches.
         touched = _drain(out.touched)
-        dist[touched] = _BIG
+        dist[touched] = 0
 
     node_count, explored = _lane_counters(engine, touched, out.done, seed_roots)
     edge_indptr, edge_src, edge_dst, edge_boost = _lane_edges(out, activated, n)
@@ -504,16 +518,17 @@ def _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, ou
             activated[act] = True
             activating = act.size > 0
         # Scatter the new distances (boost edges first, so a key reached
-        # both ways this pass keeps the live distance).
-        upd = dist[g] > e_level + boost
+        # both ways this pass keeps the live distance), DIST_BASE-encoded.
+        e_code = DIST_BASE - e_level
+        upd = dist[g] < e_code - boost
         out.touched.append(g[upd])
         upd &= ~is_seed  # seeds are never expanded
         step = np.flatnonzero(upd & boost)
         nxt = g.take(step)
-        dist[nxt] = e_level.take(step) + 1
+        dist[nxt] = e_code.take(step) - 1
         step = np.flatnonzero(upd & ~boost)
         live = g.take(step)
-        dist[live] = e_level.take(step)
+        dist[live] = e_code.take(step)
         f, pool = next_level_frontier(dist, n, level, lane, live, pool, nxt)
         if activating:
             f = f[~activated[f // n]]
@@ -556,10 +571,10 @@ def critical_lanes(
         es = ph.edge_src[use]
         ed = ph.edge_dst[use]
         eb = ph.edge_boost[use]
-        # Borrow the engine's visited plane for the live-reachability
-        # region (the RR kernel is never active concurrently), tracking
-        # what we set so the plane can be restored on exit.
-        region = engine._lane_plane(num)
+        # The live-reachability region is a bool view of the bytes phase
+        # I used as its distance plane (zero again now), tracking what we
+        # set so the bytes can be zeroed on exit.
+        region = engine.lane_arena(num * n).view(bool)
         s_lane = np.repeat(
             np.arange(num, dtype=np.int64), np.diff(ph.seed_indptr)
         )
@@ -593,7 +608,7 @@ def critical_lanes(
                 & boostable[el]
             )
         finally:
-            for chunk in touched:  # restore the shared plane
+            for chunk in touched:  # zero the shared bytes again
                 region[chunk] = False
         if crit.any():
             keys = unique_sorted(el[crit] * n + ed[crit])
@@ -650,7 +665,7 @@ def ic_cascade_lanes(
     out_nodes = engine._out_nodes
     edge_hash = engine._out_hash
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
-    visited = engine._lane_plane(num)
+    visited = engine.lane_arena(num * n).view(bool)
     lane = np.repeat(np.arange(num, dtype=np.int64), seed_idx.size)
     node = np.tile(seed_idx, num)
     key = lane * n + node
@@ -717,8 +732,11 @@ def lt_cascade_lanes(
     out_nodes = engine._out_nodes
     node_hash = engine._node_hash
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
-    active = engine._lane_plane(num)
-    acc = engine._acc_plane(num)
+    # Two planes in disjoint parts of the lane arena: the float64
+    # accumulator first (8-byte aligned), then the bool active plane.
+    arena = engine.lane_arena(9 * num * n)
+    acc = arena[: 8 * num * n].view(np.float64)
+    active = arena[8 * num * n :].view(bool)
     lane = np.repeat(np.arange(num, dtype=np.int64), seed_idx.size)
     node = np.tile(seed_idx, num)
     key = lane * n + node

@@ -20,13 +20,15 @@ is fixed and traversed.  Three built-ins cover the paper's semantics:
     incoming weights at ``pp``.
 
 All three share the engine's frontier CSR traversal, splitmix64 world
-hashing and reusable lane planes: a model's hashed cascade is a pure
+hashing and lane scratch arena: a model's hashed cascade is a pure
 function of ``(seeds, boost, world_seed)`` — evaluated one world at a
-time (:meth:`DiffusionModel.simulate_hashed`) or
-:data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` worlds per frontier step
-(:meth:`DiffusionModel.cascade_lanes`).  Every Monte Carlo estimator of
-the engine runs a model's :meth:`~DiffusionModel.cascade_plan` on lane
-seeds drawn from the caller's RNG; only the single RNG-driven cascade
+time (:meth:`DiffusionModel.simulate_hashed`) or a lane batch of worlds
+per frontier step (:meth:`DiffusionModel.cascade_lanes`; the engine
+sizes the batches by :data:`~repro.engine.lanes.LANE_BYTES` and the
+model's :attr:`~DiffusionModel.lane_kernel`).  Every Monte Carlo
+estimator of the engine runs a model's
+:meth:`~DiffusionModel.cascade_plan` on lane seeds drawn from the
+caller's RNG; only the single RNG-driven cascade
 (:meth:`DiffusionModel.simulate`) keeps the draw order of the retained
 pure-Python oracles in :mod:`repro.engine.reference`.
 
@@ -96,6 +98,9 @@ class DiffusionModel:
     name: str = ""
     #: Accepted alternative spellings.
     aliases: Tuple[str, ...] = ()
+    #: The :data:`~repro.engine.lanes.ENTRY_BYTES` key of the lane kernel
+    #: behind :meth:`cascade_plan` — what sizes the engine's batches.
+    lane_kernel: str = ""
 
     def prepare_graph(self, graph):
         """The graph view this model runs on (identity for IC models; the
@@ -164,6 +169,7 @@ class IncomingBoostIC(DiffusionModel):
 
     name = "ic"
     aliases = ("ic_in", "incoming")
+    lane_kernel = "ic"
 
     def edge_thresholds(self, engine, boost: AbstractSet[int]) -> np.ndarray:
         return _head_boosted_thresholds(engine, boost)
@@ -210,6 +216,7 @@ class LinearThreshold(DiffusionModel):
 
     name = "lt"
     aliases = ("linear_threshold",)
+    lane_kernel = "lt"
 
     def prepare_graph(self, graph):
         from ..graphs.digraph import DiGraph

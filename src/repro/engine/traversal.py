@@ -5,7 +5,8 @@ node ids into the flat CSR positions of their incident edges, mask those
 positions, and dedupe the discovered endpoints into the next frontier —
 no per-neighbour Python loop anywhere.  :func:`next_level_frontier` is
 the level step the lane-parallel 0-1 BFS passes share (PRR phase I and
-both phase-II distance passes).
+both phase-II distance passes), over int16 distance planes encoded by
+:data:`DIST_BASE`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,16 @@ __all__ = [
     "unique_sorted",
     "grow_reachable",
     "next_level_frontier",
+    "DIST_BASE",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# Lane distance planes (int16, one entry per ``lane * n + node`` key)
+# hold ``DIST_BASE - d`` for a key at distance ``d``: the all-zero plane
+# a batch starts from reads as unreached (``d = DIST_BASE``, past every
+# bound), and a batch restores it by zeroing the keys it wrote.
+DIST_BASE = np.int16(np.iinfo(np.int16).max)
 
 
 def frontier_edge_positions(
@@ -111,9 +119,10 @@ def next_level_frontier(
     """The next frontier of a lane-parallel Dial's 0-1 BFS in which every
     lane keeps its own distance level (keys are ``lane * n + node``).
 
-    ``lanes`` are the lanes of the frontier just processed, ``live`` its
-    candidates over weight-0 edges (at their lane's level), ``deferred``
-    its candidates over weight-1 edges (one level up).  A lane of
+    ``dist`` is a :data:`DIST_BASE`-encoded plane.  ``lanes`` are the
+    lanes of the frontier just processed, ``live`` its candidates over
+    weight-0 edges (at their lane's level), ``deferred`` its candidates
+    over weight-1 edges (one level up).  A lane of
     ``lanes`` without live candidates has finished its level: it moves
     up (``level`` is updated in place) and takes its pooled keys whose
     ``dist`` is still that level — a pooled key improved since was
@@ -128,5 +137,5 @@ def next_level_frontier(
     pulled = moving[pool // n]
     up = pool[pulled]
     level[moving] += 1
-    up = up[dist[up] == level[up // n]]
+    up = up[dist[up] == DIST_BASE - level[up // n]]
     return np.concatenate([live, up]), pool[~pulled]

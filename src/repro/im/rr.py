@@ -9,9 +9,10 @@ Sampling runs on the shared vectorized engine.  The single-sample path
 (:func:`random_rr_set`) draws one uniform per in-edge of a whole frontier
 at a time, bit-for-bit matching the edge-wise lazy BFS it replaced — the
 seeded oracle.  The batch forms drive the multi-source lane kernel
-(:meth:`SamplingEngine.rr_lane_csr`): up to
-:data:`~repro.engine.lanes.RR_LANE_WIDTH` roots advance per frontier step
-over per-lane hashed worlds, and member arrays flow into the
+(:meth:`SamplingEngine.rr_lane_csr`): as many roots as fit
+:data:`~repro.engine.lanes.LANE_BYTES` of visited plane (one byte per
+lane and node) advance per frontier step over per-lane hashed worlds,
+and member arrays flow into the
 :class:`~repro.engine.coverage.CoverageIndex` as one CSR chunk.  Large
 batches with ``workers > 1`` (fork platforms) or worker hosts are
 evaluated by the runtime of :mod:`repro.core.parallel` instead, from the

@@ -240,15 +240,32 @@ class TestDeterministicMerge:
         assert all(d > 0 for d in done), f"one host sat idle: {done}"
 
 
+def kill_in_first_chunk(monkeypatch, host):
+    """Make ``host`` die inside its first chunk call: it stops serving and
+    answers none of the chunks it holds, so it always dies with chunks in
+    flight, however fast they would have run."""
+    from repro.dist import worker
+
+    real = worker.run_chunks_local
+
+    def run_chunks_local(host_graph, *args):
+        if host_graph is host.graph:
+            host.kill()
+            return []
+        return real(host_graph, *args)
+
+    monkeypatch.setattr(worker, "run_chunks_local", run_chunks_local)
+
+
 class TestSupervision:
-    def test_mid_run_host_kill_keeps_identity(self, graph, two_hosts):
+    def test_mid_run_host_kill_keeps_identity(self, graph, two_hosts,
+                                              monkeypatch):
         rt = DistributedRuntime(
             graph, [h.addr for h in two_hosts], fallback_workers=1
         )
         parallel.bind_distributed_runtime(graph, rt)
         try:
-            killer = threading.Timer(0.02, two_hosts[1].kill)
-            killer.start()
+            kill_in_first_chunk(monkeypatch, two_hosts[1])
             got = parallel.parallel_rr_csr(graph, 8192, 123)
         finally:
             parallel.unbind_distributed_runtime(graph)
@@ -261,13 +278,12 @@ class TestSupervision:
         assert health.restarts >= 1  # host losses
         assert not health.degraded
 
-    def test_all_hosts_lost_degrades_to_local(self, graph):
+    def test_all_hosts_lost_degrades_to_local(self, graph, monkeypatch):
         host = WorkerHost()
         rt = DistributedRuntime(graph, [host.addr], fallback_workers=1)
         parallel.bind_distributed_runtime(graph, rt)
         try:
-            killer = threading.Timer(0.02, host.kill)
-            killer.start()
+            kill_in_first_chunk(monkeypatch, host)
             got = parallel.parallel_rr_csr(graph, 8192, 321)
             assert rt.degraded
             assert not rt.active

@@ -5,9 +5,9 @@ boosted LT models on two graphs, the exact estimates of
 ``estimate_sigma`` / ``estimate_boost`` and sha256 digests of the
 ``simulate_batch`` sizes and ``cascade_lane_csr`` arrays, each on a fixed
 RNG seed.  Every model draws one lane seed per world from the RNG and
-evaluates the worlds :data:`~repro.engine.lanes.CASCADE_LANE_WIDTH` at a
-time; the numbers must not depend on how the estimators loop over those
-batches.
+evaluates the worlds in lane batches sized by the engine's byte budget
+(:data:`~repro.engine.lanes.LANE_BYTES`); the numbers must not depend
+on how the estimators loop over those batches.
 
 Regenerate (only when a model's semantics change on purpose) with
 ``PYTHONPATH=src python tests/test_golden_mc_models.py``.
@@ -22,13 +22,14 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.engine import SamplingEngine, resolve_model
+from repro.engine import lanes as lanes_module
 from repro.graphs import learned_like, preferential_attachment
 
 GOLDEN = Path(__file__).parent / "golden" / "mc_models.json"
 
 MODELS = ("ic_out", "lt")
 GRAPHS = ("digg", "pa300")
-RUNS = 200  # three full lane batches and a partial one
+RUNS = 200  # one lane batch at the default budget; 1 to 200 in the width test
 
 
 def build_graph(name: str):
@@ -82,6 +83,18 @@ def golden():
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("name", GRAPHS)
 def test_model_numbers_match_golden(golden, name, model):
+    assert model_case(name, model) == golden[f"{name}/{model}"]
+
+
+@pytest.mark.parametrize("width", [1, 7, 64])
+@pytest.mark.parametrize("model", MODELS)
+def test_model_numbers_match_golden_at_width(golden, monkeypatch, model, width):
+    """A budget that fits ``width`` lanes of the model's planes changes
+    how many batches the worlds take, never a number."""
+    name = "pa300"
+    n = build_graph(name).n
+    per_lane = n * lanes_module.ENTRY_BYTES[resolve_model(model).lane_kernel]
+    monkeypatch.setattr(lanes_module, "LANE_BYTES", width * per_lane)
     assert model_case(name, model) == golden[f"{name}/{model}"]
 
 

@@ -11,9 +11,9 @@ counts:
   :meth:`~repro.core.prr.PRRArena.add_phase1` on world-seeded single
   samples.
 
-The digests were recorded before the lane batches were sized by
-:data:`~repro.engine.lanes.LANE_BUDGET` and before phase II compressed
-whole batches at once.  Every sample is a pure function of its
+The digests were recorded before the lane batches were sized by a byte
+budget (:data:`~repro.engine.lanes.LANE_BYTES`) and before phase II
+compressed whole batches at once.  Every sample is a pure function of its
 ``(root, world_seed)`` pair, so the digests must not depend on how many
 lanes a batch holds: the lane-width tests re-run the matrix with the
 budget patched to 1-lane, 7-lane, 64-lane and whole-draw batches, and
@@ -151,14 +151,12 @@ def batch_width(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     def set_width(width, n):
-        if width is None:
-            monkeypatch.setattr(lanes_module, "LANE_BUDGET", 10**12)
-        else:
-            # lane_batch floors the width at lanes.LANE_WIDTH; lowering it
-            # here leaves the critical draw block alone, which the engine
-            # and core.parallel import by value.
-            monkeypatch.setattr(lanes_module, "LANE_WIDTH", min(width, lanes_module.LANE_WIDTH))
-            monkeypatch.setattr(lanes_module, "LANE_BUDGET", width * n)
+        # PRR and critical batches both span two plane bytes per lane and
+        # node; PRR batches also budget their transients, which this
+        # zeroes so that the plane alone sizes them.
+        monkeypatch.setattr(prr_module, "_PRR_EDGE_BYTES", 0)
+        budget = 10**12 if width is None else width * 2 * n
+        monkeypatch.setattr(lanes_module, "LANE_BYTES", budget)
         seen.clear()
         return seen
 

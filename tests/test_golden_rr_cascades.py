@@ -13,7 +13,9 @@ counts:
 
 Every sample is a pure function of its root and world seed (its world
 seed alone for a cascade), so the digests must not depend on how many
-lanes a batch holds.
+lanes a batch holds: the lane-width tests re-run the matrix with the
+lane budget (:data:`~repro.engine.lanes.LANE_BYTES`) patched to 1-lane,
+7-lane, 64-lane and whole-draw batches.
 
 Regenerate (only when a sampler's semantics change on purpose) with
 ``PYTHONPATH=src python tests/test_golden_rr_cascades.py``.
@@ -28,6 +30,9 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.engine import SamplingEngine
+from repro.engine import batch as batch_module
+from repro.engine import lanes as lanes_module
+from repro.engine import models as models_module
 from repro.engine.lanes import draw_lane_seeds
 from repro.graphs import learned_like, preferential_attachment
 
@@ -136,6 +141,71 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", GRAPHS)
     def test_ic_estimate_boost(self, golden, graphs, name):
         assert boost_case(graphs[name]) == golden["ic_boost"][name]
+
+
+@pytest.fixture
+def batch_width(monkeypatch):
+    """Patch the lane budget so every RR or IC batch on an ``n``-node
+    graph holds ``width`` lanes (``None``: the whole draw), and record
+    the batch sizes the kernels actually saw."""
+    seen = []
+    for owner, name in ((batch_module, "rr_member_lanes"),
+                        (models_module, "ic_cascade_lanes")):
+        def spy(engine, *args, _inner=getattr(owner, name), **kwargs):
+            # RR kernels take (roots, lane_seeds), cascades (seed_idx,
+            # thresholds, lane_seeds): the lane seeds come last.
+            seen.append(len(args[-1]))
+            return _inner(engine, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def set_width(width, n):
+        # RR and IC planes both span one byte per lane and node.
+        budget = 10**12 if width is None else width * n
+        monkeypatch.setattr(lanes_module, "LANE_BYTES", budget)
+        seen.clear()
+        return seen
+
+    return set_width
+
+
+def _assert_widths(seen, width, count):
+    assert seen, "no lane batch ran"
+    if width is None:
+        assert max(seen) == count
+    else:
+        assert max(seen) == min(width, count)
+
+
+class TestLaneWidthInvariance:
+    """Batch width changes the time, never a digest.  1- and 7-lane
+    batches replay the 50-sample cases; 64-lane and whole-draw batches
+    replay every case.  The RR draws skip the engine's narrow probe batch
+    (``dense=False``), so every batch has the patched width."""
+
+    @pytest.mark.parametrize("width", [1, 7, 64, None])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_rr_lane_csr(self, golden, graphs, batch_width, name, width):
+        graph = graphs[name]
+        for rng_seed, count in cases():
+            if count > 50 and width not in (64, None):
+                continue
+            seen = batch_width(width, graph.n)
+            key = f"{name}/rng{rng_seed}/n{count}"
+            assert rr_case(graph, rng_seed, count, dense=False) == golden["rr"][key], key
+            _assert_widths(seen, width, count)
+
+    @pytest.mark.parametrize("width", [1, 7, 64, None])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_ic_cascades(self, golden, graphs, batch_width, name, width):
+        graph = graphs[name]
+        for rng_seed, count in cases():
+            if count > 50 and width not in (64, None):
+                continue
+            seen = batch_width(width, graph.n)
+            key = f"{name}/rng{rng_seed}/n{count}"
+            assert cascade_case(graph, rng_seed, count) == golden["ic"][key], key
+            _assert_widths(seen, width, count)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ Pins the contracts of the multi-source lane engine
 * **runtime** — collections are a pure function of the RNG and
   ``count`` across worker counts including the in-process path, and the
   engine cache is thread-safe,
-* **scratch** — a PRR or critical batch that raises midway (in phase I
-  or in compression) leaves the engine's planes as it found them.
+* **scratch** — every lane kernel leaves the engine's scratch arena all
+  zero, also when a batch raises midway (in phase I or in compression).
 """
 
 import threading
@@ -307,9 +307,10 @@ class TestCriticalLanes:
 
 
 class TestScratchRestoredOnFailure:
-    """A batch that raises midway leaves the engine's scratch planes as it
-    found them: the engine is cached on the graph, so a leaked mark would
-    silently corrupt every later sample drawn on it."""
+    """Every lane kernel leaves the engine's scratch arena all zero, also
+    when its batch raises midway: the engine is cached on the graph and
+    every kernel's planes view the same bytes, so a leaked mark would
+    silently corrupt every later sample drawn on it, of any kernel."""
 
     SEEDS = frozenset({0, 1, 2})
 
@@ -345,10 +346,8 @@ class TestScratchRestoredOnFailure:
 
     @staticmethod
     def assert_clean(engine):
-        assert engine._prr_dist is not None
-        assert (engine._prr_dist == np.iinfo(np.int16).max).all()
-        if engine._lane_visited is not None:
-            assert not engine._lane_visited.any()
+        assert engine._arena is not None
+        assert not engine._arena.any()
 
     @staticmethod
     def prr_draw(graph):
@@ -363,6 +362,38 @@ class TestScratchRestoredOnFailure:
             TestScratchRestoredOnFailure.SEEDS, np.random.default_rng(8), 300
         )
 
+    @staticmethod
+    def rr_draw(graph):
+        engine = SamplingEngine.for_graph(graph)
+        engine._rr_dense = False  # lane batches from the first, no probe
+        return engine.rr_lane_csr(np.random.default_rng(8), 300)
+
+    @staticmethod
+    def cascade_draw(graph, model):
+        engine = SamplingEngine.for_graph(graph)
+        return engine.cascade_lane_csr(
+            TestScratchRestoredOnFailure.SEEDS, {3, 4, 5},
+            np.random.default_rng(8), 300, model=model,
+        )
+
+    @staticmethod
+    def ic_draw(graph):
+        return TestScratchRestoredOnFailure.cascade_draw(graph, "ic")
+
+    @staticmethod
+    def lt_draw(graph):
+        return TestScratchRestoredOnFailure.cascade_draw(graph, "lt")
+
+    DRAWS = ["prr_draw", "critical_draw", "rr_draw", "ic_draw", "lt_draw"]
+
+    @pytest.mark.parametrize("draw_name", DRAWS)
+    def test_clean_after_every_kernel(self, fresh_graph, draw_name):
+        """Each kernel's draw, run after all the others on one engine."""
+        engine = SamplingEngine.for_graph(fresh_graph)
+        for name in self.DRAWS[self.DRAWS.index(draw_name) + 1 :] + [draw_name]:
+            getattr(self, name)(fresh_graph)
+            self.assert_clean(engine)
+
     def assert_next_draw_is_fresh(self, graph, draw):
         cached = draw(graph)
         graph._engine_cache = None  # the next for_graph builds a fresh engine
@@ -371,7 +402,7 @@ class TestScratchRestoredOnFailure:
         for a, b in zip(cached, fresh):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("draw_name", ["prr_draw", "critical_draw"])
+    @pytest.mark.parametrize("draw_name", DRAWS)
     def test_phase1_failure(self, monkeypatch, fresh_graph, draw_name):
         draw = getattr(self, draw_name)
         for nth in self.call_numbers(monkeypatch, lanes_module, draw, fresh_graph):
@@ -392,6 +423,68 @@ class TestScratchRestoredOnFailure:
                     self.prr_draw(fresh_graph)
             self.assert_clean(engine)
             self.assert_next_draw_is_fresh(fresh_graph, self.prr_draw)
+
+
+class TestLaneBudget:
+    """One byte budget sizes every kernel's lane batches, and one arena
+    per engine backs all their planes."""
+
+    @pytest.mark.parametrize("kernel", sorted(lanes_module.ENTRY_BYTES))
+    @pytest.mark.parametrize("transient", [0, 64 * 5000])
+    def test_batches_fit_the_budget_at_a_million_nodes(self, kernel, transient):
+        """At least one lane, and planes plus transients within
+        LANE_BYTES unless one lane alone needs more (LT's nine bytes per
+        node at n = 10^6)."""
+        n = 10**6
+        transient = transient if kernel == "prr" else 0
+        lanes = lanes_module.batch_lanes(n, kernel, transient)
+        per_lane = n * lanes_module.ENTRY_BYTES[kernel] + transient
+        assert lanes >= 1
+        assert lanes * per_lane <= max(lanes_module.LANE_BYTES, per_lane)
+        assert (lanes + 1) * per_lane > lanes_module.LANE_BYTES
+
+    def test_default_widths(self):
+        widths = {
+            n: [lanes_module.batch_lanes(n, kernel) for kernel in ("rr", "critical", "lt")]
+            for n in (10_000, 20_000, 10**6)
+        }
+        assert widths == {10_000: [838, 419, 93], 20_000: [419, 209, 46], 10**6: [8, 4, 1]}
+
+    @staticmethod
+    def mixed_draws(graph):
+        """RR, critical, PRR, IC and LT draws on one engine, with the
+        arena's size after each."""
+        engine = SamplingEngine.for_graph(graph)
+        seeds = frozenset({0, 1, 2})
+        rng = np.random.default_rng
+        steps = [
+            lambda: engine.rr_lane_csr(rng(1), 400),
+            lambda: engine.critical_lane_csr(seeds, rng(2), 300),
+            lambda: sample_prr_lanes(graph, seeds, 3, rng(3), 300).payload()[1:],
+            lambda: engine.cascade_lane_csr(seeds, {5, 6}, rng(4), 200, model="ic"),
+            lambda: engine.cascade_lane_csr(seeds, {5, 6}, rng(5), 200, model="lt"),
+            lambda: engine.rr_lane_csr(rng(6), 400),
+        ]
+        outputs, sizes = [], []
+        for step in steps:
+            outputs.append(step())
+            sizes.append(engine._arena.size)
+            assert not engine._arena.any()
+        return outputs, sizes
+
+    def test_mixed_draws_stay_within_a_small_budget(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        graph = learned_like(preferential_attachment(150, 3, rng), rng, 0.3)
+        expected, _sizes = self.mixed_draws(graph)
+        graph._engine_cache = None
+        budget = 5 * 9 * graph.n  # five LT lanes, 45 RR lanes
+        monkeypatch.setattr(lanes_module, "LANE_BYTES", budget)
+        outputs, sizes = self.mixed_draws(graph)
+        assert max(sizes) <= budget
+        for got, want in zip(outputs, expected):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestEngineCacheThreadSafety:
