@@ -115,7 +115,7 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 # Phase-I edges per compression slice: one per 64 bytes of the lane
 # budget (2^17 at 8 MiB).  Phase II holds ~100 bytes of transient arrays
 # per edge, so a slice stays near 13 MB however many edges the lanes of a
-# batch explored (a 131-lane digg-like batch at k=20 has ~40k).
+# batch kept (a ~210-lane digg-like batch at k=20 keeps ~60k).
 COMPRESS_SLICE_EDGES = LANE_BYTES // 64
 
 # Transient bytes a PRR lane batch holds per phase-I edge it keeps (phase
@@ -361,9 +361,10 @@ def sample_prr_lanes(
     one pass per slice of at most :data:`COMPRESS_SLICE_EDGES` phase-I
     edges; no per-sample Python objects.  A batch holds as many roots as
     fit :data:`~repro.engine.lanes.LANE_BYTES` with their int16 plane
-    (two bytes per lane and node) and :data:`_PRR_EDGE_BYTES` per edge a
-    lane of the earlier batches explored on average (before the first
-    batch: per edge of the graph).
+    (two bytes per lane and node) and :data:`_PRR_EDGE_BYTES` per phase-I
+    edge a lane of the call's earlier batches kept on average — at most
+    four times their lanes; before the first batch, per edge of the
+    graph.
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)

@@ -25,13 +25,13 @@ on the same frontier traversal, hashed worlds and lane planes.
 Every Monte Carlo estimate goes through one loop, :meth:`SamplingEngine.cascades`:
 one lane seed per world, drawn from the caller's RNG by
 :func:`~repro.engine.lanes.draw_lane_seeds`, and as many hashed worlds
-per frontier step as fit the lane budget.  The single-cascade ``simulate`` instead consumes the RNG
-draw-for-draw like the pre-engine pure-Python simulator, as ``rr_set``
-does for RR sets and PRR sampling does when ``world_seed`` pins the world
-by hashing.  RNG-driven PRR/critical sampling draws edge states per
-frontier slice instead of per edge, so for a given generator state it
-samples a *different but equally valid* world — only the distribution is
-preserved.
+per frontier step as fit the lane budget.  The single-cascade
+``simulate`` instead consumes the RNG draw-for-draw like the pre-engine
+pure-Python simulator, as ``rr_set`` does for RR sets and PRR sampling
+does when ``world_seed`` pins the world by hashing.  RNG-driven
+PRR/critical sampling draws edge states per frontier slice instead of
+per edge, so for a given generator state it samples a *different but
+equally valid* world — only the distribution is preserved.
 
 Batch forms run on the lane kernels of :mod:`repro.engine.lanes`:
 ``sample_rr_batch`` (default mode) and ``sample_critical_batch`` advance
@@ -39,14 +39,15 @@ a batch of roots per frontier step over per-lane hashed worlds, as many
 as fit :data:`~repro.engine.lanes.LANE_BYTES` of planes
 (:func:`~repro.engine.lanes.batch_lanes`; 838 RR or 419 critical roots
 on a 10k-node graph), all viewed in the engine's one scratch arena
-(:meth:`SamplingEngine.lane_arena`), and the CSR entry points (``rr_lane_csr``,
-``critical_lane_csr``, ``prr_phase1_lanes``) hand their flat output
-arrays straight to :class:`~repro.engine.coverage.CoverageIndex` /
-:class:`~repro.core.prr.PRRArena` without a per-sample Python round-trip.
-Lane batches draw a different (equally valid) stream than looping the
-single-sample forms — the singles remain the seeded distributional
-oracles, and ``sample_rr_batch(strict=True)`` still reproduces ``count``
-:meth:`SamplingEngine.rr_set` calls bit-for-bit.
+(:meth:`SamplingEngine.lane_arena`), and the CSR entry points
+(``rr_lane_csr``, ``critical_lane_csr``, ``prr_phase1_lanes``) hand
+their flat output arrays straight to
+:class:`~repro.engine.coverage.CoverageIndex` /
+:class:`~repro.core.prr.PRRArena` without a per-sample Python
+round-trip.  Lane batches draw a different (equally valid) stream than
+looping the single-sample forms — the singles remain the seeded
+distributional oracles, and ``sample_rr_batch(strict=True)`` still
+reproduces ``count`` :meth:`SamplingEngine.rr_set` calls bit-for-bit.
 """
 
 from __future__ import annotations
@@ -409,12 +410,12 @@ class SamplingEngine:
         RR-set of that root in that hashed world.  The lane kernel
         evaluates as many samples per frontier step as fit
         :data:`~repro.engine.lanes.LANE_BYTES` of visited plane (one byte
-        per lane and node); on graphs whose RR-sets come back dense (mean size above
-        :data:`RR_DENSE_CUTOFF`, learned from the first batch and cached
-        per engine) the same samples are evaluated by the single-sample
-        hashed loop instead, which wins once array work dominates call
-        overhead.  The sampled distribution matches :meth:`rr_set`, the
-        seeded distributional oracle.
+        per lane and node); on graphs whose RR-sets come back dense
+        (mean size above :data:`RR_DENSE_CUTOFF`, learned from the first
+        batch and cached per engine) the same samples are evaluated by
+        the single-sample hashed loop instead, which wins once array
+        work dominates call overhead.  The sampled distribution matches
+        :meth:`rr_set`, the seeded distributional oracle.
         """
         if count <= 0:
             return _EMPTY_I64, _EMPTY_I64
@@ -437,9 +438,7 @@ class SamplingEngine:
                 count_parts.append(sizes)
                 break
             # Probe narrowly before the first wide batch on a fresh graph.
-            b = min(width, count - done)
-            if self._rr_dense is None:
-                b = min(b, 32)
+            b = min(32 if self._rr_dense is None else width, width, count - done)
             c, v = rr_member_lanes(
                 self, all_roots[done : done + b], all_seeds[done : done + b]
             )
@@ -540,12 +539,13 @@ class SamplingEngine:
 
         Worlds are evaluated as many per frontier step as the model's
         planes fit :data:`~repro.engine.lanes.LANE_BYTES` (one byte per
-        lane and node for IC, nine for LT).  Returns ``(sizes, values)``: the activated-set
-        size of every world and, with ``members``, the activated sets as
-        one CSR of sorted node ids (counts are ``sizes``; ``values`` is
-        None otherwise).  World ``i`` is a pure function of ``(seeds,
-        boost, lane_seeds[i])``, so the same lane seeds replay the same
-        worlds under any boost set — paired comparisons come free.
+        lane and node for IC, nine for LT).  Returns ``(sizes,
+        values)``: the activated-set size of every world and, with
+        ``members``, the activated sets as one CSR of sorted node ids
+        (counts are ``sizes``; ``values`` is None otherwise).  World
+        ``i`` is a pure function of ``(seeds, boost, lane_seeds[i])``,
+        so the same lane seeds replay the same worlds under any boost
+        set — paired comparisons come free.
         """
         mdl = resolve_model(model)
         run = mdl.cascade_plan(self, seeds, boost)

@@ -117,11 +117,12 @@ __all__ = [
 # reproduces).  It sizes no batch.
 LANE_WIDTH = 64
 
-# Scratch bytes a lane batch may span (see batch_lanes).  Going from
-# per-kernel widths (RR 512 lanes, cascades 64, PRR and critical 2^17
-# plane entries) to this budget widened critical batches on the 10k-node
-# benchmark graph from 64 lanes to 419; a 16 MiB budget ran faster still
-# but cost +14% peak RSS on that workload.
+# Scratch bytes a lane batch may span (see batch_lanes): 419 critical and
+# 838 RR lanes on a 10k-node graph, wide enough that a frontier pass's
+# numpy call overhead is shared by hundreds of samples.  On the perfbench
+# workloads (2-core Xeon VM) twice this budget cut the lbimm-10k-w1 query
+# p50 further, 0.13 -> 0.08 s, but raised peak RSS by +13% there and by
+# +22% on prr-digg-w1, against +7% each at this budget.
 LANE_BYTES = 1 << 23
 
 # Plane bytes per (lane, node) entry of each kernel: a bool visited plane
