@@ -3,8 +3,8 @@
 Lin, Chen & Lui (ICDE 2017).  The package provides:
 
 * :mod:`repro.api` — the session-based query API: a warm
-  :class:`Session` facade over the engine, the shared-memory parallel
-  runtime and every algorithm, driven by typed queries,
+  :class:`Session` facade over the engine, the local host pool and
+  every algorithm, driven by typed queries,
 * :mod:`repro.graphs` — compact directed influence graphs and generators,
 * :mod:`repro.engine` — the unified vectorized sampling + selection
   substrate (lane kernels, coverage index),

@@ -22,7 +22,7 @@ On top of the session sits the serving tier: a fingerprint-keyed
 an :class:`AdmissionPolicy` pricing queries before sampling
 (:exc:`AdmissionRejected` / structured rejection envelopes), the
 overlapped :meth:`Session.run_many` pipelining independent seeded
-queries over the shared-memory runtime, and the :func:`serve_ndjson` /
+queries over the local host pool, and the :func:`serve_ndjson` /
 :func:`serve_http` front ends behind ``repro serve``.
 
 The legacy free functions (``prr_boost``, ``prr_boost_lb``, ``imm``,

@@ -75,7 +75,7 @@ class SamplingBudget:
         Monte-Carlo simulations for evaluation queries and for
         candidate-set ranking inside the baselines.
     workers:
-        ``> 1`` dispatches sampling to the shared-memory parallel runtime
+        ``> 1`` dispatches sampling to a pool of forked local hosts
         (:mod:`repro.core.parallel`) on fork platforms; ``None``/``1``
         stays serial.  Fork-less platforms silently fall back to serial.
     """

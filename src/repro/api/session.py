@@ -7,7 +7,7 @@ the state that is expensive to build and cheap to keep:
   hash bases and Bernoulli thresholds, reusable stamp/lane buffers) —
   built eagerly at session open, so the first query is as fast as the
   hundredth,
-* the shared-memory parallel runtime (:mod:`repro.core.parallel`) for
+* the local host pool (:mod:`repro.core.parallel`) for
   queries with ``workers > 1`` — spun up on first use (or pre-warmed by
   :meth:`run_many`), torn down by :meth:`close`,
 * recycled :class:`~repro.engine.coverage.CoverageIndex` /
@@ -33,7 +33,7 @@ On top of that sits the serving tier:
   a session-owned lane thread through a :class:`_SessionLane` view
   (thread-local engine and scratch via the thread-keyed
   :meth:`SamplingEngine.for_graph`), and their sampling chunks interleave
-  on the one shared-memory worker pool through the runtime's
+  on the one local host pool through the runtime's
   tag-multiplexed ``run`` — one query's selection phase
   runs while the others' samples are still being drawn.  Results are
   bit-identical to the serial path because every seeded query's
@@ -52,8 +52,8 @@ Sessions are context managers::
                                       rng_seed=7))
 
 Lifecycle contract: :meth:`close` is idempotent, releases the lane pool
-and the worker pool with its shared-memory segments (when this session's
-graph owns them), and any later :meth:`run` raises ``RuntimeError``.
+and the host pool's processes (when this session's graph owns them),
+and any later :meth:`run` raises ``RuntimeError``.
 Direct :meth:`run` calls remain single-threaded per session — the warm
 scratch is shared mutable state; concurrency belongs to :meth:`run_many`
 (overlap lanes) and the serving front end built on it.
@@ -166,8 +166,8 @@ class Session:
         Session-wide default :class:`SamplingBudget`, used by queries
         that do not carry their own.
     manage_runtime:
-        When True (default), :meth:`close` tears down the shared-memory
-        parallel runtime if it is bound to this session's graph.  The
+        When True (default), :meth:`close` tears down the local host
+        pool if it is bound to this session's graph.  The
         legacy free-function wrappers pass False so a throwaway
         per-call session never kills the warm pool between calls.
     cache:
@@ -276,9 +276,8 @@ class Session:
         """Release session state (idempotent).
 
         Drops the recycled scratch, joins the overlap lane pool, and —
-        for runtime-managing sessions — shuts down the shared-memory
-        worker pool when it is bound to this session's graph, unlinking
-        the published graph segment and any in-flight result segments.
+        for runtime-managing sessions — shuts down the local host pool
+        when it is bound to this session's graph.
         The engine stays cached on the graph (it is plain process-local
         memory shared by design).
         """
@@ -490,7 +489,7 @@ class Session:
         return best
 
     def ensure_runtime(self, workers: Optional[int] = None) -> bool:
-        """Pre-warm the shared-memory pool for ``workers`` (fork platforms).
+        """Pre-warm the local host pool for ``workers`` (fork platforms).
 
         Returns whether a pool is (now) running for this graph; serial
         configurations and fork-less platforms return False and stay
@@ -752,8 +751,8 @@ class Session:
         explicit ``rng_seed`` are independent — each runs on its own
         reproducible stream — so the batch pipelines them onto the lane
         pool: every lane samples through its thread-local engine, chunked
-        sampling from all lanes interleaves on the one shared-memory
-        worker pool (tag-multiplexed), and one query's selection phase
+        sampling from all lanes interleaves on the one local host pool
+        (tag-multiplexed), and one query's selection phase
         overlaps the others' sampling.  Results are identical to the
         serial path, in input order.  Identical cacheable queries in one
         batch are computed once and share the envelope.  ``overlap=False``

@@ -24,7 +24,7 @@ with ``--graph-store`` instead of building a graph in RAM.
 
 Every subcommand accepts ``--seed`` for reproducibility; ``boost``,
 ``compare``, ``budget``, ``query`` and ``serve`` accept ``--workers N``
-to run the sampling phases on the shared-memory parallel runtime.
+to run the sampling phases on a pool of N forked local hosts.
 
 The ``query`` subcommand is the batch form of the session API: it reads
 a JSON list of typed queries (the :func:`repro.api.query_from_dict`
@@ -353,11 +353,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _install_cache_snapshot_handler(cache, path) -> None:
     """Snapshot the result cache when the server is SIGTERM'd.
 
-    The handler persists the cache, runs the parallel runtime's normal
-    teardown (worker pools, shared-memory segments — the reaper the
-    runtime installs only claims the signal when it is unhandled, so
-    chaining it here keeps cleanup intact), then re-raises the default
-    disposition so the exit status still reports the signal.
+    The handler persists the cache, shuts the local pool's hosts down,
+    then re-raises the default disposition so the exit status still
+    reports the signal.
     """
     import os
     import signal
@@ -366,10 +364,9 @@ def _install_cache_snapshot_handler(cache, path) -> None:
         try:
             cache.save(path)
         finally:
-            from .core.parallel import reap_shm_segments, shutdown_runtime
+            from .core.parallel import shutdown_runtime
 
             shutdown_runtime()
-            reap_shm_segments()
             signal.signal(signum, signal.SIG_DFL)
             os.kill(os.getpid(), signum)
 
@@ -379,7 +376,7 @@ def _install_cache_snapshot_handler(cache, path) -> None:
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="sampling workers on the shared-memory runtime (default serial)",
+        help="sampling workers: forked local hosts (default serial)",
     )
 
 

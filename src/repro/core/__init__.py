@@ -7,7 +7,6 @@ from .parallel import (
     parallel_critical_sets,
     parallel_prr_collection,
     parallel_rr_csr,
-    reap_shm_segments,
     runtime_health,
     shutdown_runtime,
 )
@@ -72,5 +71,4 @@ __all__ = [
     "shutdown_runtime",
     "RuntimeHealth",
     "runtime_health",
-    "reap_shm_segments",
 ]

@@ -77,7 +77,7 @@ class PRRSampler:
     Every draw goes through
     :func:`~repro.core.parallel.parallel_prr_payloads`: the samples'
     roots and world seeds come from ``rng``, and the lane kernels
-    evaluate them in process, on the shared-memory pool or on worker
+    evaluate them in process, on the local host pool or on remote
     hosts — the same arena payloads either way.  All sampling forms
     consume the RNG identically for a given request size, so the legacy
     and vectorized selection arms stay sample-for-sample in sync.
@@ -264,7 +264,7 @@ def prr_boost_core(
         consumption and identical outputs (oracle/benchmark only).
     workers:
         With ``workers > 1`` (and fork available) the sampling phases
-        dispatch to the persistent shared-memory runtime of
+        dispatch to the persistent local host pool of
         :mod:`repro.core.parallel`; selection stays in-process.
     index, arena:
         Optional *empty* scratch containers to run on — a warm
@@ -351,8 +351,8 @@ def prr_boost_lb_core(
 
     Same approximation factor as PRR-Boost but faster generation and far
     lower memory, because each sample is just a (typically tiny) critical
-    node set.  ``workers > 1`` dispatches sampling to the shared-memory
-    runtime like :func:`prr_boost`; ``index``/``candidates`` are the
+    node set.  ``workers > 1`` dispatches sampling to the local host
+    pool like :func:`prr_boost`; ``index``/``candidates`` are the
     optional warm-session scratch (see :func:`prr_boost_core`).
     :func:`prr_boost_lb` is the legacy-shaped wrapper.
     """

@@ -1,31 +1,26 @@
-"""Parallel sampling on a persistent zero-copy shared-memory runtime.
+"""Parallel sampling on a persistent pool of forked local hosts.
 
 The paper parallelizes PRR-graph generation with OpenMP over eight
 threads.  The Python analogue here is a process-based runtime built for
 repeated use:
 
-* **Zero-copy graph publication** — the graph's CSR arrays and edge
-  probabilities are written once into a single
-  :mod:`multiprocessing.shared_memory` segment
-  (:class:`SharedGraphRuntime`); workers attach by name and build their
-  :class:`~repro.engine.SamplingEngine` over read-only views, so neither
-  pool startup nor any task pays a per-worker graph pickle.
-* **Persistent pull-scheduled workers** — one pool per graph survives
-  across calls (IMM doubling rounds, repeated ``prr_boost`` runs, …).
-  Tasks are small sample chunks on one shared queue; an idle worker
-  steals the next chunk the moment it finishes, so cheap chunks
-  (activated/hopeless roots) never leave a worker idling behind a static
-  partition.
-* **Tag-multiplexed runs** — every :meth:`ChunkExecutor.run` gets an
-  executor-unique tag and a collector thread demultiplexes results per
-  tag, so concurrent callers — the serving tier's overlapped
-  ``run_many`` lanes — pipeline independent queries' sampling chunks
-  onto one pool instead of taking turns.
-* **Raw-buffer results** — workers sample with the lane kernels and ship
-  flat arrays back (:class:`~repro.core.prr.PRRArena` payloads, critical
-  or RR CSRs).  Large results travel through a per-result shared-memory
-  segment — bytes, not pickled object graphs; small ones ride the result
-  queue directly, which is cheaper than a segment round-trip.
+* **Graph by inheritance** — the pool forks its hosts, and each one
+  reads the graph it inherited (copy-on-write): nothing is copied,
+  pickled or published, and a pristine store stays one mmap'd
+  page-cache image shared by every host.
+* **Persistent hosts** — one pool per graph version survives across
+  calls (IMM doubling rounds, repeated ``prr_boost`` runs, …).  A host
+  answers each chunk as soon as it has computed it and the coordinator
+  refills its window, so cheap chunks (activated/hopeless roots) never
+  leave a host idling behind a static partition.
+* **One transport** — local hosts speak the distributed protocol over a
+  ``socket.socketpair()``, so the local pool and remote ``repro
+  dist-worker`` hosts share one coordinator,
+  :class:`repro.dist.DistributedRuntime`, the one transport subclass of
+  :class:`ChunkExecutor`: one result format, and one liveness model, in
+  which a host's death is an EOF.  Every :meth:`ChunkExecutor.run` gets
+  its own tag, so concurrent callers — the serving tier's overlapped
+  ``run_many`` lanes — pipeline their chunks onto one pool.
 
 Determinism: one sampling stream.  Every draw first takes all of its
 samples' ``(root, world_seed)`` pairs from the query's RNG, in the
@@ -40,48 +35,30 @@ chunk-id order.  A collection therefore depends only on the RNG state
 and ``count`` — never on worker count, host count, chunk size,
 scheduling, or whether a fallback ran.
 
-One chunk executor: :class:`ChunkExecutor` holds the bookkeeping every
-remote backend shares — per-run stashes merged in submission order,
-first-answer-wins delivery, the :data:`MAX_TASK_RETRIES` bound, the
-degraded fallback — and both the local pool
-(:class:`SharedGraphRuntime`) and the multi-host coordinator
-(:class:`repro.dist.DistributedRuntime`) subclass it, keeping only their
-transport.  A failure is scoped to its run: a chunk that raises, or
-exhausts its retries, fails the one ``run`` (query) it belongs to; the
-executor stays open for every other caller.
-
-Fault tolerance: the same determinism contract is what makes the
-runtime *supervised* rather than merely fail-fast.  Workers announce
-each chunk they pull (a claim message ahead of the result), so the
-collector knows chunk ownership; a liveness sweep detects dead workers,
-re-enqueues their unacknowledged chunks with bounded retries and
-exponential backoff (re-executing a chunk is bit-identical — it is a
-pure function of its roots and world seeds), and respawns replacements
-against the already-published shared graph.  After
-:data:`MAX_CONSECUTIVE_DEATHS` deaths of one worker slot in a row the
-runtime **degrades** instead of raising: every run finishes its
-remaining chunks serially in-process, and later dispatches bypass the
-pool entirely — same results, no recovery storm.
-:meth:`SharedGraphRuntime.health` snapshots the supervision counters
-(:class:`RuntimeHealth`), and a process-wide shared-memory registry with
-an ``atexit``/SIGTERM reaper (:func:`reap_shm_segments`) unlinks
-orphaned ``repro-*`` segments even on abnormal exit.  Every recovery
-path is deterministically drivable via :mod:`repro.testing.faults`.
+The same contract makes the runtime *supervised* rather than merely
+fail-fast.  :class:`ChunkExecutor` holds the bookkeeping — per-run
+stashes merged in submission order, first-answer-wins delivery, the
+:data:`MAX_TASK_RETRIES` bound, the degraded fallback — and a failure is
+scoped to its run: a chunk that raises, or exhausts its retries, fails
+the one ``run`` (query) it belongs to.  A lost chunk is re-executed
+bit-identically elsewhere, a dead local host is respawned, and after
+:data:`MAX_CONSECUTIVE_DEATHS` deaths of one host slot in a row the
+runtime **degrades**: runs finish serially in-process, and later
+dispatches bypass the pool — same results, no recovery storm.
+:func:`runtime_health` snapshots the supervision counters
+(:class:`RuntimeHealth`), and every recovery path is deterministically
+drivable via :mod:`repro.testing.faults`.
 """
 
 from __future__ import annotations
 
 import atexit
-import heapq
 import itertools
 import math
 import multiprocessing as mp
 import os
-import signal
 import threading
-import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,8 +66,7 @@ import numpy as np
 from ..engine import LANE_WIDTH, SamplingEngine
 from ..engine.coverage import csr_to_frozensets
 from ..engine.lanes import draw_lane_inputs
-from ..graphs.digraph import CSRView, DiGraph
-from ..testing import faults
+from ..graphs.digraph import DiGraph
 from .prr import PRRArena, sample_prr_lanes
 
 __all__ = [
@@ -98,7 +74,6 @@ __all__ = [
     "parallel_critical_sets",
     "parallel_rr_csr",
     "ChunkExecutor",
-    "SharedGraphRuntime",
     "RuntimeHealth",
     "runtime_health",
     "bind_distributed_runtime",
@@ -109,46 +84,35 @@ __all__ = [
     "shutdown_runtime",
     "shutdown_runtime_for",
     "runtime_is_alive",
-    "reap_shm_segments",
     "fork_available",
     "resolve_sampler_workers",
     "PARALLEL_MIN_SAMPLES",
 ]
 
 # Samples per streamed chunk: small enough that stragglers rebalance,
-# large enough that per-chunk overhead (one task and one result ship)
+# large enough that per-chunk overhead (one chunk and one result frame)
 # stays negligible.  Only where samples are evaluated depends on it,
 # never their values.
 CHUNK_SIZE = 256
 
-# Results below this many bytes ride the queue; larger ones go through a
-# per-result shared-memory segment.
-_SHM_RESULT_MIN = 1 << 18
-
-
 # Below this many samples a sampler dispatch stays in-process: a chunk
-# queue round-trip costs more than two lane batches.
+# round-trip costs more than two lane batches.
 PARALLEL_MIN_SAMPLES = 512
 
 # Supervision bounds, read at use time.  A lost chunk is resent at most
-# MAX_TASK_RETRIES times (by the local pool after an exponential backoff
-# from RETRY_BACKOFF_BASE seconds); after MAX_CONSECUTIVE_DEATHS worker
-# deaths with no successful result in between, the local pool degrades
-# to the in-process serial path instead of respawning further.
+# MAX_TASK_RETRIES times.  A dead local host is respawned after
+# RETRY_BACKOFF_BASE seconds, doubled per death of its slot in a row;
+# after MAX_CONSECUTIVE_DEATHS such deaths the pool degrades to the
+# in-process serial path instead of respawning further.
 MAX_TASK_RETRIES = 3
 RETRY_BACKOFF_BASE = 0.05
 MAX_CONSECUTIVE_DEATHS = 3
-# Straggler bound: a *claimed* chunk with no result after this many
-# seconds is resent (its late duplicate, if any, is dropped on arrival).
-# Off: chunk cost is workload-dependent and a false positive doubles
-# work.  When set, it catches lost results from workers that stay alive,
-# which the liveness sweep cannot see.
+# Straggler bound: a chunk still unanswered this many seconds after its
+# host's previous answer is resent (its late duplicate, if any, is
+# dropped on arrival).  Off: chunk cost is workload-dependent and a
+# false positive doubles work.  When set, it catches lost results from
+# hosts that stay alive and answer nothing after them.
 TASK_TIMEOUT: Optional[float] = None
-
-# How often the collector sweeps worker liveness / due retries when no
-# results are arriving.  Bounds fault-detection latency, not result
-# latency — waiting runs are woken when their last chunk arrives.
-_POLL_INTERVAL = 0.2
 
 
 def fork_available() -> bool:
@@ -197,254 +161,11 @@ def _chunk_jobs(roots: np.ndarray, world_seeds: np.ndarray) -> List[Job]:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory plumbing
-# ----------------------------------------------------------------------
-# Resource-tracker note: the runtime requires fork, so every process
-# shares the master's tracker.  CPython's SharedMemory registers a name
-# on open (a set add, idempotent across attachers) and unregisters it in
-# unlink() — each segment here is unlinked exactly once by its consumer,
-# so the ledger balances without any manual (un)registration.
-#
-# On top of that sits a process-wide *named-segment registry*: every
-# segment is created under the ``repro-<master-pid>-…`` prefix and
-# recorded in ``_shm_registry``; :func:`reap_shm_segments` (run at
-# interpreter exit and on SIGTERM, callable any time after shutdown)
-# unlinks whatever is left — including segments published by *workers*
-# that died before the master could consume them, found by scanning
-# ``/dev/shm`` for the shared prefix.  Normal operation unlinks every
-# segment promptly; the reaper exists for abnormal exits.
-
-_ArrayTable = List[Tuple[str, str, tuple, int]]
-
-# The prefix is fixed at import time in the master, so forked workers
-# inherit it and every segment of one process tree shares it.
-_SHM_PREFIX = f"repro-{os.getpid():x}"
-_shm_counter = itertools.count()
-_shm_registry: set = set()
-_SHM_REG_LOCK = threading.Lock()
-
-
-def _create_shm(size: int) -> shared_memory.SharedMemory:
-    """A fresh registered segment under this process tree's name prefix."""
-    while True:
-        name = f"{_SHM_PREFIX}-{os.getpid():x}-{next(_shm_counter):x}"
-        try:
-            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        except FileExistsError:  # pragma: no cover - counter collision
-            continue
-        with _SHM_REG_LOCK:
-            _shm_registry.add(name)
-        return shm
-
-
-def _unregister_shm(name: str) -> None:
-    with _SHM_REG_LOCK:
-        _shm_registry.discard(name)
-
-
-def reap_shm_segments() -> List[str]:
-    """Unlink every leftover ``repro-*`` segment of this process tree.
-
-    Covers the registry (segments this process created) plus, on
-    platforms exposing ``/dev/shm``, a prefix scan that also catches
-    segments published by crashed workers.  Safe to call repeatedly;
-    returns the names actually reaped.  Only call while no runtime of
-    this process is live — the reaper cannot tell an orphan from a
-    segment still in use by an open pool.
-    """
-    with _SHM_REG_LOCK:
-        names = set(_shm_registry)
-        _shm_registry.clear()
-    shm_dir = "/dev/shm"
-    if os.path.isdir(shm_dir):
-        try:
-            names.update(
-                entry for entry in os.listdir(shm_dir)
-                if entry.startswith(_SHM_PREFIX + "-")
-            )
-        except OSError:  # pragma: no cover - defensive
-            pass
-    reaped = []
-    for name in sorted(names):
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            continue
-        try:
-            seg.close()
-            seg.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - raced
-            continue
-        reaped.append(name)
-    return reaped
-
-
-_sigterm_installed = False
-
-
-def _sigterm_reaper(signum, frame):  # pragma: no cover - signal path
-    try:
-        shutdown_runtime()
-    except Exception:
-        pass
-    reap_shm_segments()
-    signal.signal(signum, signal.SIG_DFL)
-    os.kill(os.getpid(), signum)
-
-
-def _install_sigterm_reaper() -> None:
-    """Chain a SIGTERM reaper once, only over the default handler and
-    only from the main thread — never clobber an application handler."""
-    global _sigterm_installed
-    if _sigterm_installed:
-        return
-    _sigterm_installed = True
-    if threading.current_thread() is not threading.main_thread():
-        return
-    try:
-        if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
-            signal.signal(signal.SIGTERM, _sigterm_reaper)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-
-
-def _publish_arrays(
-    arrays: Dict[str, np.ndarray]
-) -> Tuple[shared_memory.SharedMemory, _ArrayTable]:
-    """Copy ``arrays`` into one fresh shared-memory segment.
-
-    Returns the segment plus an offset table (name, dtype, shape, offset)
-    that :func:`_attach_arrays` uses to rebuild zero-copy views.
-    """
-    table: _ArrayTable = []
-    offset = 0
-    contiguous = {}
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        contiguous[name] = arr
-        table.append((name, arr.dtype.str, arr.shape, offset))
-        offset += arr.nbytes
-        offset = (offset + 63) & ~63  # 64-byte alignment
-    shm = _create_shm(max(offset, 1))
-    for (name, _dt, _shape, off), arr in zip(table, contiguous.values()):
-        if arr.nbytes:
-            dst = np.frombuffer(
-                shm.buf, dtype=arr.dtype, count=arr.size, offset=off
-            )
-            dst[:] = arr.ravel()
-    return shm, table
-
-
-def _attach_arrays(
-    shm: shared_memory.SharedMemory, table: _ArrayTable
-) -> Dict[str, np.ndarray]:
-    """Zero-copy read-only views of a published segment."""
-    out = {}
-    for name, dtype_str, shape, offset in table:
-        dt = np.dtype(dtype_str)
-        size = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(shm.buf, dtype=dt, count=size, offset=offset)
-        arr = arr.reshape(shape)
-        arr.flags.writeable = False
-        out[name] = arr
-    return out
-
-
-def _ship_result(arrays: Sequence[np.ndarray]):
-    """Package worker output: queue-inline when small, else one shared
-    segment of raw buffers."""
-    arrays = [np.ascontiguousarray(a) for a in arrays]
-    total = sum(a.nbytes for a in arrays)
-    if total < _SHM_RESULT_MIN:
-        return ("q", arrays)
-    named = {str(i): a for i, a in enumerate(arrays)}
-    shm, table = _publish_arrays(named)
-    shm.close()  # the master unlinks after copying out
-    return ("shm", shm.name, table)
-
-
-def _receive_result(msg) -> List[np.ndarray]:
-    """Unpack :func:`_ship_result` output (copies out of shared memory)."""
-    if msg[0] == "q":
-        return list(msg[1])
-    _tag, name, table = msg
-    shm = shared_memory.SharedMemory(name=name)  # attach: not re-tracked
-    views = _attach_arrays(shm, table)
-    out = [np.array(views[str(i)], copy=True) for i in range(len(table))]
-    del views
-    shm.close()
-    shm.unlink()
-    _unregister_shm(name)
-    return out
-
-
-class _SharedGraphView:
-    """Duck-typed :class:`DiGraph` over shared-memory array views.
-
-    Exposes exactly what :class:`~repro.engine.SamplingEngine` and the
-    samplers consume (``n``/``m``, the two CSR views, the flat edge
-    arrays) without ever materializing a private copy of the graph.
-    """
-
-    def __init__(self, n: int, m: int, shm, arrays: Dict[str, np.ndarray]):
-        self.n = n
-        self.m = m
-        self._shm = shm  # keeps the segment mapped
-        self._a = arrays
-        self._engine_cache = None
-
-    def out_csr(self) -> CSRView:
-        a = self._a
-        return CSRView(
-            a["out_indptr"], a["out_nodes"], a["out_p"], a["out_pp"], a["out_eid"]
-        )
-
-    def in_csr(self) -> CSRView:
-        a = self._a
-        return CSRView(
-            a["in_indptr"], a["in_nodes"], a["in_p"], a["in_pp"], a["in_eid"]
-        )
-
-    def edge_arrays(self):
-        a = self._a
-        return a["src"], a["dst"], a["p"], a["pp"]
-
-
-def _publishable_store_path(graph) -> Optional[str]:
-    """The store path workers can attach to directly, if any.
-
-    Only **pristine** store-backed graphs qualify: ``version == 0``
-    means every array the workers would read is exactly what the file
-    holds.  After an in-place probability update the live arrays diverge
-    from the file (copy-on-write), so the runtime falls back to the
-    shared-memory publication of the current arrays.
-    """
-    path = getattr(graph, "store_path", None)
-    if path is None or getattr(graph, "version", 0) != 0:
-        return None
-    return path if os.path.exists(path) else None
-
-
-def _graph_arrays(graph: DiGraph) -> Dict[str, np.ndarray]:
-    out = graph.out_csr()
-    inc = graph.in_csr()
-    src, dst, p, pp = graph.edge_arrays()
-    return {
-        "out_indptr": out.indptr, "out_nodes": out.nodes, "out_p": out.p,
-        "out_pp": out.pp, "out_eid": out.eid,
-        "in_indptr": inc.indptr, "in_nodes": inc.nodes, "in_p": inc.p,
-        "in_pp": inc.pp, "in_eid": inc.eid,
-        "src": src, "dst": dst, "p": p, "pp": pp,
-    }
-
-
-# ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
 def _run_task(graph, kind: str, roots, world_seeds, params) -> List[np.ndarray]:
-    """Evaluate the samples of ``(roots, world_seeds)`` on ``graph`` (a
-    view in workers, the real graph in process) as a flat array list —
-    a pure function of its arguments."""
+    """Evaluate the samples of ``(roots, world_seeds)`` on ``graph`` as a
+    flat array list — a pure function of its arguments."""
     size = len(roots)
     if kind == "prr":
         seed_set, k = params
@@ -466,79 +187,17 @@ def _run_task(graph, kind: str, roots, world_seeds, params) -> List[np.ndarray]:
     raise ValueError(f"unknown task kind: {kind}")
 
 
-def _worker_main(
-    source, n, m, task_queue, result_queue, worker_id, generation
-) -> None:
-    plan = faults.plan_from_env()  # inherited at fork; None in production
-    if source[0] == "store":
-        # mmap-backed graph: attach by path.  Every worker maps the same
-        # file, so the page cache is shared across the pool and no copy
-        # of the graph is ever serialized or published.
-        from ..storage.store import open_graph
-
-        view = open_graph(source[1], mode="mmap")
-    else:
-        _tag, shm_name, table = source
-        shm = shared_memory.SharedMemory(name=shm_name)  # attach: not re-tracked
-        view = _SharedGraphView(n, m, shm, _attach_arrays(shm, table))
-    SamplingEngine.for_graph(view)  # warm the engine once
-    chunk_index = 0
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        task_id, kind, roots, world_seeds, params = task
-        chunk_index += 1
-        # Claim before computing: the collector learns chunk ownership,
-        # so a death (or a vanished result) is attributable to exactly
-        # one chunk and that chunk can be re-enqueued.
-        result_queue.put(("claim", worker_id, task_id))
-        action = (
-            plan.action_for(worker_id, generation, chunk_index)
-            if plan is not None
-            else faults.NO_ACTION
-        )
-        if action.delay_s:
-            time.sleep(action.delay_s)
-        if action.kill:
-            # Simulated hard crash mid-chunk (no result, no cleanup).  The
-            # queue is closed first so the feeder thread drains the claim
-            # to the master — modelling a worker that died *during* the
-            # computation, after ownership was observable.  (A death in
-            # the sub-millisecond window before the claim flushes is the
-            # known-unattributable race documented on the runtime.)
-            result_queue.close()
-            result_queue.join_thread()
-            os._exit(17)
-        if action.drop:
-            continue  # simulated lost result message
-        try:
-            msg = _ship_result(_run_task(view, kind, roots, world_seeds, params))
-            result_queue.put(("res", worker_id, task_id, True, msg))
-        except Exception as exc:  # surface, don't hang the master
-            result_queue.put(("res", worker_id, task_id, False, repr(exc)))
-    # Flush pending queue feeds, then exit without interpreter teardown:
-    # the engine holds views into the shared segment, and unwinding them
-    # through GC trips BufferError in SharedMemory.__del__.
-    result_queue.close()
-    result_queue.join_thread()
-    os._exit(0)
-
-
 @dataclass(frozen=True)
 class RuntimeHealth:
     """A point-in-time snapshot of the runtime's supervision state.
 
-    ``workers`` is the configured pool size, ``workers_alive`` how many
-    processes currently pass ``is_alive``; ``restarts`` counts worker
-    respawns, ``retries`` chunk re-enqueues, and ``degraded`` whether the
-    runtime has given up on the pool and fallen back to the in-process
-    serial path (results stay bit-identical — only throughput changes).
-
-    For the distributed runtime the same fields are reinterpreted at
-    host granularity — ``workers`` is the summed remote capacity,
-    ``restarts`` counts host losses, ``retries`` chunk re-assignments —
-    and ``hosts`` carries one counter dict per configured worker host.
+    ``workers`` is the summed capacity of the configured hosts (one per
+    local host), ``workers_alive`` that of the hosts still connected;
+    ``restarts`` counts local host respawns plus remote host losses,
+    ``retries`` chunk re-assignments, and ``degraded`` whether the
+    runtime has given up on its hosts and fallen back to the in-process
+    path (results stay bit-identical — only throughput changes).
+    ``hosts`` carries one counter dict per configured host.
     """
 
     workers: int
@@ -738,313 +397,21 @@ class ChunkExecutor:
             return True
 
 
-# ----------------------------------------------------------------------
-# Runtime
-# ----------------------------------------------------------------------
-class SharedGraphRuntime(ChunkExecutor):
-    """A persistent worker pool bound to one graph's shared arrays.
-
-    Construction publishes the graph once and forks ``workers``
-    long-lived processes.  Every :meth:`~ChunkExecutor.run` puts its
-    chunk tasks, tagged ``(tag, chunk_id)``, on the one shared task
-    queue, and a collector thread demultiplexes the result queue back
-    into the runs — that is what lets several queries' sampling phases
-    share the pool *concurrently*, each lane running its selection phase
-    the moment its own samples are complete.  A chunk that raises in a
-    worker fails only its own run.
-
-    Reused across calls via :func:`get_runtime`; :meth:`shutdown` (or
-    interpreter exit) releases processes and shared memory.
-    """
-
-    def __init__(self, graph: DiGraph, workers: int) -> None:
-        if not fork_available():
-            raise RuntimeError("SharedGraphRuntime requires the fork start method")
-        super().__init__()
-        _install_sigterm_reaper()
-        self.graph = graph
-        self.graph_version = getattr(graph, "version", 0)
-        self.workers = int(workers)
-        self._ctx = mp.get_context("fork")
-        # Publication: pristine store-backed graphs are published *by
-        # path* — workers mmap the store file themselves, so pool startup
-        # copies nothing and all workers share one page-cache image.
-        # Everything else is copied once into a shared-memory segment.
-        store_path = _publishable_store_path(graph)
-        if store_path is not None:
-            self._shm = None
-            self._source: tuple = ("store", store_path)
-        else:
-            self._shm, table = _publish_arrays(_graph_arrays(graph))
-            self._source = ("shm", self._shm.name, table)
-        self._tasks = self._ctx.Queue()
-        self._results = self._ctx.Queue()
-        # Supervision state, guarded by _cv (spawn/respawn of processes
-        # happens outside it).
-        self._inflight: Dict[int, Tuple[tuple, float]] = {}  # slot -> (task id, t)
-        self._deferred: List[tuple] = []  # heap of (due, seq, tag, cid)
-        self._deferred_seq = itertools.count()
-        self._generation = [0] * self.workers
-        self._dead_handled: set = set()
-        self._restarts = 0
-        # Per-slot run of deaths with no intervening result from that
-        # slot.  A one-time burst (every worker killed at once) is one
-        # death per slot and recovers; a slot whose respawns keep dying
-        # is the hopeless-environment signal that triggers degradation.
-        self._death_streak = [0] * self.workers
-        self._procs: List[mp.process.BaseProcess] = [None] * self.workers
-        for slot in range(self.workers):
-            self._spawn(slot)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="runtime-collector", daemon=True
-        )
-        self._collector.start()
-
-    def _spawn(self, slot: int) -> None:
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                self._source, self.graph.n, self.graph.m,
-                self._tasks, self._results, slot, self._generation[slot],
-            ),
-            daemon=True,
-        )
-        proc.start()
-        self._procs[slot] = proc
-
-    @property
-    def publication(self) -> str:
-        """How workers attach to the graph: ``"store"`` (mmap by path)
-        or ``"shm"`` (copied into a shared-memory segment)."""
-        return self._source[0]
-
-    def _send(self, tag: int, run: _Run, cids: Sequence[int]) -> None:
-        for cid in cids:
-            roots, world_seeds = run.jobs[cid]
-            self._tasks.put(
-                ((tag, cid), run.kind, roots, world_seeds, run.params)
-            )
-
-    def _fallback(
-        self, kind: str, jobs: Sequence[Job], params: tuple
-    ) -> List[List[np.ndarray]]:
-        return run_chunks_local(self.graph, kind, jobs, params, 1)
-
-    # ------------------------------------------------------------------
-    # Collector + supervision
-    # ------------------------------------------------------------------
-    def _requeue(self, task_id: tuple, why: str) -> None:
-        """Schedule a lost chunk for a resend after an exponential
-        backoff (caller holds the cv)."""
-        tag, cid = task_id
-        attempt = self._retry(tag, cid, why)
-        if not attempt:
-            return
-        due = time.monotonic() + RETRY_BACKOFF_BASE * (2 ** (attempt - 1))
-        heapq.heappush(
-            self._deferred, (due, next(self._deferred_seq), tag, cid)
-        )
-
-    def _service_deferred(self) -> None:
-        """Resend due re-enqueued chunks that are still owed."""
-        now = time.monotonic()
-        ready = []
-        with self._cv:
-            while self._deferred and self._deferred[0][0] <= now:
-                _due, _seq, tag, cid = heapq.heappop(self._deferred)
-                run = self._owed(tag, cid)
-                if run is not None:
-                    ready.append((tag, run, cid))
-        for tag, run, cid in ready:
-            self._send(tag, run, [cid])
-
-    def _sweep(self) -> None:
-        """Detect dead workers; re-enqueue their chunks and respawn them.
-
-        Each death increments its slot's death streak (reset by a result
-        from that slot, so a one-time burst of deaths recovers); when a
-        slot's respawns have died :data:`MAX_CONSECUTIVE_DEATHS` times in
-        a row the runtime degrades — no further respawns, runs finish
-        serially — which bounds the recovery storm a persistently
-        crashing environment could otherwise cause.  With
-        :data:`TASK_TIMEOUT` set, claimed chunks whose result never
-        arrived (worker alive but wedged, or the result message lost) are
-        re-enqueued too.
-        """
-        respawn: List[int] = []
-        now = time.monotonic()
-        with self._cv:
-            if self._closed:
-                return
-            for slot, proc in enumerate(self._procs):
-                if proc.is_alive() or slot in self._dead_handled:
-                    continue
-                self._dead_handled.add(slot)
-                lost = self._inflight.pop(slot, None)
-                if lost is not None:
-                    self._requeue(lost[0], f"worker {slot} died")
-                self._death_streak[slot] += 1
-                if self._degraded:
-                    continue
-                if self._death_streak[slot] >= MAX_CONSECUTIVE_DEATHS:
-                    self._degrade()
-                    continue
-                self._generation[slot] += 1
-                self._restarts += 1
-                respawn.append(slot)
-            if TASK_TIMEOUT is not None:
-                for slot, (task_id, claimed_at) in list(self._inflight.items()):
-                    if now - claimed_at > TASK_TIMEOUT:
-                        del self._inflight[slot]
-                        self._requeue(task_id, f"no result within {TASK_TIMEOUT}s")
-        for slot in respawn:
-            self._spawn(slot)  # outside the lock: process start is slow
-            with self._cv:
-                self._dead_handled.discard(slot)
-
-    def _collect_loop(self) -> None:
-        """Drain the result queue into the runs (single reader).
-
-        Runs until shutdown.  Claim messages maintain per-worker chunk
-        ownership; between messages — and at least every
-        :data:`_POLL_INTERVAL` seconds — the liveness sweep and the retry
-        queue run.  Result payloads are copied out of (and their
-        segments unlinked from) shared memory here, so answers for
-        finished runs never leak segments.
-        """
-        last_sweep = time.monotonic()
-        while not self._closed:
-            self._service_deferred()
-            try:
-                msg = self._results.get(timeout=_POLL_INTERVAL)
-            except Exception:
-                msg = None
-            now = time.monotonic()
-            if msg is None or now - last_sweep >= _POLL_INTERVAL:
-                self._sweep()
-                last_sweep = now
-            if msg is None:
-                continue
-            if msg[0] == "claim":
-                _kind, wid, task_id = msg
-                with self._cv:
-                    prev = self._inflight.get(wid)
-                    self._inflight[wid] = (task_id, time.monotonic())
-                    if prev is not None and prev[0] != task_id:
-                        # The worker moved on without ever shipping the
-                        # previous chunk's result: treat it as lost.
-                        self._requeue(
-                            prev[0], f"worker {wid} superseded it unanswered"
-                        )
-                continue
-            _kind, wid, (tag, cid), ok, payload = msg
-            error = None
-            if not ok:
-                error = f"worker task ({tag}, {cid}) failed: {payload}"
-            else:
-                try:
-                    arrays = _receive_result(payload)
-                except Exception as exc:  # pragma: no cover - defensive
-                    error = f"result unpack failed: {exc!r}"
-            with self._cv:
-                held = self._inflight.get(wid)
-                if held is not None and held[0] == (tag, cid):
-                    del self._inflight[wid]
-                if 0 <= wid < len(self._death_streak):
-                    self._death_streak[wid] = 0
-                if error is None:
-                    self._deliver(tag, cid, arrays)
-                else:
-                    self._fail_run(tag, error)
-
-    def health(self) -> RuntimeHealth:
-        """A consistent snapshot of the supervision counters."""
-        with self._cv:
-            return RuntimeHealth(
-                workers=self.workers,
-                workers_alive=sum(
-                    p is not None and p.is_alive() for p in self._procs
-                ),
-                restarts=self._restarts,
-                retries=self.retries,
-                degraded=self._degraded,
-            )
-
-    def shutdown(self, timeout: float = 15.0) -> None:
-        """Tear the pool down (idempotent, concurrency-safe, bounded).
-
-        Total teardown wall-clock is capped by ``timeout``: the drain
-        phase and the per-worker joins share one deadline, and workers
-        still alive past it are terminated (then killed).  Safe against a
-        half-dead pool — sentinels go onto the task queue regardless of
-        which workers still live, a dead worker's sentinel is simply
-        never consumed, and joins on already-dead processes return
-        immediately.
-        """
-        if not self._close():
-            return
-        deadline = time.monotonic() + max(float(timeout), 0.1)
-        self._collector.join(timeout=min(5.0, max(deadline - time.monotonic(), 0.1)))
-        for _ in self._procs:
-            try:
-                self._tasks.put(None)
-            except Exception:  # pragma: no cover - broken queue
-                pass
-        # Drain in-flight results *while* workers wind down: a worker
-        # mid-put must not block forever against a full pipe, and every
-        # abandoned result's shared segment needs unlinking.  Bounded, and
-        # tolerant of truncated/claim messages from dying workers.
-        while time.monotonic() < deadline:
-            try:
-                msg = self._results.get(timeout=0.25)
-            except Exception:
-                if not any(p is not None and p.is_alive() for p in self._procs):
-                    break
-                continue
-            if msg and msg[0] == "res" and msg[3]:
-                try:
-                    _receive_result(msg[4])
-                except Exception:  # pragma: no cover - defensive
-                    pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=max(deadline - time.monotonic(), 0.1))
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=0.5)
-                if proc.is_alive():
-                    proc.kill()
-        # cancel_join_thread: never block interpreter exit on unflushed
-        # queue buffers — every worker is gone by now.
-        self._tasks.close()
-        self._tasks.cancel_join_thread()
-        self._results.close()
-        self._results.cancel_join_thread()
-        if self._shm is not None:  # store-published runtimes own no segment
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already unlinked
-                pass
-            _unregister_shm(self._shm.name)
-
-
-_runtime: Optional[SharedGraphRuntime] = None
+_runtime: Optional[Any] = None  # the local pool, a DistributedRuntime
 _RUNTIME_LOCK = threading.Lock()
 
 
-def get_runtime(graph: DiGraph, workers: int) -> SharedGraphRuntime:
-    """The cached runtime for ``graph`` (created/replaced on demand).
+def get_runtime(graph: DiGraph, workers: int):
+    """The cached local pool for ``graph`` (created/replaced on demand).
 
-    One runtime is kept alive at a time — repeated calls with the same
+    One pool is kept alive at a time — repeated calls with the same
     graph (at its current :attr:`~repro.graphs.DiGraph.version`) and a
     compatible worker count reuse the warm pool, which is what makes
     multi-round algorithms (IMM doubling, repeated boosts) pay pool
     startup once per graph instead of once per call.  A version bump
-    (in-place probability update) retires the pool: its published
-    segment holds the pre-mutation arrays.  Thread-safe — overlap lanes
-    race here on first parallel dispatch.
+    (in-place probability update) retires the pool: its hosts hold the
+    pre-mutation arrays.  Thread-safe — overlap lanes race here on first
+    parallel dispatch.
     """
     global _runtime
     with _RUNTIME_LOCK:
@@ -1053,12 +420,14 @@ def get_runtime(graph: DiGraph, workers: int) -> SharedGraphRuntime:
             and not _runtime._closed
             and _runtime.graph is graph
             and _runtime.graph_version == getattr(graph, "version", 0)
-            and _runtime.workers >= workers
+            and _runtime.capacity >= workers
         ):
             return _runtime
         if _runtime is not None:
             _runtime.shutdown()
-        _runtime = SharedGraphRuntime(graph, workers)
+        from ..dist.coordinator import DistributedRuntime
+
+        _runtime = DistributedRuntime.local(graph, workers)
         return _runtime
 
 
@@ -1073,10 +442,10 @@ def shutdown_runtime() -> None:
 def shutdown_runtime_for(graph) -> bool:
     """Tear down the cached runtime iff it is bound to ``graph``.
 
-    The hook :meth:`repro.api.Session.close` uses to release worker
-    processes and shared-memory segments it is responsible for without
-    disturbing a runtime some other graph's caller still owns.  Returns
-    whether a runtime was shut down.
+    The hook :meth:`repro.api.Session.close` uses to release the host
+    processes it is responsible for without disturbing a runtime some
+    other graph's caller still owns.  Returns whether a runtime was shut
+    down.
     """
     global _runtime
     if _runtime is not None and _runtime.graph is graph:
@@ -1096,8 +465,8 @@ def runtime_health(graph=None) -> Optional[RuntimeHealth]:
     ``None`` means no runtime is live (serial configurations, fork-less
     platforms, post-shutdown) — or, when ``graph`` is given, that the
     live runtime serves a different graph.  A graph with a bound
-    distributed runtime reports that runtime's host-granular health
-    instead (see :mod:`repro.dist`).  The session/serving tiers report
+    remote-host runtime reports that runtime's health instead (see
+    :mod:`repro.dist`).  The session/serving tiers report
     this through ``Session.stats()`` and ``/healthz``.
     """
     if graph is not None:
@@ -1115,12 +484,12 @@ def runtime_health(graph=None) -> Optional[RuntimeHealth]:
 # ----------------------------------------------------------------------
 # Distributed runtime binding
 # ----------------------------------------------------------------------
-# Graphs with a multi-host sampling runtime attached (repro.dist) are
+# Graphs with a remote-host sampling runtime attached (repro.dist) are
 # registered here so _run_chunks below can route batch work to the
-# coordinator without this module ever importing repro.dist (dist
-# imports parallel for the executor and the job/payload contract — the
-# dependency only points one way).  The registry holds ChunkExecutors
-# that also report ``.health()``.
+# coordinator.  repro.dist imports this module for the executor and the
+# job/payload contract, so this module imports repro.dist only when it
+# builds a pool.  The registry holds ChunkExecutors that also report
+# ``.health()``.
 _DIST_RUNTIMES: Dict[int, Any] = {}
 _DIST_LOCK = threading.Lock()
 
@@ -1148,10 +517,6 @@ def distributed_runtime_for(graph) -> Optional[Any]:
         return _DIST_RUNTIMES.get(id(graph))
 
 
-# LIFO atexit: the reaper is registered first so it runs *after* the
-# runtime shutdown below has unlinked everything it owns — catching only
-# what an abnormal teardown left behind.
-atexit.register(reap_shm_segments)
 atexit.register(shutdown_runtime)
 
 
@@ -1186,12 +551,11 @@ def run_chunks_local(
     params: tuple,
     workers: int,
 ) -> List[List[np.ndarray]]:
-    """Run chunk jobs on the local shared runtime, or serially in-process
-    when ``workers <= 1`` / no fork — never through a distributed
-    binding.  This is what ``repro dist-worker`` hosts and both
-    executors' degraded fallbacks call, so a worker process that
-    happens to share an interpreter with a coordinator can never bounce
-    its own chunks back over the wire."""
+    """Run chunk jobs on the local pool, or serially in-process when
+    ``workers <= 1`` / no fork — never through a distributed binding.
+    This is what worker hosts and the degraded fallbacks call, so a
+    host that happens to share an interpreter with a coordinator can
+    never bounce its own chunks back over the wire."""
     if workers > 1 and fork_available() and len(jobs) > 1:
         rt = get_runtime(graph, workers)
         if not rt.degraded:

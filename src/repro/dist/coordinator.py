@@ -1,46 +1,53 @@
-"""Coordinator side of the distributed sampling runtime.
+"""Coordinator side of the sampling runtime: one transport for all hosts.
 
-:class:`DistributedRuntime` is a
-:class:`~repro.core.parallel.ChunkExecutor` — the same run / stash /
-retry / degrade core the local pool uses — whose transport scatters
-chunk jobs over TCP to remote worker hosts instead of local fork
-workers:
+:class:`DistributedRuntime` is the one
+:class:`~repro.core.parallel.ChunkExecutor` transport.  It drives two
+kinds of worker host over one protocol (:mod:`repro.dist.protocol`):
+**local hosts**, which :meth:`DistributedRuntime.local` forks (the pool
+:func:`repro.core.parallel.get_runtime` keeps) and which each speak over
+a ``socket.socketpair()``, and **remote hosts**, ``repro dist-worker``
+processes reached over TCP after a handshake that refuses a replica of
+another graph.
 
 * **Scatter** — each host gets a sliding window of chunks proportional
-  to the worker capacity it reported at handshake, refilled as results
-  stream back, so fast hosts naturally take more of the tail (the same
-  dynamic balance the local runtime's shared queue gives).
-* **Deterministic merge** — every job carries its samples' roots and
-  world seeds, drawn from the query's RNG before dispatch; the executor
-  stashes results by ``chunk_id`` and returns them in submission order,
-  so the merged payload is bit-identical to the in-process and
-  single-host paths regardless of host count, chunk interleaving, or
-  which host computed what.
-* **Supervision** (the host-level analogue of the local pool's worker
-  supervision) — a lost connection re-assigns that host's outstanding
-  chunks to the survivors, each chunk at most
-  :data:`~repro.core.parallel.MAX_TASK_RETRIES` times; with no hosts
-  left the runtime **degrades**: remaining and future chunks run on the
-  local runtime instead, results unchanged.  A ``chunk_error`` from a
-  host fails only the run (query) it belongs to; the host stays
-  connected.
+  to its worker capacity, refilled as answers stream back, so fast
+  hosts naturally take more of the tail.  Every job carries its roots
+  and world seeds, and the executor merges results in submission order,
+  so where a chunk ran never changes the merged payload.
+* **Lost chunks** — a host answers chunks in the order it received
+  them, so an answer that overtakes an owed chunk marks that chunk
+  lost, and so does :data:`~repro.core.parallel.TASK_TIMEOUT` seconds of
+  silence after the host's previous answer.  A lost chunk is
+  re-assigned at most :data:`~repro.core.parallel.MAX_TASK_RETRIES`
+  times.  A ``chunk_error`` fails only the run (query) it belongs to.
+* **Host loss** — a host's death is an EOF on its socket, and its owed
+  chunks are lost.  A local host is respawned (see :meth:`_respawn`)
+  until its slot dies :data:`~repro.core.parallel.MAX_CONSECUTIVE_DEATHS`
+  times in a row; then, or when no host is left, the runtime
+  **degrades**: remaining and future chunks run in process (a remote
+  runtime's on the local pool), results unchanged.
 
-The runtime is bound to a graph with
-:func:`repro.core.parallel.bind_distributed_runtime` (the
-``Session(hosts=...)`` constructor does this), after which every
+``Session(hosts=...)`` binds a remote runtime to its graph with
+:func:`repro.core.parallel.bind_distributed_runtime`, after which every
 chunked sampling entry point routes through it transparently.
 """
+
 from __future__ import annotations
 
+import multiprocessing as mp
 import socket
 import threading
+import time
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from multiprocessing.connection import wait
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core import parallel
 from ..core.parallel import (
     ChunkExecutor,
     RuntimeHealth,
     _resolve_workers,
+    fork_available,
     run_chunks_local,
 )
 from .protocol import (
@@ -52,6 +59,7 @@ from .protocol import (
     send_msg,
     store_digest,
 )
+from .worker import serve_local_host
 
 __all__ = ["DistributedRuntime", "parse_hosts"]
 
@@ -84,26 +92,50 @@ def parse_hosts(hosts: Union[str, Sequence[HostSpec]]) -> List[Tuple[str, int]]:
 
 
 class _Host:
-    """One connected worker host: its socket, capacity and counters."""
+    """One worker host: its socket, capacity, owed chunks and counters.
 
-    def __init__(self, addr: Tuple[str, int], sock: socket.socket,
-                 workers: int) -> None:
-        self.addr = addr
+    A local host also keeps its process, slot, spawn generation and
+    death streak (deaths with no answer in between)."""
+
+    def __init__(self, label: str, sock: socket.socket, workers: int,
+                 proc=None, slot: int = 0, generation: int = 0,
+                 deaths: int = 0) -> None:
+        self.label = label
         self.sock = sock
         self.workers = max(1, int(workers))
-        # Chunks in flight at once: enough to keep every remote core busy
-        # plus a refill margin that hides one round-trip.
-        self.window = 2 * self.workers + 2
-        self.send_lock = threading.Lock()
+        # Chunks in flight at once: one per core, plus one queued that
+        # hides the refill round-trip.  A deeper window would commit more
+        # of a draw's tail to one host while another sits idle.
+        self.window = self.workers + 1
         self.alive = True
-        self.outstanding: Set[Tuple[int, int]] = set()  # (tag, cid) unanswered
+        self.owed: Deque[Tuple[int, int]] = deque()  # (tag, cid), sent order
+        # When the chunk at the head of ``owed`` started: the host's
+        # previous answer, or its send to an idle host.
+        self.clock = 0.0
         self.chunks_done = 0
         self.chunks_lost = 0
         self.reader: Optional[threading.Thread] = None
+        self.proc = proc
+        self.slot = slot
+        self.generation = generation
+        self.deaths = deaths
 
-    @property
-    def label(self) -> str:
-        return f"{self.addr[0]}:{self.addr[1]}"
+    def close(self) -> None:
+        """Shut the socket both ways: this wakes the host's reader, and
+        a local host reads EOF and exits."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
+
+
+def _reap(proc, timeout: float = 1.0) -> None:
+    """Join a local host's process, killing it past ``timeout``."""
+    proc.join(timeout)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(1.0)
 
 
 class DistributedRuntime(ChunkExecutor):
@@ -111,8 +143,8 @@ class DistributedRuntime(ChunkExecutor):
 
     The run bookkeeping (submission-order merge, retries, failure scope,
     degraded fallback) is :class:`~repro.core.parallel.ChunkExecutor`'s;
-    this class is the transport: the handshake, one reader thread per
-    host, the host windows and host loss.
+    this class is the transport: the hosts, one reader thread per host,
+    the host windows, lost chunks and host loss.
 
     Parameters
     ----------
@@ -134,15 +166,8 @@ class DistributedRuntime(ChunkExecutor):
         hosts: Union[str, Sequence[HostSpec]],
         fallback_workers: Optional[int] = None,
     ) -> None:
-        super().__init__()
-        self.graph = graph
-        self._fallback_workers = (
-            _resolve_workers(None) if fallback_workers is None
-            else max(1, int(fallback_workers))
-        )
-        self._queue: deque = deque()  # (tag, cid) awaiting a host window
-        self.host_losses = 0
-
+        self._setup(graph, _resolve_workers(None) if fallback_workers is None
+                    else max(1, int(fallback_workers)))
         store = publishable_store(graph)
         hello = {
             "type": "hello",
@@ -150,22 +175,48 @@ class DistributedRuntime(ChunkExecutor):
             "fingerprint": graph_fingerprint(graph),
             "store_digest": store_digest(store) if store else None,
         }
+        self._open(self._connect(addr, hello) for addr in parse_hosts(hosts))
+
+    @classmethod
+    def local(cls, graph, workers: int) -> "DistributedRuntime":
+        """``workers`` forked local hosts on ``graph``.
+
+        Each host inherits the graph at fork (copy-on-write), so nothing
+        is copied or published; the runtime records the graph version it
+        forked at.  Its degraded fallback runs serially in process.
+        """
+        if not fork_available():
+            raise RuntimeError("local hosts require the fork start method")
+        pool = cls.__new__(cls)
+        pool._setup(graph, 1)
+        pool._open(pool._fork(slot) for slot in range(int(workers)))
+        return pool
+
+    def _setup(self, graph, fallback_workers: int) -> None:
+        super().__init__()
+        self.graph = graph
+        self.graph_version = getattr(graph, "version", 0)
+        self._fallback_workers = fallback_workers
+        self._queue: deque = deque()  # (tag, cid) awaiting a host window
         self._hosts: List[_Host] = []
+        # Serializes dispatches, so each host's owed order is the order
+        # its chunks went out on the wire.
+        self._send_lock = threading.Lock()
+        self.restarts = 0  # local respawns plus remote host losses
+
+    def _open(self, hosts) -> None:
+        """Add ``hosts`` as they come up, then start reading them; if
+        one fails, close those already up and raise."""
         try:
-            for addr in parse_hosts(hosts):
-                self._hosts.append(self._connect(addr, hello))
+            self._hosts.extend(hosts)
         except Exception:
             self.shutdown()
             raise
         for host in self._hosts:
-            host.reader = threading.Thread(
-                target=self._reader, args=(host,),
-                name=f"repro-dist-{host.label}", daemon=True,
-            )
-            host.reader.start()
+            self._start_reader(host)
 
     # ------------------------------------------------------------------
-    # Connection management
+    # Hosts
     # ------------------------------------------------------------------
     def _connect(self, addr, hello) -> _Host:
         sock = socket.create_connection(addr, timeout=HANDSHAKE_TIMEOUT)
@@ -187,11 +238,68 @@ class DistributedRuntime(ChunkExecutor):
                     "instead of welcome"
                 )
             sock.settimeout(None)
-            return _Host(tuple(addr), sock, header.get("workers", 1))
+            return _Host(f"{addr[0]}:{addr[1]}", sock,
+                         header.get("workers", 1))
         except BaseException:
             sock.close()
             raise
 
+    def _fork(self, slot: int, generation: int = 0, deaths: int = 0) -> _Host:
+        """Fork local host ``slot``; the parent keeps only its own end of
+        the socket pair, so the host's death is an EOF here."""
+        ours, theirs = socket.socketpair()
+        proc = mp.get_context("fork").Process(
+            target=serve_local_host,
+            args=(theirs, self.graph, slot, generation),
+            name=f"repro-host-{slot}", daemon=True,
+        )
+        try:
+            proc.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        return _Host(f"local:{slot}", ours, 1, proc, slot, generation, deaths)
+
+    def _start_reader(self, host: _Host) -> None:
+        host.reader = threading.Thread(
+            target=self._reader, args=(host,),
+            name=f"repro-host-{host.label}", daemon=True,
+        )
+        host.reader.start()
+
+    def _respawn(self, dead: _Host) -> None:
+        """Replace lost local host ``dead`` after a backoff that doubles
+        with its slot's death streak — unless the graph was written since
+        the pool forked: a new fork would inherit the new arrays."""
+        backoff = parallel.RETRY_BACKOFF_BASE * 2 ** (dead.deaths - 1)
+        with self._cv:
+            self._cv.wait_for(lambda: self._closed, backoff)
+            if (self._closed or self._degraded or
+                    getattr(self.graph, "version", 0) != self.graph_version):
+                self._degrade_if_hostless()
+                return
+            # Forked under the lock, so a shutdown cannot miss the host.
+            try:
+                host = self._fork(dead.slot, dead.generation + 1, dead.deaths)
+            except OSError:  # no process to be had: the slot stays dead
+                self._degrade_if_hostless()
+                return
+            self._hosts[dead.slot] = host
+            self.restarts += 1
+        self._start_reader(host)
+        self._dispatch()
+
+    def _degrade_if_hostless(self) -> None:
+        """Degrade when no host is left (caller holds the lock)."""
+        if not any(h.alive for h in self._hosts):
+            self._queue.clear()  # runs claim their chunks themselves
+            self._degrade()
+
+    # ------------------------------------------------------------------
+    # Answers and losses
+    # ------------------------------------------------------------------
     def _reader(self, host: _Host) -> None:
         """Drain one host's answers until it drops.
 
@@ -201,6 +309,9 @@ class DistributedRuntime(ChunkExecutor):
         """
         try:
             while True:
+                timeout = parallel.TASK_TIMEOUT
+                if timeout is not None and not self._answer_due(host, timeout):
+                    continue
                 msg = recv_msg(host.sock)
                 if msg is None:
                     break
@@ -208,49 +319,87 @@ class DistributedRuntime(ChunkExecutor):
                 mtype = header.get("type")
                 if mtype not in ("result", "chunk_error"):
                     break
-                tag = header["tag"]
+                tag, cid = header["tag"], header["cid"]
                 with self._cv:
+                    self._answered(host, (tag, cid))
                     if mtype == "result":
-                        task = (tag, header["cid"])
-                        host.outstanding.discard(task)
-                        if self._deliver(*task, arrays):
+                        if self._deliver(tag, cid, arrays):
                             host.chunks_done += 1
                     else:
                         self._fail_run(
                             tag, f"worker host {host.label} failed chunk "
-                                 f"{header.get('cid')}: {header.get('detail')}"
+                                 f"{cid}: {header.get('detail')}"
                         )
-                        host.outstanding = {
-                            task for task in host.outstanding
-                            if task[0] != tag
-                        }
+                        host.owed = deque(t for t in host.owed if t[0] != tag)
                 self._dispatch()
         except (ProtocolError, OSError, ValueError, KeyError, TypeError):
             pass
         self._host_lost(host)
 
+    def _answered(self, host: _Host, task: Tuple[int, int]) -> None:
+        """Settle ``host``'s owed chunks up to its answer for ``task``
+        (caller holds the lock).  Hosts answer in the order they received
+        chunks, so every chunk still owed ahead of ``task`` was lost."""
+        host.clock = time.monotonic()
+        host.deaths = 0
+        if task not in host.owed:  # already given up on, or a failed run's
+            return
+        lost = []
+        while host.owed[0] != task:
+            lost.append(host.owed.popleft())
+        host.owed.popleft()
+        self._lose(host, lost, f"host {host.label} answered a later chunk")
+
+    def _lose(self, host: _Host, tasks, why: str) -> None:
+        """Re-queue ``host``'s lost chunks ahead of the queue, each within
+        its retry bound (caller holds the lock)."""
+        host.chunks_lost += len(tasks)
+        self._queue.extendleft(reversed(
+            [task for task in tasks if self._retry(*task, why)]
+        ))
+
+    def _answer_due(self, host: _Host, timeout: float) -> bool:
+        """Wait for ``host``'s next answer.  Past ``timeout`` seconds after
+        its previous answer (or the send to it while idle), give up on
+        the chunk it owes first and return ``False``."""
+        with self._cv:
+            left = host.clock + timeout - time.monotonic() if host.owed else timeout
+        if wait([host.sock], max(left, 0.0)):
+            return True
+        with self._cv:
+            now = time.monotonic()
+            if host.owed and now - host.clock >= timeout:
+                host.clock = now
+                self._lose(host, [host.owed.popleft()],
+                           f"no answer from {host.label} within {timeout}s")
+        self._dispatch()
+        return False
+
     def _host_lost(self, host: _Host) -> None:
-        """Re-queue a dropped host's owed chunks; degrade when no host
-        remains."""
+        """Re-queue a dropped host's owed chunks; respawn a local host or
+        degrade when no host remains."""
         with self._cv:
             if not host.alive or self._closed:
                 return
             host.alive = False
-            self.host_losses += 1
-            orphans = sorted(host.outstanding)
-            host.outstanding.clear()
-            host.chunks_lost += len(orphans)
-            why = f"host {host.label} lost"
-            self._queue.extendleft(reversed(
-                [task for task in orphans if self._retry(*task, why)]
-            ))
-            if not any(h.alive for h in self._hosts):
-                self._queue.clear()  # runs claim their chunks themselves
-                self._degrade()
-        try:
-            host.sock.close()
-        except OSError:
-            pass
+            lost = list(host.owed)
+            host.owed.clear()
+            self._lose(host, lost, f"host {host.label} lost")
+            respawn = False
+            if host.proc is None:
+                self.restarts += 1
+            else:
+                host.deaths += 1
+                if host.deaths >= parallel.MAX_CONSECUTIVE_DEATHS:
+                    self._degrade()
+                respawn = not self._degraded
+            if not respawn:
+                self._degrade_if_hostless()
+        host.close()
+        if host.proc is not None:
+            _reap(host.proc)
+        if respawn:
+            self._respawn(host)
         self._dispatch()
 
     # ------------------------------------------------------------------
@@ -288,45 +437,49 @@ class DistributedRuntime(ChunkExecutor):
     def _dispatch(self) -> None:
         """Refill every live host's window from the queue."""
         frames: Dict[_Host, Dict[int, List[int]]] = {}
-        with self._cv:
-            # Round-robin one chunk at a time so a batch smaller than one
-            # host's window still spreads across every live host; the
-            # windows then only cap in-flight depth.
-            while self.active:
-                hosts = [h for h in self._hosts
-                         if h.alive and len(h.outstanding) < h.window]
-                tasks = [task for task in (self._pop_owed() for _ in hosts)
-                         if task is not None]
-                if not tasks:
-                    break
-                for host, task in zip(hosts, tasks):
-                    host.outstanding.add(task)
-                    frames.setdefault(host, {}).setdefault(
-                        task[0], []
-                    ).append(task[1])
-            sends = [
-                (host, [self._frame(tag, cids) for tag, cids in by_tag.items()])
-                for host, by_tag in frames.items()
-            ]
-        for host, host_frames in sends:
-            try:
-                with host.send_lock:
+        with self._send_lock:
+            with self._cv:
+                # Round-robin one chunk at a time so a batch smaller than
+                # one host's window still spreads across every live host;
+                # the windows then only cap in-flight depth.
+                while self.active:
+                    hosts = [h for h in self._hosts
+                             if h.alive and len(h.owed) < h.window]
+                    tasks = [task for task in (self._pop_owed() for _ in hosts)
+                             if task is not None]
+                    if not tasks:
+                        break
+                    now = time.monotonic()
+                    for host, task in zip(hosts, tasks):
+                        if not host.owed:
+                            host.clock = now
+                        host.owed.append(task)
+                        frames.setdefault(host, {}).setdefault(
+                            task[0], []
+                        ).append(task[1])
+                sends = [
+                    (host, [self._frame(tag, cids)
+                            for tag, cids in by_tag.items()])
+                    for host, by_tag in frames.items()
+                ]
+            for host, host_frames in sends:
+                try:
                     for header, arrays in host_frames:
                         send_msg(host.sock, header, arrays)
-            except (OSError, ValueError):
-                self._host_lost(host)
+                except (OSError, ValueError):
+                    # The host's reader reads EOF and handles the loss.
+                    try:
+                        host.sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass
 
     # ------------------------------------------------------------------
     # Runtime interface
     # ------------------------------------------------------------------
     @property
     def capacity(self) -> int:
-        """Summed remote worker capacity (all configured hosts)."""
+        """Summed worker capacity (all configured hosts)."""
         return sum(h.workers for h in self._hosts)
-
-    @property
-    def alive_capacity(self) -> int:
-        return sum(h.workers for h in self._hosts if h.alive)
 
     def health(self) -> RuntimeHealth:
         """Host-granular supervision snapshot (see
@@ -334,8 +487,8 @@ class DistributedRuntime(ChunkExecutor):
         with self._cv:
             return RuntimeHealth(
                 workers=self.capacity,
-                workers_alive=self.alive_capacity,
-                restarts=self.host_losses,
+                workers_alive=sum(h.workers for h in self._hosts if h.alive),
+                restarts=self.restarts,
                 retries=self.retries,
                 degraded=self._degraded,
                 hosts=tuple(
@@ -350,20 +503,23 @@ class DistributedRuntime(ChunkExecutor):
                 ),
             )
 
-    def shutdown(self) -> None:
-        """Close every host connection (idempotent)."""
+    def shutdown(self, timeout: float = 15.0) -> None:
+        """Close every host (idempotent, bounded by ``timeout``).
+
+        Closing a host's socket ends it: a local host reads EOF and
+        exits, and its process is joined (killed if it outlives the
+        deadline); a remote host ends the session.
+        """
         if not self._close():
             return
-        for host in self._hosts:
-            try:
-                with host.send_lock:
-                    send_msg(host.sock, {"type": "bye"})
-            except (OSError, ValueError):
-                pass
-            try:
-                host.sock.close()
-            except OSError:
-                pass
-        for host in self._hosts:
+        deadline = time.monotonic() + max(float(timeout), 0.1)
+        with self._cv:
+            hosts = list(self._hosts)
+        for host in hosts:
+            host.close()
+        for host in hosts:
+            left = max(deadline - time.monotonic(), 0.1)
             if host.reader is not None:
-                host.reader.join(timeout=5.0)
+                host.reader.join(left)
+            if host.proc is not None:
+                _reap(host.proc, left)

@@ -7,13 +7,14 @@ Every message is one length-prefixed frame::
 The header is a small JSON object carrying ``type`` plus message fields;
 its ``arrays`` key is an offset-free table ``[[dtype_str, shape], ...]``
 describing the raw, C-contiguous numpy buffers concatenated after it —
-the same flat-array payloads :func:`repro.core.parallel._ship_result`
-moves between local worker processes, reused here so a remote chunk
-result is byte-for-byte the array list the local runtime would have
-produced.  A ``chunks`` frame's header lists the job ids; its arrays are
-each job's sample inputs, roots (int64) then world seeds (uint64), two
-per job in job order.  Array payloads never round through JSON, so the
-world seeds stay exact 64-bit words.
+the flat array lists chunk results are made of, so a chunk answered by
+a forked local host or by a remote one arrives as the same arrays the
+in-process path returns.  Each array is sent from, and received into,
+its own buffer: one copy per direction.  A ``chunks`` frame's header
+lists the job ids; its arrays are each job's sample inputs, roots
+(int64) then world seeds (uint64), two per job in job order.  Array
+payloads never round through JSON, so the world seeds stay exact 64-bit
+words.
 
 Handshake: the coordinator opens with ``hello`` carrying the protocol
 version, a **graph fingerprint** (``n``, ``m`` and the rounded
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import socket
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -74,19 +76,18 @@ class ProtocolError(RuntimeError):
     """A malformed frame or a handshake refusal."""
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> Optional[memoryview]:
-    """Read exactly ``nbytes``; ``None`` on clean EOF at a frame start."""
-    buf = bytearray(nbytes)
-    view = memoryview(buf)
+def _recv_into(sock: socket.socket, view: memoryview) -> bool:
+    """Fill ``view`` from the socket; ``False`` on clean EOF before its
+    first byte."""
     got = 0
-    while got < nbytes:
+    while got < len(view):
         read = sock.recv_into(view[got:])
         if read == 0:
             if got == 0:
-                return None
+                return False
             raise ProtocolError("connection closed mid-frame")
         got += read
-    return memoryview(buf)
+    return True
 
 
 def send_msg(
@@ -94,31 +95,32 @@ def send_msg(
     header: Dict[str, Any],
     arrays: Sequence[np.ndarray] = (),
 ) -> None:
-    """Ship one frame: ``header`` (JSON) plus raw array payloads."""
+    """Ship one frame: ``header`` (JSON), then each array's raw buffer."""
     blobs = [np.ascontiguousarray(a) for a in arrays]
     header = dict(header)
     header["arrays"] = [[a.dtype.str, list(a.shape)] for a in blobs]
     hb = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    parts = [_LEN.pack(len(hb)), hb]
-    parts.extend(b.tobytes() for b in blobs if b.nbytes)
-    sock.sendall(b"".join(parts))
+    sock.sendall(_LEN.pack(len(hb)) + hb)
+    for blob in blobs:
+        if blob.nbytes:
+            sock.sendall(blob)
 
 
 def recv_msg(
     sock: socket.socket,
 ) -> Optional[Tuple[Dict[str, Any], List[np.ndarray]]]:
     """Read one frame; ``None`` on clean EOF between frames."""
-    prefix = _recv_exact(sock, _LEN.size)
-    if prefix is None:
+    prefix = bytearray(_LEN.size)
+    if not _recv_into(sock, memoryview(prefix)):
         return None
     (hlen,) = _LEN.unpack(prefix)
     if not 0 < hlen <= _MAX_HEADER:
         raise ProtocolError(f"implausible header length {hlen}")
-    raw = _recv_exact(sock, hlen)
-    if raw is None:
+    raw = bytearray(hlen)
+    if not _recv_into(sock, memoryview(raw)):
         raise ProtocolError("connection closed mid-frame")
     try:
-        header = json.loads(bytes(raw).decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
         table = [
             (np.dtype(dtype_str), tuple(int(d) for d in shape))
             for dtype_str, shape in header.get("arrays", ())
@@ -129,15 +131,11 @@ def recv_msg(
     for dt, shape in table:
         if dt.hasobject or min(shape, default=0) < 0:
             raise ProtocolError(f"bad array spec {dt.str} {list(shape)}")
-        size = int(np.prod(shape, dtype=np.int64))
-        nbytes = size * dt.itemsize
-        if nbytes:
-            payload = _recv_exact(sock, nbytes)
-            if payload is None:
-                raise ProtocolError("connection closed mid-frame")
-            arr = np.frombuffer(bytes(payload), dtype=dt).reshape(shape)
-        else:
-            arr = np.empty(shape, dtype=dt)
+        arr = np.empty(shape, dtype=dt)
+        if arr.nbytes and not _recv_into(
+            sock, memoryview(arr.reshape(-1).view(np.uint8))
+        ):
+            raise ProtocolError("connection closed mid-frame")
         arrays.append(arr)
     return header, arrays
 
@@ -167,8 +165,6 @@ def store_digest(path) -> str:
     is the store checksum's job (``repro.storage.open_store(validate=)``),
     not the handshake's.
     """
-    import os
-
     from ..storage.format import read_header
 
     path = str(path)
@@ -184,9 +180,14 @@ def store_digest(path) -> str:
 
 
 def publishable_store(graph) -> Optional[str]:
-    """The store path remote hosts could open for ``graph``, if any
-    (pristine store-backed graphs only — same rule as the local pool's
-    by-path publication)."""
-    from ..core.parallel import _publishable_store_path
+    """The store path remote hosts could open for ``graph``, if any.
 
-    return _publishable_store_path(graph)
+    Only **pristine** store-backed graphs qualify: ``version == 0``
+    means every array a host would read is exactly what the file holds.
+    After an in-place probability update the live arrays diverge from
+    the file (copy-on-write), so the handshake carries no store digest.
+    """
+    path = getattr(graph, "store_path", None)
+    if path is None or getattr(graph, "version", 0) != 0:
+        return None
+    return path if os.path.exists(path) else None

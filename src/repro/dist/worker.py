@@ -1,28 +1,37 @@
-"""Host-side server of the distributed sampling runtime.
+"""Host side of the sampling runtime: one chunk loop, two kinds of host.
 
-``repro dist-worker --graph-store graph.rpgs --port 9123`` runs one of
-these per worker host.  The worker opens its replica of the graph
-locally — for a store-backed graph that is an mmap open with zero
-warm-up, because the store persists the engine precompute — and serves
-one coordinator connection at a time: handshake (fingerprint + store
-digest validation), then a stream of ``chunks`` assignments, each
-answered with one ``result`` frame per chunk.
-
-Chunks are executed through
-:func:`repro.core.parallel.run_chunks_local`, i.e. the host's own
-shared-memory :class:`~repro.core.parallel.SharedGraphRuntime` when it
-has cores to spare — so a cluster multiplies cores × hosts while every
-chunk remains a pure function of the roots and world seeds it carries,
-which is what the determinism contract needs.  The local pool stays
-warm across coordinator sessions.  A malformed ``chunks`` frame gets an
+``repro dist-worker --graph-store graph.rpgs --port 9123`` runs a
+remote host.  It opens its replica of the graph locally — for a
+store-backed graph that is an mmap open with zero warm-up, because the
+store persists the engine precompute — and serves one coordinator
+connection at a time: handshake (fingerprint + store digest
+validation), then a stream of ``chunks`` assignments, each answered with
+one ``result`` frame per chunk.  A malformed ``chunks`` frame gets an
 ``error`` frame back and ends only its own session.
+
+A local host (:func:`serve_local_host`) is a process the coordinator
+forks; it inherits the graph (copy-on-write, so a pristine store stays
+one page-cache image) and runs the same chunk loop on its end of a
+``socket.socketpair()``, with no handshake.
+
+A serial host answers each chunk as soon as it has computed it, in the
+order it received them.  A remote host started with more workers runs
+each ``chunks`` frame on its own local pool
+(:func:`repro.core.parallel.run_chunks_local`), so a cluster multiplies
+cores × hosts while every chunk stays a pure function of the roots and
+world seeds it carries — which is what the determinism contract needs.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import signal
 import socket
+import stat
 import threading
+import time
+from collections import Counter
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -32,6 +41,8 @@ from ..core.parallel import (
     fork_available,
     run_chunks_local,
 )
+from ..engine import SamplingEngine
+from ..testing import faults
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -42,7 +53,7 @@ from .protocol import (
     store_digest,
 )
 
-__all__ = ["serve_worker"]
+__all__ = ["serve_worker", "serve_local_host"]
 
 
 def _resolve_local_workers(workers: Optional[int]) -> int:
@@ -100,6 +111,53 @@ def _decode_chunks(header, arrays, n: int):
     return tag, kind, params, jobs
 
 
+def _serve_chunks(conn, graph, workers: int, stats, next_msg,
+                  compute=None) -> None:
+    """Answer ``chunks`` frames until EOF or ``bye``.
+
+    A serial host answers each chunk as soon as it is computed; a host
+    with ``workers > 1`` runs a whole frame on its local pool first.  A
+    chunk that raises gets a ``chunk_error``, and the rest of its frame
+    (the same failed run) is skipped.  ``compute`` stands in for
+    :func:`~repro.core.parallel.run_chunks_local`; a batch it returns no
+    arrays for gets no answer.
+    """
+    while True:
+        msg = next_msg()
+        if msg is None:
+            return
+        header, arrays = msg
+        if header.get("type") == "bye":
+            return
+        try:
+            if header.get("type") != "chunks":
+                raise ProtocolError(
+                    f"unexpected message type {header.get('type')!r}"
+                )
+            tag, kind, params, jobs = _decode_chunks(header, arrays, graph.n)
+        except ProtocolError as exc:
+            send_msg(conn, {"type": "error", "detail": str(exc)})
+            stats["errors"] += 1
+            return
+        run = compute or run_chunks_local
+        batches = [jobs] if workers > 1 else [[job] for job in jobs]
+        for batch in batches:
+            try:
+                parts = run(graph, kind, batch, params, workers)
+            except Exception as exc:  # deterministic failures fail fast
+                send_msg(conn, {
+                    "type": "chunk_error",
+                    "tag": tag,
+                    "cid": batch[0][0],
+                    "detail": f"{type(exc).__name__}: {exc}",
+                })
+                stats["errors"] += 1
+                break
+            for (cid, _roots, _seeds), out in zip(batch, parts):
+                send_msg(conn, {"type": "result", "tag": tag, "cid": cid}, out)
+                stats["chunks"] += 1
+
+
 def _serve_connection(conn, graph, identity, workers: int, stats,
                       stop: Optional[threading.Event] = None) -> None:
     """One coordinator session: handshake, then chunk batches until EOF.
@@ -153,39 +211,57 @@ def _serve_connection(conn, graph, identity, workers: int, stats,
         "fingerprint": identity.get("fingerprint"),
     })
     stats["sessions"] += 1
-    while True:
-        msg = _next_msg()
-        if msg is None:
-            return
-        header, arrays = msg
-        if header.get("type") == "bye":
-            return
-        try:
-            if header.get("type") != "chunks":
-                raise ProtocolError(
-                    f"unexpected message type {header.get('type')!r}"
-                )
-            tag, kind, params, jobs = _decode_chunks(header, arrays, graph.n)
-        except ProtocolError as exc:
-            send_msg(conn, {"type": "error", "detail": str(exc)})
-            stats["errors"] += 1
-            return
-        try:
-            parts = run_chunks_local(graph, kind, jobs, params, workers)
-        except Exception as exc:  # deterministic failures fail fast
-            send_msg(conn, {
-                "type": "chunk_error",
-                "tag": tag,
-                "cid": jobs[0][0] if jobs else -1,
-                "detail": f"{type(exc).__name__}: {exc}",
-            })
-            stats["errors"] += 1
-            continue
-        for (cid, _roots, _seeds), arrays in zip(jobs, parts):
-            send_msg(
-                conn, {"type": "result", "tag": tag, "cid": cid}, arrays
-            )
-            stats["chunks"] += 1
+    _serve_chunks(conn, graph, workers, stats, _next_msg)
+
+
+def _drop_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket but ``keep`` at ``/dev/null``, so a
+    dead sibling host, or a dead coordinator, still reads as EOF.
+    ``dup2``, not ``close``: an inherited Python socket object collected
+    later would otherwise close whatever reused its number."""
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in map(int, os.listdir("/dev/fd")):
+            try:
+                if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:  # the listing's own directory descriptor
+                continue
+    finally:
+        os.close(devnull)
+
+
+def serve_local_host(sock: socket.socket, graph, slot: int,
+                     generation: int) -> None:
+    """Run one forked local host: answer chunks on ``sock`` until EOF.
+
+    The host builds its own engine rather than use the inherited one,
+    whose scratch another parent thread may have been mid-kernel on at
+    fork time.  It alone reads the ``REPRO_FAULT_*`` plan
+    (:mod:`repro.testing.faults`), counting the chunks it receives.
+    """
+    _drop_inherited_sockets(keep=sock.fileno())
+    # The parent's SIGTERM handler (a server's cache snapshot) is not ours.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    graph._engine_cache = SamplingEngine(graph)
+    plan = faults.plan_from_env()
+    received = itertools.count(1)
+
+    def compute(graph, kind, jobs, params, workers):  # one chunk per call
+        action = plan.action_for(slot, generation, next(received))
+        if action.delay_s:
+            time.sleep(action.delay_s)
+        if action.kill:
+            os._exit(17)  # a hard crash holding its chunks
+        if action.drop:
+            return []  # no answer
+        return run_chunks_local(graph, kind, jobs, params, workers)
+
+    try:
+        _serve_chunks(sock, graph, 1, Counter(), lambda: recv_msg(sock),
+                      compute if plan is not None else None)
+    except (ProtocolError, OSError):
+        pass  # the coordinator went away mid-frame
 
 
 def serve_worker(

@@ -7,8 +7,8 @@ the remainder on boosts via PRR-Boost, and evaluate the final *boosted
 influence spread* with Monte Carlo.
 
 Runs on one warm :class:`~repro.api.Session`: the whole sweep shares the
-graph's engine (and, with ``workers > 1``, the shared-memory worker
-pool) across every seed-selection, boosting and evaluation query.
+graph's engine (and, with ``workers > 1``, the local host pool)
+across every seed-selection, boosting and evaluation query.
 """
 
 from __future__ import annotations

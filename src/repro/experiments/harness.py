@@ -61,7 +61,7 @@ def make_workload(
     graphs; scale down proportionally).  ``imm_max_samples`` caps the RR
     sampling for seed selection — seed quality saturates long before the
     theoretical θ on these graph sizes.  ``workers > 1`` draws the IMM
-    RR-sets on the shared-memory parallel runtime.
+    RR-sets on the local host pool.
     """
     if seed_mode not in ("influential", "random"):
         raise ValueError("seed_mode must be 'influential' or 'random'")
@@ -157,8 +157,8 @@ def compare_algorithms(
     Every returned boost value comes from the same Monte Carlo evaluator so
     algorithms are compared fairly, as in the paper's protocol (which uses
     20,000 simulations; pass a larger ``mc_runs`` to tighten).  With
-    ``workers > 1`` the PRR sampling phases run on the shared-memory
-    parallel runtime; selection and evaluation stay in-process.
+    ``workers > 1`` the PRR sampling phases run on the local host
+    pool; selection and evaluation stay in-process.
     """
     seeds = workload.seeds
     prr_budget = SamplingBudget(

@@ -14,8 +14,8 @@ graphs.  The one sanctioned mutation is
 :meth:`DiGraph.update_probabilities`, which replaces the edge
 probabilities in place (same topology) and bumps the graph's
 :attr:`~DiGraph.version` counter — the invalidation signal the serving
-tier's result cache, the cached sampling engine, and the shared-memory
-runtime key on.
+tier's result cache, the cached sampling engine, and the local host
+pool key on.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ class DiGraph:
     # and its precompute views are dropped too (an open mmap does not
     # travel between processes); the CSR arrays themselves pickle as
     # plain in-memory copies, so a receiver gets a working — if no
-    # longer file-backed — graph.  Senders that want to keep the
-    # zero-copy property ship the store *path* instead (see
-    # :class:`repro.core.parallel.SharedGraphRuntime`).
+    # longer file-backed — graph.  The local sampling pool never
+    # pickles a graph: its hosts inherit it at fork (see
+    # :mod:`repro.core.parallel`).
     # ------------------------------------------------------------------
     _UNPICKLED_SLOTS = frozenset(("_engine_cache", "_store", "_engine_pre"))
 
@@ -405,8 +405,8 @@ class DiGraph:
         (:meth:`update_probabilities`), never by derived-copy
         transformations (those return fresh graphs at version 0).  Any
         state derived from the graph's arrays — the cached
-        :class:`~repro.engine.SamplingEngine`, the shared-memory
-        runtime's published segment, the serving tier's result cache —
+        :class:`~repro.engine.SamplingEngine`, the local host pool's
+        forked hosts, the serving tier's result cache —
         keys on ``(graph identity, version)`` and treats a bump as full
         invalidation.
         """

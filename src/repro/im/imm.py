@@ -238,8 +238,8 @@ def imm_core(
 
     Returns an :class:`IMMResult`; ``result.estimate`` approximates the
     expected influence spread of the chosen seeds under the IC model.
-    ``workers > 1`` draws the RR-sets on the shared-memory parallel
-    runtime (:mod:`repro.core.parallel`); selection stays in-process.
+    ``workers > 1`` draws the RR-sets on the local host pool
+    (:mod:`repro.core.parallel`); selection stays in-process.
 
     This is the algorithm body; :func:`imm` is the legacy-shaped wrapper
     over a throwaway :class:`repro.api.Session`, and the session API

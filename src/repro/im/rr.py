@@ -56,8 +56,8 @@ class RRSampler:
 
     Batch draws go through :func:`repro.core.parallel.parallel_rr_csr`,
     which draws every sample's root and world seed from ``rng`` and
-    evaluates them in process, on the shared-memory pool (``workers >
-    1``) or on worker hosts — the same sets either way.
+    evaluates them in process, on the local host pool (``workers >
+    1``) or on remote hosts — the same sets either way.
     """
 
     def __init__(self, graph: DiGraph, workers: Optional[int] = None) -> None:

@@ -25,8 +25,8 @@ goes through the cheapest form the sampler offers (``sample_into`` →
 ``sample_batch`` → ``sample``), so the lane-kernel batches of
 :class:`repro.im.rr.RRSampler` / :class:`repro.core.boost.
 CriticalSetSampler` apply unchanged, and constructing those samplers
-with ``workers > 1`` runs SSA's generation phase on the shared-memory
-parallel runtime with no change here.
+with ``workers > 1`` runs SSA's generation phase on the local host
+pool with no change here.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def ssa_core(
     The RR-set sibling of :func:`repro.im.imm.imm_core`: runs the
     stop-and-stare loop on an :class:`~repro.im.rr.RRSampler` and returns
     the :class:`SSAResult` (held-out influence estimate included).
-    ``workers > 1`` draws RR-sets on the shared-memory parallel runtime.
+    ``workers > 1`` draws RR-sets on the local host pool.
     """
     sampler = RRSampler(graph, workers=workers)
     return ssa_sampling(

@@ -1,33 +1,34 @@
-"""Deterministic fault injection for the shared-memory parallel runtime.
+"""Deterministic fault injection for the local host pool.
 
-The supervision layer in :mod:`repro.core.parallel` (worker respawn,
-chunk re-enqueue, degraded serial fallback) only earns its keep if every
-recovery path can be driven *deterministically* in CI.  This module is
-the driver: a small set of fault hooks the worker main loop checks on
-every chunk it pulls.
+The supervision layer of the sampling runtime (host respawn, chunk
+re-assignment, degraded serial fallback; :mod:`repro.dist.coordinator`)
+only earns its keep if every recovery path can be driven
+*deterministically* in CI.  This module is the driver: a small set of
+fault hooks a forked local host checks on every chunk it receives.
 
-Faults are carried in **environment variables**, because runtime workers
+Faults are carried in **environment variables**, because local hosts
 are forked — a fault plan set in the parent before the pool starts is
-inherited by every worker (and by every *respawned* worker, which is why
+inherited by every host (and by every *respawned* host, which is why
 the plan is generation-aware: by default a fault fires only for
-generation-0 workers, so a respawned replacement survives and recovery
-can be observed rather than re-killed).
+generation-0 hosts, so a respawned replacement survives and recovery
+can be observed rather than re-killed).  Faults fire only in forked
+local hosts, never in a remote or in-thread ``serve_worker`` host.
 
-Three fault kinds, mirroring how real workers die:
+Three fault kinds, mirroring how real hosts fail:
 
-* **kill** — the worker ``os._exit(17)``\\ s right after claiming a chunk
-  (a hard crash mid-chunk: no result, no cleanup, shared segments left
-  behind).  Exercises the liveness sweep, respawn, and re-enqueue paths.
-* **drop** — the worker pulls a chunk but never ships its result and
-  moves on (a lost IPC message / silently wedged computation).
-  Exercises claim-supersession and task-timeout re-enqueue.
-* **delay** — the worker sleeps before computing (a straggler).
-  Exercises backoff and scheduling without any failure.
+* **kill** — the host ``os._exit(17)``\\ s on receiving a chunk (a hard
+  crash mid-chunk: it dies holding every chunk it was sent).  Exercises
+  EOF detection, respawn and re-assignment.
+* **drop** — the host skips a chunk without answering it and moves on
+  (a lost result / silently wedged computation).  Exercises the
+  overtaken-answer rule and the task timeout.
+* **delay** — the host sleeps before computing (a straggler).
+  Exercises scheduling without any failure.
 
 Use the :func:`inject` context manager in tests::
 
     with faults.inject(kill_worker="any", kill_on_chunk=1):
-        runtime = get_runtime(graph, workers=2)   # workers see the plan
+        runtime = get_runtime(graph, workers=2)   # hosts see the plan
         arena = parallel_prr_collection(graph, seeds, k, 2048, workers=2)
 
 Because every chunk is a pure function of the roots and world seeds it
@@ -51,12 +52,12 @@ __all__ = [
     "inject",
 ]
 
-# Environment carrier keys (str values; workers read them post-fork).
+# Environment carrier keys (str values; hosts read them post-fork).
 ENV_KILL_WORKER = "REPRO_FAULT_KILL_WORKER"          # slot number or "any"
-ENV_KILL_ON_CHUNK = "REPRO_FAULT_KILL_ON_CHUNK"      # 1-based per-worker ordinal
+ENV_KILL_ON_CHUNK = "REPRO_FAULT_KILL_ON_CHUNK"      # 1-based per-host ordinal
 ENV_KILL_GENERATIONS = "REPRO_FAULT_KILL_GENERATIONS"  # "0" (default) or "all"
 ENV_DROP_WORKER = "REPRO_FAULT_DROP_WORKER"          # slot number or "any"
-ENV_DROP_ON_CHUNK = "REPRO_FAULT_DROP_ON_CHUNK"      # 1-based per-worker ordinal
+ENV_DROP_ON_CHUNK = "REPRO_FAULT_DROP_ON_CHUNK"      # 1-based per-host ordinal
 ENV_DELAY_WORKER = "REPRO_FAULT_DELAY_WORKER"        # slot number or "any"
 ENV_DELAY_MS = "REPRO_FAULT_DELAY_MS"                # per-chunk delay
 
@@ -73,7 +74,7 @@ _ALL_KEYS = (
 
 @dataclass(frozen=True)
 class FaultAction:
-    """What one worker must do for one specific chunk."""
+    """What one host must do for one specific chunk."""
 
     kill: bool = False
     drop: bool = False
@@ -98,12 +99,12 @@ def _matches(spec: Optional[str], worker_id: int) -> bool:
 class FaultPlan:
     """A declarative fault schedule, resolved per (worker, chunk).
 
-    ``*_worker`` selects which worker slot misbehaves (``"any"`` for all
+    ``*_worker`` selects which host slot misbehaves (``"any"`` for all
     of them); ``*_on_chunk`` is the 1-based ordinal of the chunk *that
-    worker* pulls (not a global chunk id — global assignment depends on
-    scheduling, per-worker ordinals do not).  Kill faults fire only for
-    generation-0 workers unless ``kill_all_generations`` is set, so a
-    respawned worker survives by default and degradation (every respawn
+    host* receives (not a global chunk id — global assignment depends on
+    scheduling, per-host ordinals do not).  Kill faults fire only for
+    generation-0 hosts unless ``kill_all_generations`` is set, so a
+    respawned host survives by default and degradation (every respawn
     re-killed) is an explicit opt-in.
     """
 
@@ -143,9 +144,9 @@ def plan_from_env(
 ) -> Optional[FaultPlan]:
     """The active fault plan, or ``None`` when no fault vars are set.
 
-    Called once per worker at startup — forked workers see the
-    environment as it was when the pool (or the respawned process) was
-    created.
+    Called once per forked host at startup — a host sees the
+    environment as it was when the pool (or the respawned host) was
+    forked.
     """
     if not any(key in environ for key in _ALL_KEYS):
         return None
@@ -172,7 +173,7 @@ def inject(
 ) -> Iterator[FaultPlan]:
     """Install a fault plan in ``os.environ`` for the duration of a block.
 
-    Runtimes (and therefore workers) created inside the block inherit
+    Pools (and therefore their hosts) created inside the block inherit
     the plan; previous values are restored on exit.  Worker selectors
     accept a slot number or ``"any"``.
     """

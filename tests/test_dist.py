@@ -334,6 +334,42 @@ class TestSupervision:
         done = [h["chunks_done"] - b for h, b in zip(health.hosts, before)]
         assert sum(done) == 4 and all(d > 0 for d in done), done
 
+    def test_remote_chunk_lost_unanswered_is_resent_after_timeout(
+        self, graph, monkeypatch
+    ):
+        from repro.dist import worker
+
+        real = worker.run_chunks_local
+        dropped = []
+
+        def run_chunks_local(host_graph, kind, jobs, params, workers):
+            if jobs[-1][0] == 3 and not dropped:  # the run's last chunk
+                dropped.append(True)
+                return []  # answered by nothing: only the timeout sees it
+            return real(host_graph, kind, jobs, params, workers)
+
+        monkeypatch.setattr(worker, "run_chunks_local", run_chunks_local)
+        monkeypatch.setattr(parallel, "TASK_TIMEOUT", 0.3)
+        host = WorkerHost()
+        rt = DistributedRuntime(graph, [host.addr], fallback_workers=1)
+        parallel.bind_distributed_runtime(graph, rt)
+        outcome = {}
+        lane = threading.Thread(target=lambda: outcome.setdefault(
+            "rr", parallel.parallel_rr_csr(graph, 1024, 42)))
+        try:
+            lane.start()
+            lane.join(timeout=20)
+            health = rt.health()
+        finally:
+            parallel.unbind_distributed_runtime(graph)
+            rt.shutdown()
+            host.join()
+        assert dropped and not lane.is_alive()
+        assert health.retries == 1 and health.restarts == 0
+        for g, w in zip(outcome["rr"],
+                        local_reference(fresh_graph(), "rr", 1024, 42)):
+            assert np.array_equal(g, w)
+
     def test_health_reports_per_host_counters(self, graph, two_hosts):
         rt = DistributedRuntime(
             graph, [h.addr for h in two_hosts], fallback_workers=1
@@ -452,6 +488,40 @@ def assert_host_serves(graph, addr):
     assert done == 4
     for g, w in zip(got, local_reference(fresh_graph(), "rr", 1024, 42)):
         assert np.array_equal(g, w)
+
+
+class TestHostAnswers:
+    def test_serial_host_answers_each_chunk_when_computed(self, graph,
+                                                           monkeypatch):
+        from repro.dist import worker
+
+        real = worker.run_chunks_local
+        release = threading.Event()
+
+        def run_chunks_local(host_graph, kind, jobs, params, workers):
+            if any(cid == 1 for cid, _roots, _seeds in jobs):
+                release.wait(5)
+            return real(host_graph, kind, jobs, params, workers)
+
+        monkeypatch.setattr(worker, "run_chunks_local", run_chunks_local)
+        host = WorkerHost()
+        try:
+            sock = open_worker_session(host.addr, graph)
+            try:
+                send_msg(sock, {**CHUNKS, "jobs": [0, 1]},
+                         rr_job_arrays([1, 2]) + rr_job_arrays([3, 4]))
+                sock.settimeout(2.0)
+                # Chunk 1 is still computing when chunk 0's answer comes.
+                first, _arrays = recv_msg(sock)
+                assert (first["type"], first["cid"]) == ("result", 0)
+                release.set()
+                second, _arrays = recv_msg(sock)
+                assert (second["type"], second["cid"]) == ("result", 1)
+            finally:
+                release.set()
+                sock.close()
+        finally:
+            host.join()
 
 
 class TestMalformedFrames:

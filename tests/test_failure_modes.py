@@ -5,6 +5,17 @@ probabilities, isolated nodes, seeds covering the whole graph, boost sets
 overlapping seeds, budgets larger than the candidate pool.
 """
 
+import glob
+import multiprocessing as mp
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -190,7 +201,7 @@ class TestVectorizedDPParity:
 
 
 # ----------------------------------------------------------------------
-# Runtime supervision: worker death, retry, degradation, shm hygiene
+# Runtime supervision: host death, retry, degradation, process hygiene
 # ----------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(
@@ -199,6 +210,8 @@ needs_fork = pytest.mark.skipif(
     ).fork_available(),
     reason="requires fork start method",
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +222,46 @@ def sized_graph():
     return learned_like(preferential_attachment(150, 3, g_rng), g_rng, 0.2)
 
 
-def _shm_orphans():
-    import glob
+def _pool(graph, workers):
+    from repro.dist import DistributedRuntime
 
-    from repro.core.parallel import _SHM_PREFIX
+    return DistributedRuntime.local(graph, workers)
 
-    return glob.glob(f"/dev/shm/{_SHM_PREFIX}*")
+
+@contextmanager
+def _no_host_left():
+    """Every host process forked inside the block has exited by its end."""
+    before = {proc.pid for proc in mp.active_children()}
+    yield
+    left = [proc for proc in mp.active_children() if proc.pid not in before]
+    assert left == [], f"hosts alive after shutdown: {left}"
+
+
+def _assert_same_payload(got, want):
+    got, want = got.payload(), want.payload()
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def _run_script(script, *args, **popen_kw):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)],
+                            env=env, text=True, **popen_kw)
+
+
+def _pid_alive(pid):
+    """Whether ``pid`` still runs (a zombie awaiting its reaper has
+    exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
 
 
 @needs_fork
@@ -238,79 +285,73 @@ class TestWorkerSupervision:
         from repro.testing import faults
 
         reference = self._reference(sized_graph)
-        try:
-            for workers in (2, 3):
+        with _no_host_left():
+            try:
+                for workers in (2, 3):
+                    shutdown_runtime()
+                    with faults.inject(kill_worker="any", kill_on_chunk=1):
+                        recovered = parallel_prr_collection(
+                            sized_graph, self.SEEDS, 5, self.COUNT,
+                            rng=42, workers=workers,
+                        )
+                        health = runtime_health(sized_graph)
+                    assert health is not None
+                    assert health.restarts >= 1
+                    assert not health.degraded
+                    _assert_same_payload(recovered, reference)
+            finally:
                 shutdown_runtime()
-                with faults.inject(kill_worker="any", kill_on_chunk=1):
-                    recovered = parallel_prr_collection(
-                        sized_graph, self.SEEDS, 5, self.COUNT,
-                        rng=42, workers=workers,
-                    )
-                    health = runtime_health(sized_graph)
-                assert health is not None
-                assert health.restarts >= 1
-                assert not health.degraded
-                assert [p.root for p in recovered] == [
-                    p.root for p in reference
-                ]
-        finally:
-            shutdown_runtime()
-        assert _shm_orphans() == []
 
     def test_dropped_result_reenqueued(self, sized_graph, monkeypatch):
         from repro.core import parallel
-        from repro.core.parallel import (
-            SharedGraphRuntime, _chunk_jobs, _draw, _run_task,
-        )
+        from repro.core.parallel import _chunk_jobs, _draw, _run_task
         from repro.testing import faults
 
         jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, self.COUNT))
-        params = (self.SEEDS, 5)
+        params = (tuple(self.SEEDS), 5)  # as the entry points pass them
         reference = [
             _run_task(sized_graph, "prr", roots, world_seeds, params)
             for _cid, roots, world_seeds in jobs
         ]
         monkeypatch.setattr(parallel, "TASK_TIMEOUT", 0.25)
-        with faults.inject(drop_worker=0, drop_on_chunk=1):
-            runtime = SharedGraphRuntime(sized_graph, 2)
-            try:
-                out = runtime.run("prr", jobs, params)
-                health = runtime.health()
-            finally:
-                runtime.shutdown()
+        with _no_host_left():
+            with faults.inject(drop_worker=0, drop_on_chunk=1):
+                runtime = _pool(sized_graph, 2)
+                try:
+                    out = runtime.run("prr", jobs, params)
+                    health = runtime.health()
+                finally:
+                    runtime.shutdown()
         assert health.retries >= 1
         for got, want in zip(out, reference):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-        assert _shm_orphans() == []
 
     def test_degrades_to_serial_when_respawns_keep_dying(self, sized_graph):
-        from repro.core.parallel import (
-            SharedGraphRuntime, _chunk_jobs, _draw, _run_task,
-        )
+        from repro.core.parallel import _chunk_jobs, _draw, _run_task
         from repro.testing import faults
 
         jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, self.COUNT))
-        params = (self.SEEDS, 5)
+        params = (tuple(self.SEEDS), 5)  # as the entry points pass them
         reference = [
             _run_task(sized_graph, "prr", roots, world_seeds, params)
             for _cid, roots, world_seeds in jobs
         ]
-        with faults.inject(
-            kill_worker="any", kill_on_chunk=1, kill_all_generations=True
-        ):
-            runtime = SharedGraphRuntime(sized_graph, 2)
-            try:
-                out = runtime.run("prr", jobs, params)
-                health = runtime.health()
-            finally:
-                runtime.shutdown()
+        with _no_host_left():
+            with faults.inject(
+                kill_worker="any", kill_on_chunk=1, kill_all_generations=True
+            ):
+                runtime = _pool(sized_graph, 2)
+                try:
+                    out = runtime.run("prr", jobs, params)
+                    health = runtime.health()
+                finally:
+                    runtime.shutdown()
         assert health.degraded
         assert health.restarts >= 1
         for got, want in zip(out, reference):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
-        assert _shm_orphans() == []
 
     def test_degraded_runtime_bypassed_by_entry_points(
         self, sized_graph, monkeypatch
@@ -324,32 +365,34 @@ class TestWorkerSupervision:
         from repro.testing import faults
 
         reference = self._reference(sized_graph)
-        try:
-            with faults.inject(
-                kill_worker="any", kill_on_chunk=1, kill_all_generations=True
-            ):
-                monkeypatch.setattr(parallel, "MAX_CONSECUTIVE_DEATHS", 2)
-                runtime = get_runtime(sized_graph, 2)
-                first = parallel_prr_collection(
+        with _no_host_left():
+            try:
+                with faults.inject(
+                    kill_worker="any", kill_on_chunk=1,
+                    kill_all_generations=True,
+                ):
+                    monkeypatch.setattr(parallel, "MAX_CONSECUTIVE_DEATHS", 2)
+                    runtime = get_runtime(sized_graph, 2)
+                    first = parallel_prr_collection(
+                        sized_graph, self.SEEDS, 5, self.COUNT,
+                        rng=42, workers=2,
+                    )
+                    assert runtime.degraded
+                # Faults lifted, but the pool is gone: later calls route
+                # serially through _run_chunks instead of touching it.
+                again = parallel_prr_collection(
                     sized_graph, self.SEEDS, 5, self.COUNT,
                     rng=42, workers=2,
                 )
-                assert runtime.degraded
-            # Faults lifted, but the pool is gone: later calls route
-            # serially through _run_chunks instead of touching it.
-            again = parallel_prr_collection(
-                sized_graph, self.SEEDS, 5, self.COUNT,
-                rng=42, workers=2,
-            )
-        finally:
-            shutdown_runtime()
-        assert [p.root for p in first] == [p.root for p in reference]
-        assert [p.root for p in again] == [p.root for p in reference]
+            finally:
+                shutdown_runtime()
+        _assert_same_payload(first, reference)
+        _assert_same_payload(again, reference)
 
     def test_retries_exhausted_is_unrecoverable(self, sized_graph,
                                                 monkeypatch):
         from repro.core import parallel
-        from repro.core.parallel import SharedGraphRuntime, _chunk_jobs, _draw
+        from repro.core.parallel import _chunk_jobs, _draw
         from repro.testing import faults
 
         jobs = _chunk_jobs(*_draw("prr", sized_graph.n, 42, 512))
@@ -357,17 +400,18 @@ class TestWorkerSupervision:
         # re-killed chunk must exhaust and fail its run loudly.
         monkeypatch.setattr(parallel, "MAX_TASK_RETRIES", 1)
         monkeypatch.setattr(parallel, "MAX_CONSECUTIVE_DEATHS", 10_000)
-        with faults.inject(
-            kill_worker="any", kill_on_chunk=1, kill_all_generations=True
-        ):
-            runtime = SharedGraphRuntime(sized_graph, 2)
-            try:
-                with pytest.raises(RuntimeError, match="retries exhausted"):
-                    runtime.run("prr", jobs, (self.SEEDS, 5))
-                assert runtime.active  # only the run failed
-            finally:
-                runtime.shutdown()
-        assert _shm_orphans() == []
+        with _no_host_left():
+            with faults.inject(
+                kill_worker="any", kill_on_chunk=1, kill_all_generations=True
+            ):
+                runtime = _pool(sized_graph, 2)
+                try:
+                    with pytest.raises(RuntimeError,
+                                       match="retries exhausted"):
+                        runtime.run("prr", jobs, (tuple(self.SEEDS), 5))
+                    assert runtime.active  # only the run failed
+                finally:
+                    runtime.shutdown()
 
     def test_failing_chunk_fails_only_its_own_run(self, sized_graph,
                                                   monkeypatch):
@@ -385,79 +429,172 @@ class TestWorkerSupervision:
             time.sleep(0.02)  # keep the RR run in flight meanwhile
             return real_run_task(graph, kind, roots, world_seeds, params)
 
-        # Patched before the pool forks, so the workers inherit it.
+        # Patched before the pool forks, so the hosts inherit it.
         monkeypatch.setattr(parallel, "_run_task", run_task)
         parallel.shutdown_runtime()
-        try:
-            runtime = parallel.get_runtime(sized_graph, 2)
-            outcome = {}
+        with _no_host_left():
+            try:
+                runtime = parallel.get_runtime(sized_graph, 2)
+                outcome = {}
 
-            def rr_draw():
-                try:
-                    outcome["rr"] = parallel.parallel_rr_csr(
-                        sized_graph, 4096, 3, workers=2
+                def rr_draw():
+                    try:
+                        outcome["rr"] = parallel.parallel_rr_csr(
+                            sized_graph, 4096, 3, workers=2
+                        )
+                    except Exception as exc:  # surfaced by the asserts below
+                        outcome["rr"] = exc
+
+                lane = threading.Thread(target=rr_draw)
+                lane.start()
+                time.sleep(0.05)  # the RR chunks are queued first
+                with pytest.raises(RuntimeError, match="poison chunk"):
+                    parallel.parallel_critical_csr(
+                        sized_graph, self.SEEDS, 1024, 4, workers=2
                     )
-                except Exception as exc:  # surfaced by the asserts below
-                    outcome["rr"] = exc
+                lane.join(timeout=30)
+                assert not lane.is_alive()
+                assert not isinstance(outcome["rr"], Exception), outcome["rr"]
+                for got, want in zip(outcome["rr"], reference):
+                    assert np.array_equal(got, want)
+                assert runtime.active and not runtime._closed
+                again = parallel.parallel_rr_csr(sized_graph, 1024, 5,
+                                                 workers=2)
+                assert parallel.get_runtime(sized_graph, 2) is runtime
+                assert len(again[0]) == 1024
+            finally:
+                parallel.shutdown_runtime()
 
-            lane = threading.Thread(target=rr_draw)
-            lane.start()
-            time.sleep(0.05)  # the RR chunks are queued first
-            with pytest.raises(RuntimeError, match="poison chunk"):
-                parallel.parallel_critical_csr(
-                    sized_graph, self.SEEDS, 1024, 4, workers=2
-                )
-            lane.join(timeout=30)
-            assert not lane.is_alive()
-            assert not isinstance(outcome["rr"], Exception), outcome["rr"]
-            for got, want in zip(outcome["rr"], reference):
-                assert np.array_equal(got, want)
-            assert runtime.active and not runtime._closed
-            again = parallel.parallel_rr_csr(sized_graph, 1024, 5, workers=2)
-            assert parallel.get_runtime(sized_graph, 2) is runtime
-            assert len(again[0]) == 1024
-        finally:
-            parallel.shutdown_runtime()
-        assert _shm_orphans() == []
+    def test_killed_host_respawns_while_the_others_serve(self, sized_graph):
+        from repro.core.parallel import _chunk_jobs, _draw, _run_task
+
+        jobs = _chunk_jobs(*_draw("rr", sized_graph.n, 8, 2048))
+        reference = [_run_task(sized_graph, "rr", roots, seeds, ())
+                     for _cid, roots, seeds in jobs]
+        with _no_host_left():
+            runtime = _pool(sized_graph, 3)
+            try:
+                victim, *others = [host.proc for host in runtime._hosts]
+                os.kill(victim.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 2.0
+                while (runtime.health().restarts < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                health = runtime.health()
+                assert health.restarts == 1
+                assert health.workers_alive == 3 and not health.degraded
+                assert [host.proc for host in runtime._hosts[1:]] == others
+                assert all(proc.is_alive() for proc in others)
+                out = runtime.run("rr", jobs, ())
+            finally:
+                runtime.shutdown()
+        for got, want in zip(out, reference):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_host_killed_after_a_write_keeps_the_forked_version(self):
+        from repro.core import PRRArena
+        from repro.core.parallel import _chunk_jobs, _draw
+        from repro.graphs import learned_like, preferential_attachment
+        from repro.testing import faults
+
+        g_rng = np.random.default_rng(91)
+        graph = learned_like(preferential_attachment(150, 3, g_rng), g_rng,
+                             0.2)
+        reference = self._reference(graph)
+        jobs = _chunk_jobs(*_draw("prr", graph.n, 42, self.COUNT))
+        with _no_host_left():
+            with faults.inject(kill_worker=0, kill_on_chunk=1):
+                runtime = _pool(graph, 2)
+            try:
+                _src, _dst, p, pp = graph.edge_arrays()
+                graph.update_probabilities(p * 0.5, pp)
+                out = runtime.run("prr", jobs, (tuple(self.SEEDS), 5))
+                health = runtime.health()
+            finally:
+                runtime.shutdown()
+        # A host forked after the write would inherit the new arrays, so
+        # the dead host is not replaced; its chunks ran on the survivor.
+        assert health.restarts == 0 and health.workers_alive == 1
+        assert not health.degraded
+        got = PRRArena.from_payloads([(graph.n, *arrays) for arrays in out])
+        _assert_same_payload(got, reference)
+
+
+_RR_ON_A_STORE = """
+import sys
+import numpy as np
+from repro.core.parallel import parallel_rr_csr
+from repro.graphs import learned_like, preferential_attachment
+from repro.storage import open_graph, save_graph
+
+rng = np.random.default_rng(5)
+save_graph(learned_like(preferential_attachment(1000, 5, rng), rng, 0.4),
+           sys.argv[1])
+parallel_rr_csr(open_graph(sys.argv[1]), 1024, 3, workers=2)
+"""
+
+_HOLD_A_POOL = """
+import multiprocessing
+import time
+import numpy as np
+from repro.core.parallel import get_runtime
+from repro.graphs import learned_like, preferential_attachment
+
+rng = np.random.default_rng(7)
+graph = learned_like(preferential_attachment(2000, 3, rng), rng, 0.2)
+get_runtime(graph, 2)
+print(*[proc.pid for proc in multiprocessing.active_children()], flush=True)
+time.sleep(60)
+"""
 
 
 @needs_fork
 class TestShutdownHardening:
     def test_shutdown_idempotent_with_half_dead_pool(self, sized_graph):
-        import os
-        import signal
-        import time
+        with _no_host_left():
+            runtime = _pool(sized_graph, 2)
+            victim = runtime._hosts[0].proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(5)
+            start = time.monotonic()
+            runtime.shutdown(timeout=10.0)
+            runtime.shutdown(timeout=10.0)  # second call must be a no-op
+            assert time.monotonic() - start < 20.0
+            assert runtime._closed
 
-        from repro.core.parallel import SharedGraphRuntime
+    def test_no_resource_tracker_noise(self, tmp_path):
+        proc = _run_script(_RR_ON_A_STORE, tmp_path / "g.rpgs",
+                           stderr=subprocess.PIPE)
+        _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert "resource_tracker" not in err, err
 
-        runtime = SharedGraphRuntime(sized_graph, 2)
-        victim = runtime._procs[0]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.join(5)
-        start = time.monotonic()
-        runtime.shutdown(timeout=10.0)
-        runtime.shutdown(timeout=10.0)  # second call must be a no-op
-        assert time.monotonic() - start < 20.0
-        assert runtime._closed
-        assert _shm_orphans() == []
-
-    def test_reaper_unlinks_orphans(self, sized_graph):
-        from multiprocessing import shared_memory
-
-        from repro.core.parallel import _SHM_PREFIX, reap_shm_segments
-
-        orphan = shared_memory.SharedMemory(
-            name=f"{_SHM_PREFIX}-deadbeef", create=True, size=64
-        )
-        orphan.close()  # simulated abnormal exit: never unlinked
-        reaped = reap_shm_segments()
-        assert f"{_SHM_PREFIX}-deadbeef" in reaped
-        assert _shm_orphans() == []
-
-    def test_shm_segments_namespaced_by_pid(self):
-        import os
-
-        from repro.core.parallel import _SHM_PREFIX
-
-        assert f"{os.getpid():x}" in _SHM_PREFIX
-        assert _SHM_PREFIX.startswith("repro-")
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads host states from /proc")
+    def test_hosts_of_a_killed_master_exit(self):
+        master = _run_script(_HOLD_A_POOL, stdout=subprocess.PIPE)
+        pids = []
+        try:
+            ready, _w, _x = select.select([master.stdout], [], [], 60)
+            assert ready, "the master never reported its hosts"
+            pids = [int(pid) for pid in master.stdout.readline().split()]
+            assert len(pids) == 2
+            master.kill()
+            master.wait(10)
+            deadline = time.monotonic() + 5.0
+            while (any(map(_pid_alive, pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _pid_alive(pid)]
+            assert glob.glob(f"/dev/shm/repro-{master.pid:x}*") == []
+        finally:
+            if master.poll() is None:
+                master.kill()
+                master.wait()
+            master.stdout.close()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

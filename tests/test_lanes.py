@@ -576,7 +576,7 @@ class TestSharedMemoryRuntime:
         rt1 = get_runtime(big_graph, 2)
         rt2 = get_runtime(big_graph, 2)
         assert rt1 is rt2
-        assert all(p.is_alive() for p in rt1._procs)
+        assert all(host.proc.is_alive() for host in rt1._hosts)
 
     def test_prr_boost_with_workers_reproducible(self, big_graph):
         a = prr_boost(

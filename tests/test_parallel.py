@@ -241,3 +241,32 @@ class TestChunkExecutor:
         with pytest.raises(RuntimeError, match="shut down"):
             backend.run("rr", [job(0)], ())
         assert not backend.active
+
+
+@pytest.mark.skipif(not parallel.fork_available(), reason="requires fork")
+def test_concurrent_runs_on_more_hosts_than_cores(graph):
+    """Sixteen lanes share a four-host local pool under a short switch
+    interval: every run gets its in-process draw, and no chunk is ever
+    taken for lost, because each host's owed order is its wire order."""
+    from repro.dist import DistributedRuntime
+
+    draws = [parallel._chunk_jobs(*parallel._draw("rr", graph.n, seed, 1024))
+             for seed in range(16)]
+    want = [[parallel._run_task(graph, "rr", roots, seeds, ())
+             for _cid, roots, seeds in jobs] for jobs in draws]
+    pool = DistributedRuntime.local(graph, 4)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as lanes:
+            futures = [lanes.submit(pool.run, "rr", jobs, ()) for jobs in draws]
+            got = [future.result(timeout=60) for future in futures]
+        health = pool.health()
+    finally:
+        sys.setswitchinterval(switch)
+        pool.shutdown()
+    assert health.retries == 0 and health.restarts == 0
+    for run_got, run_want in zip(got, want):
+        for chunk_got, chunk_want in zip(run_got, run_want):
+            for a, b in zip(chunk_got, chunk_want):
+                assert np.array_equal(a, b)

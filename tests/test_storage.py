@@ -10,11 +10,10 @@ Covers the contracts the subsystem makes:
 * **engine parity** — the persisted engine-precompute section equals
   what a fresh in-memory :class:`SamplingEngine` computes,
 * **envelope parity** — mmap-backed sessions answer queries
-  bit-identically to in-memory sessions at the *same* worker count
-  (serial and chunked-parallel paths draw different, equally valid
-  streams, so cross-worker-count equality is deliberately not claimed),
+  bit-identically to in-memory sessions, and pool hosts (which inherit
+  the graph at fork) answer as the in-process path does,
 * **copy-on-write** — ``update_probabilities`` on an mmap graph never
-  touches the store file and retires the store-path runtime publication,
+  touches the store file,
 * **format validation** — corrupted or truncated stores are rejected
   with :class:`StoreFormatError`, not garbage results.
 """
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.api import BoostQuery, SamplingBudget, SeedQuery, Session
-from repro.core.parallel import fork_available, get_runtime, shutdown_runtime
+from repro.core.parallel import fork_available, shutdown_runtime
 from repro.datasets import load_graph
 from repro.engine.batch import SamplingEngine
 from repro.graphs import (
@@ -463,18 +462,20 @@ class TestEnvelopeParity:
 
 @needs_fork
 class TestRuntimePublication:
+    """Hosts evaluate chunks on the graph they inherit at fork: a pristine
+    store's mapped file, a written store's copy-on-write arrays, or an
+    in-memory graph.  Each answers as the in-process path does."""
+
     def test_pristine_store_publishes_by_path(self, tmp_path):
         path = tmp_path / "g.rpgs"
         save_graph(make_graph(37, n=150), path)
         g = open_graph(path)
         try:
-            rt = get_runtime(g, workers=2)
-            assert rt.publication == "store"
-            # Workers answer real jobs off the mapped file.
             env = run_envelope(g, BUDGET_2)
-            assert env[0]  # imm selected something
         finally:
             shutdown_runtime()
+        assert env[0]  # imm selected something
+        assert env == run_envelope(g, BUDGET_1)
 
     def test_updated_store_falls_back_to_shm(self, tmp_path):
         path = tmp_path / "g.rpgs"
@@ -483,17 +484,18 @@ class TestRuntimePublication:
         _s, _d, p, pp = g.edge_arrays()
         g.update_probabilities(p * 0.9, pp)
         try:
-            rt = get_runtime(g, workers=2)
-            assert rt.publication == "shm"
+            env = run_envelope(g, BUDGET_2)
         finally:
             shutdown_runtime()
+        assert env == run_envelope(g, BUDGET_1)
 
     def test_in_memory_graph_publishes_shm(self):
         g = make_graph(43, n=150)
         try:
-            assert get_runtime(g, workers=2).publication == "shm"
+            env = run_envelope(g, BUDGET_2)
         finally:
             shutdown_runtime()
+        assert env == run_envelope(g, BUDGET_1)
 
 
 class TestSessionIntegration:
