@@ -370,6 +370,24 @@ class TestSupervision:
                         local_reference(fresh_graph(), "rr", 1024, 42)):
             assert np.array_equal(g, w)
 
+    def test_fault_plan_never_fires_in_an_in_thread_host(self, graph,
+                                                         two_hosts):
+        rt = DistributedRuntime(
+            graph, [h.addr for h in two_hosts], fallback_workers=1
+        )
+        parallel.bind_distributed_runtime(graph, rt)
+        try:
+            with faults.inject(kill_worker="any", kill_on_chunk=1,
+                               drop_worker="any", drop_on_chunk=2):
+                got = parallel.parallel_rr_csr(graph, 1024, 42)
+            health = rt.health()
+        finally:
+            parallel.unbind_distributed_runtime(graph)
+            rt.shutdown()
+        assert health.restarts == 0 and health.retries == 0
+        for g, w in zip(got, local_reference(fresh_graph(), "rr", 1024, 42)):
+            assert np.array_equal(g, w)
+
     def test_health_reports_per_host_counters(self, graph, two_hosts):
         rt = DistributedRuntime(
             graph, [h.addr for h in two_hosts], fallback_workers=1
