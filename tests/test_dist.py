@@ -388,6 +388,27 @@ class TestSupervision:
         for g, w in zip(got, local_reference(fresh_graph(), "rr", 1024, 42)):
             assert np.array_equal(g, w)
 
+    def test_host_loss_seen_through_its_local_pool(self, graph):
+        """A host that runs frames on a pool of forked local hosts reads
+        as lost the moment it stops: the forked hosts hold none of the
+        sockets they inherited (its connection, the coordinator's end)."""
+        host = WorkerHost(workers=2)
+        rt = DistributedRuntime(graph, [host.addr], fallback_workers=1)
+        parallel.bind_distributed_runtime(graph, rt)
+        try:
+            parallel.parallel_rr_csr(graph, 4096, 1)
+            assert parallel.runtime_is_alive(host.graph)  # its pool forked
+            host.kill()
+            deadline = time.monotonic() + 5.0
+            while not rt.degraded and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert rt.degraded and rt.health().restarts == 1
+        finally:
+            parallel.unbind_distributed_runtime(graph)
+            rt.shutdown()
+            host.join()
+            parallel.shutdown_runtime()
+
     def test_health_reports_per_host_counters(self, graph, two_hosts):
         rt = DistributedRuntime(
             graph, [h.addr for h in two_hosts], fallback_workers=1
