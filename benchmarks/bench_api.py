@@ -288,12 +288,12 @@ def check_smoke_regression(results) -> int:
     """Gate the measured interactive-mix speedup against the committed
     ``smoke_baseline`` (>= 70% of it, never below break-even)."""
     if not RESULT_PATH.exists():
-        print("no committed BENCH_api.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_api.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_api.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_api.json has no smoke_baseline to gate against")
+        return 1
     measured = results["interactive_mix"]["speedup"]
     reference = baseline["interactive_mix"]
     floor = max(1.0, 0.7 * reference)

@@ -355,12 +355,12 @@ def check_smoke_regression(round_result: dict) -> int:
         )
         return 0
     if not RESULT_PATH.exists():
-        print("no committed BENCH_dist.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_dist.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_dist.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_dist.json has no smoke_baseline to gate against")
+        return 1
     if baseline.get("cpu_count", 1) < 2:
         print(
             "baseline was recorded on a single-core machine; speedup gate "

@@ -249,12 +249,12 @@ _GATED = ("rr", "critical", "prr_graphs")
 
 def check_smoke_regression(headline) -> int:
     if not RESULT_PATH.exists():
-        print("no committed BENCH_lanes.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_lanes.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_lanes.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_lanes.json has no smoke_baseline to gate against")
+        return 1
     failures = []
     for key in _GATED:
         measured = headline[key]["speedup"]

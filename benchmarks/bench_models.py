@@ -143,12 +143,12 @@ def bench_models(cfg, results):
 
 def check_smoke_regression(models) -> int:
     if not RESULT_PATH.exists():
-        print("no committed BENCH_models.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_models.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_models.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_models.json has no smoke_baseline to gate against")
+        return 1
     failures = []
     for key in _GATED:
         measured = models[key]["speedup"]

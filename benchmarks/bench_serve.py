@@ -307,12 +307,12 @@ def check_smoke_regression(results) -> int:
     """Gate the measured cached-stream speedup against the committed
     ``smoke_baseline`` (>= 70% of it, never below break-even)."""
     if not RESULT_PATH.exists():
-        print("no committed BENCH_serve.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_serve.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_serve.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_serve.json has no smoke_baseline to gate against")
+        return 1
     measured = results["stream"]["speedup"]
     reference = baseline["stream_speedup"]
     floor = max(1.0, 0.7 * reference)

@@ -252,12 +252,12 @@ def run_round(cfg: dict) -> dict:
 
 def check_smoke_regression(round_result: dict) -> int:
     if not RESULT_PATH.exists():
-        print("no committed BENCH_storage.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_storage.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_storage.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_storage.json has no smoke_baseline to gate against")
+        return 1
     measured = round_result["rss_ratio"]
     floor = max(1.0, 0.7 * baseline["rss_ratio"])
     status = "ok" if measured >= floor else "REGRESSION"

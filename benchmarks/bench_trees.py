@@ -120,12 +120,12 @@ def bench_trees(cfg, results):
 
 def check_smoke_regression(trees, cfg) -> int:
     if not RESULT_PATH.exists():
-        print("no committed BENCH_trees.json baseline; skipping gate")
-        return 0
+        print("FAIL: no committed BENCH_trees.json baseline to gate against")
+        return 1
     baseline = json.loads(RESULT_PATH.read_text()).get("smoke_baseline")
     if not baseline:
-        print("committed BENCH_trees.json has no smoke_baseline; skipping gate")
-        return 0
+        print("FAIL: committed BENCH_trees.json has no smoke_baseline to gate against")
+        return 1
     failures = []
     for n in cfg["sizes"]:
         key = str(n)

@@ -531,13 +531,22 @@ def _run_chunks(
     runtime is active for ``graph`` or ``workers > 1`` with fork; then
     its :func:`_chunk_jobs` run there and come back in chunk order.  The
     pairs are drawn before the decision, so every path returns the same
-    arrays; a degraded runtime is bypassed the same way.
+    arrays; a degraded runtime is bypassed the same way.  A bound
+    runtime whose hosts sample another version of the graph than its
+    current one (a write since they connected) fails the draw instead of
+    merging chunks of the old version.
     """
     roots, world_seeds = _draw(kind, graph.n, rng, count)
     if count >= PARALLEL_MIN_SAMPLES:
         dist = distributed_runtime_for(graph)
         jobs = _chunk_jobs(roots, world_seeds)
         if dist is not None and dist.active:
+            version = getattr(graph, "version", 0)
+            if version != dist.graph_version:
+                raise RuntimeError(
+                    f"graph is at version {version}, but the hosts of its "
+                    f"bound runtime sample version {dist.graph_version}"
+                )
             return dist.run(kind, jobs, params)
         if workers > 1 and fork_available():
             return run_chunks_local(graph, kind, jobs, params, workers)

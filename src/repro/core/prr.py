@@ -74,6 +74,7 @@ from ..engine.traversal import (
     frontier_edge_positions,
     grow_reachable,
     next_level_frontier,
+    sorted_lookup,
     unique_sorted,
 )
 
@@ -363,21 +364,27 @@ def sample_prr_lanes(
     fit :data:`~repro.engine.lanes.LANE_BYTES` with their int16 plane
     (two bytes per lane and node) and :data:`_PRR_EDGE_BYTES` per phase-I
     edge a lane of the call's earlier batches kept on average — at most
-    four times their lanes; before the first batch, per edge of the
-    graph.
+    four times their lanes.  The first batch budgets the mean of the
+    engine's last call with the same seeds and ``k``, or, before any,
+    every edge of the graph.
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)
     n = graph.n
     all_roots, all_seeds = draw_lane_inputs(rng, n, count, roots, world_seeds)
+    key = (frozenset(int(s) for s in seeds), k)
+    learned = engine._prr_kept
     parts = []
     lo = kept = 0
     while lo < count:
-        # Transients per lane: before the first batch, every edge of the
-        # graph once; then the mean kept edges of the batches so far,
-        # trusted for at most four times as many lanes as they hold.
+        # Transients per lane: the mean kept edges of the batches so far,
+        # trusted for at most four times as many lanes as they hold; for
+        # the first batch, the last call's mean, or every edge of the
+        # graph once.
         if lo:
             width = min(4 * lo, batch_lanes(n, "prr", _PRR_EDGE_BYTES * kept / lo))
+        elif learned is not None and learned[0] == key:
+            width = batch_lanes(n, "prr", _PRR_EDGE_BYTES * learned[1])
         else:
             width = batch_lanes(n, "prr", _PRR_EDGE_BYTES * graph.m)
         hi = min(count, lo + width)
@@ -389,6 +396,8 @@ def sample_prr_lanes(
         ]
         kept += int(ph.edge_indptr[-1])
         lo = hi
+    if count:
+        engine._prr_kept = (key, kept / count)
     if arena is None:
         return PRRArena.from_payloads(parts) if parts else PRRArena(graph.n)
     if parts:
@@ -430,14 +439,6 @@ def sample_critical_batch(
 # Phase II compression, one vectorized pass per lane batch
 # ----------------------------------------------------------------------
 _EMPTY_EB = np.empty(0, dtype=bool)
-
-
-def _lookup(keys: np.ndarray, queries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(index, found)`` of ``queries`` in the sorted unique ``keys``."""
-    idx = np.searchsorted(keys, queries)
-    found = idx < keys.size
-    found[found] = keys[idx[found]] == queries[found]
-    return idx, found
 
 
 def _bfs01(
@@ -483,7 +484,7 @@ def _bfs01(
     f = sources
     while f.size:
         f = unique_sorted(f)
-        ri, found = _lookup(run_keys, f)
+        ri, found = sorted_lookup(run_keys, f)
         pos, _counts = frontier_edge_positions(run_indptr, ri[found])
         h = heads.take(pos)
         w = boost.take(pos)
@@ -637,7 +638,7 @@ def compress_lanes(
     dst_id = np.searchsorted(nodes, dst_key)
     from_super = nodes % m == n
     grow_reachable(src_id, dst_id, from_super)
-    root_id, root_in = _lookup(nodes, lane_ids * m + roots)
+    root_id, root_in = sorted_lookup(nodes, lane_ids * m + roots)
     root_in &= boostable
     to_root = np.zeros(nodes.size, dtype=bool)
     to_root[root_id[root_in]] = True

@@ -149,8 +149,9 @@ class DistributedRuntime(ChunkExecutor):
     Parameters
     ----------
     graph:
-        The coordinator-side graph (used for the handshake fingerprint
-        and as the degraded fallback's sampling substrate).
+        The coordinator-side graph (used for the handshake fingerprint,
+        and as it is now, at its current version, as the degraded
+        fallback's sampling substrate).
     hosts:
         Worker endpoints — ``"host:port,host:port"`` or a sequence of
         specs; every host must be serving the same graph replica
@@ -196,6 +197,9 @@ class DistributedRuntime(ChunkExecutor):
         super().__init__()
         self.graph = graph
         self.graph_version = getattr(graph, "version", 0)
+        # The graph as the hosts have it: the degraded fallback samples
+        # this version, whatever writes the live graph takes meanwhile.
+        self._hosts_graph = graph.snapshot()
         self._fallback_workers = fallback_workers
         self._queue: deque = deque()  # (tag, cid) awaiting a host window
         self._hosts: List[_Host] = []
@@ -412,7 +416,7 @@ class DistributedRuntime(ChunkExecutor):
 
     def _fallback(self, kind: str, jobs, params: tuple):
         return run_chunks_local(
-            self.graph, kind, jobs, params, self._fallback_workers
+            self._hosts_graph, kind, jobs, params, self._fallback_workers
         )
 
     def _pop_owed(self) -> Optional[Tuple[int, int]]:

@@ -14,7 +14,9 @@ exploration — runs on the primitives in this package:
   roots (as many as fit :data:`~repro.engine.lanes.LANE_BYTES` of
   planes) advances per frontier step over stacked ``(B, n)`` planes,
   all views of the engine's one scratch arena, each lane sampling the
-  independent world fixed by its own splitmix64 seed — the single-sample
+  independent world fixed by its own splitmix64 seed; RR and critical
+  draws stream through such a batch of lane slots, a slot whose sample
+  finished taking the next root — the single-sample
   paths stay as seeded distributional oracles (bit-for-bit for
   world-seeded PRR lanes),
 * :mod:`repro.engine.models` — the pluggable diffusion-model layer:

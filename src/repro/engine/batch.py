@@ -35,10 +35,11 @@ equally valid* world — only the distribution is preserved.
 
 Batch forms run on the lane kernels of :mod:`repro.engine.lanes`:
 ``sample_rr_batch`` (default mode) and ``sample_critical_batch`` advance
-a batch of roots per frontier step over per-lane hashed worlds, as many
-as fit :data:`~repro.engine.lanes.LANE_BYTES` of planes
-(:func:`~repro.engine.lanes.batch_lanes`; 838 RR or 419 critical roots
-on a 10k-node graph), all viewed in the engine's one scratch arena
+their running samples per frontier step over per-lane hashed worlds, in
+as many lane slots as fit :data:`~repro.engine.lanes.LANE_BYTES` of
+planes (:func:`~repro.engine.lanes.batch_lanes`; 838 RR or 419 critical
+slots on a 10k-node graph; a slot whose sample finished takes the next
+root), all viewed in the engine's one scratch arena
 (:meth:`SamplingEngine.lane_arena`), and the CSR entry points
 (``rr_lane_csr``, ``critical_lane_csr``, ``prr_phase1_lanes``) hand
 their flat output arrays straight to
@@ -140,7 +141,7 @@ class SamplingEngine:
         "_in_indptr", "_in_nodes", "_in_p", "_in_pp", "_in_eid",
         "_in_hash", "_in_thr64", "_arena", "_rr_dense",
         "_edge_states", "_visit", "_proc", "_dist", "_dist_stamp",
-        "_region", "_stamp", "_seeds_key_mask",
+        "_region", "_stamp", "_seeds_key_mask", "_prr_kept",
     )
 
     def __init__(self, graph) -> None:
@@ -194,6 +195,9 @@ class SamplingEngine:
             self._node_hash = node_hash_base(np.arange(self.n, dtype=np.int64))
         self._arena: Optional[np.ndarray] = None
         self._rr_dense: Optional[bool] = None  # learned on first lane batch
+        # ((seeds, k), mean kept phase-I edges per lane) of the last PRR
+        # lane draw: sizes the first batch of the next one (sample_prr_lanes).
+        self._prr_kept: Optional[Tuple[tuple, float]] = None
         self._visit = np.zeros(self.n, dtype=np.int64)
         self._proc = np.zeros(self.n, dtype=np.int64)
         self._dist = np.zeros(self.n, dtype=np.int64)
@@ -408,12 +412,13 @@ class SamplingEngine:
         :func:`~repro.engine.lanes.draw_lane_inputs` — after which sample
         ``i`` is a pure function of ``(roots[i], world_seeds[i])``: the
         RR-set of that root in that hashed world.  The lane kernel
-        evaluates as many samples per frontier step as fit
+        streams the draw through as many lane slots as fit
         :data:`~repro.engine.lanes.LANE_BYTES` of visited plane (one byte
-        per lane and node); on graphs whose RR-sets come back dense
-        (mean size above :data:`RR_DENSE_CUTOFF`, learned from the first
-        batch and cached per engine) the same samples are evaluated by
-        the single-sample hashed loop instead, which wins once array
+        per slot and node): a slot whose sample finished takes the next
+        root.  On graphs whose RR-sets come back dense (mean size above
+        :data:`RR_DENSE_CUTOFF`, learned from a 32-sample probe on a
+        fresh engine and from every draw) the same samples are evaluated
+        by the single-sample hashed loop instead, which wins once array
         work dominates call overhead.  The sampled distribution matches
         :meth:`rr_set`, the seeded distributional oracle.
         """
@@ -423,30 +428,30 @@ class SamplingEngine:
             rng, self.n, count, roots, world_seeds
         )
         width = batch_lanes(self.n, "rr")
-        count_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
         done = 0
-        while done < count:
-            if self._rr_dense:
-                sizes = np.empty(count - done, dtype=np.int64)
-                for i in range(done, count):
-                    members = self._rr_members_hashed(
-                        int(all_roots[i]), all_seeds[i]
-                    )
-                    sizes[i - done] = members.size
-                    value_parts.append(members)
-                count_parts.append(sizes)
-                break
-            # Probe narrowly before the first wide batch on a fresh graph.
-            b = min(32 if self._rr_dense is None else width, width, count - done)
-            c, v = rr_member_lanes(
-                self, all_roots[done : done + b], all_seeds[done : done + b]
-            )
-            count_parts.append(c)
-            value_parts.append(v)
-            self._rr_dense = v.size > self.RR_DENSE_CUTOFF * b
-            done += b
-        return np.concatenate(count_parts), np.concatenate(value_parts)
+        if self._rr_dense is None:  # probe narrowly on a fresh graph
+            done = min(32, width, count)
+            parts.append(rr_member_lanes(self, all_roots[:done], all_seeds[:done]))
+            self._rr_dense = parts[0][1].size > self.RR_DENSE_CUTOFF * done
+        if done < count and self._rr_dense:
+            members = [
+                self._rr_members_hashed(int(r), s)
+                for r, s in zip(all_roots[done:], all_seeds[done:])
+            ]
+            sizes = np.array([m.size for m in members], dtype=np.int64)
+            parts.append((sizes, np.concatenate(members)))
+        elif done < count:
+            parts.append(rr_member_lanes(
+                self, all_roots[done:], all_seeds[done:], width
+            ))
+            self._rr_dense = parts[-1][1].size > self.RR_DENSE_CUTOFF * (count - done)
+        if len(parts) == 1:
+            return parts[0]
+        return (
+            np.concatenate([c for c, _ in parts]),
+            np.concatenate([v for _, v in parts]),
+        )
 
     def sample_rr_batch(
         self,
@@ -796,19 +801,21 @@ class SamplingEngine:
         k: int,
         world_seeds: np.ndarray,
     ) -> LanePhase1:
-        """Phase-I exploration for a whole lane batch of roots at once.
+        """Phase-I exploration for a whole lane batch of roots at once
+        (one fill of its lane slots).
 
         ``world_seeds[i]`` fixes lane ``i``'s world exactly like the
         ``world_seed`` argument of :meth:`prr_phase1` — the per-lane
         output is bit-for-bit the solo result for the same seed.
         """
-        return prr_phase1_lanes(
+        (group,) = prr_phase1_lanes(
             self,
             seeds_mask,
             np.asarray(roots, dtype=np.int64),
             k,
             np.asarray(world_seeds).astype(np.uint64, copy=False),
         )
+        return group
 
     def critical_lane_csr(
         self,
@@ -827,9 +834,11 @@ class SamplingEngine:
         :meth:`critical_set`; roots and world seeds not passed in are
         drawn from ``rng`` one :data:`~repro.engine.lanes.LANE_WIDTH`
         block at a time.  Sample ``i`` is a pure function of its
-        ``(root, world_seed)`` pair, evaluated as many samples per batch
-        as fit :data:`~repro.engine.lanes.LANE_BYTES` of int16 distance
-        plane (two bytes per lane and node).
+        ``(root, world_seed)`` pair.  The lane kernel streams the draw
+        through as many lane slots as fit
+        :data:`~repro.engine.lanes.LANE_BYTES` of int16 distance plane
+        (two bytes per slot and node): a slot whose sample finished takes
+        the next root.
         """
         if count <= 0:
             return (
@@ -839,14 +848,9 @@ class SamplingEngine:
         all_roots, all_seeds = draw_lane_inputs(
             rng, self.n, count, roots, world_seeds, block=LANE_WIDTH
         )
-        width = batch_lanes(self.n, "critical")
-        parts = [
-            critical_lanes(
-                self, mask, all_roots[lo : lo + width], all_seeds[lo : lo + width]
-            )
-            for lo in range(0, count, width)
-        ]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        return critical_lanes(
+            self, mask, all_roots, all_seeds, batch_lanes(self.n, "critical")
+        )
 
     def sample_critical_batch(
         self,

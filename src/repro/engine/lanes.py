@@ -45,6 +45,22 @@ A lane batch holds as many lanes as fit :data:`LANE_BYTES` of scratch
 node)`` entry of the kernel's planes, plus, for PRR batches, an estimate
 of the batch's transient arrays per lane.  Wider batches share their
 frontier passes among more roots, so they cost fewer passes per sample.
+
+The RR and critical-set kernels do not run a draw batch by batch: they
+stream it through one batch width of lane *slots* (:class:`_Slots`).
+Samples finish after very different numbers of passes — a 12,000-sample
+critical draw on the 10k/52k bench graph is active in 2.4 passes per
+sample on average, its slowest samples in 25 or more — so a batch spends most of its
+passes on a few stragglers.  Instead, once :data:`REFILL_SHARE` of the
+slots hold finished samples, the kernel zeroes those samples' plane
+entries and hands the slots the draw's next roots, in bulk.  That draw
+took 563 frontier passes as 29 batches and takes 85 streamed, on the
+same arena.  Outputs come back in sample order: a finished sample's
+rows move to ``sample * n + node`` keys (:class:`_Stream`), and the
+draw's finished prefix is emitted once it holds a slot set.  A draw
+that fits its slots runs as one batch.  PRR batches
+(:func:`repro.core.prr.sample_prr_lanes`) are one fill each.
+
 Every plane is a view of the engine's one zero-filled scratch buffer
 (:meth:`~repro.engine.batch.SamplingEngine.lane_arena`), as bool, int16
 or float64, so an engine's lane scratch stays within the budget
@@ -56,17 +72,17 @@ encoded so that zero reads as unreached.
 Kernels (each takes the owning :class:`~repro.engine.batch.SamplingEngine`
 for its CSR arrays and scratch buffers):
 
-* :func:`rr_member_lanes` — one RR-set per lane, returned as a per-lane
-  CSR (``counts, members``) ready for
+* :func:`rr_member_lanes` — one RR-set per root, streamed, returned as
+  a per-sample CSR (``counts, members``) ready for
   :meth:`repro.engine.coverage.CoverageIndex.extend_csr`,
 * :func:`prr_phase1_lanes` — backward PRR exploration (Algorithm 1 phase
-  I, Dial's 0–1 BFS with every lane at its own distance level) for ``B``
-  roots at once, collecting per-lane edge / seed arrays for phase-II
+  I, Dial's 0–1 BFS with every sample at its own distance level),
+  streamed, collecting per-lane edge / seed arrays for phase-II
   compression (:func:`repro.core.prr.compress_lanes`, one pass per
   batch, or per edge-bounded slice of it),
-* :func:`critical_lanes` — critical node sets ``C_R`` (boost-distance-1
-  exploration + one batched live-reachability fixed point across all
-  lanes),
+* :func:`critical_lanes` — critical node sets ``C_R`` (streamed
+  boost-distance-1 exploration, then one live-reachability frontier BFS
+  per group of finished samples across all their boostable lanes),
 * :func:`ic_cascade_lanes` / :func:`lt_cascade_lanes` — forward cascades
   of the pluggable diffusion models (:mod:`repro.engine.models`): every
   lane runs the same seed set through its own hashed world (IC edge
@@ -81,8 +97,9 @@ Status codes follow :data:`repro.core.prr.PRRArena.status_names` order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from contextlib import closing
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +108,7 @@ from .traversal import (
     DIST_BASE,
     frontier_edge_positions,
     next_level_frontier,
+    sorted_lookup,
     unique_sorted,
 )
 
@@ -125,11 +143,18 @@ LANE_WIDTH = 64
 # +22% on prr-digg-w1, against +7% each at this budget.
 LANE_BYTES = 1 << 23
 
+# A streamed draw refills its free lane slots once at least
+# 1/REFILL_SHARE of them are free (see _Slots.refill_due).  Medians of 11
+# interleaved draws on the 2-core VM, at 1/4, 1/16 and 1/64: 12,000
+# critical sets on the 10k/52k graph 68.7, 64.0 and 62.9 ms; 1,500 on the
+# 20k/130k graph 85.8, 82.6 and 80.9 ms; 256 there 21.8, 16.3 and 17.3 ms;
+# 40,000 RR sets on the 10k graph 188.9, 175.3 and 176.7 ms.
+REFILL_SHARE = 16
+
 # Plane bytes per (lane, node) entry of each kernel: a bool visited plane
 # (RR, IC cascades), a bool plane plus a float64 accumulator (LT), an
 # int16 distance plane (PRR, and critical sets, whose live-reachability
-# region reuses the same bytes as a bool view once phase I has zeroed
-# them).
+# regions are marked in its top bit, see _REGION).
 ENTRY_BYTES = {"rr": 1, "ic": 1, "lt": 9, "critical": 2, "prr": 2}
 
 CODE_ACTIVATED = 0
@@ -216,64 +241,243 @@ def _lane_csr(lanes: np.ndarray, num_lanes: int) -> Tuple[np.ndarray, np.ndarray
 
 
 # ----------------------------------------------------------------------
+# Lane slots: streaming a draw through a fixed set of lanes
+# ----------------------------------------------------------------------
+class _Slots:
+    """The lane slots a draw's samples stream through.
+
+    Slot ``s`` runs sample ``sample[s]`` (``-1``: idle) on the plane
+    entries ``s * n + node``.  Samples ``0 .. width-1`` take slots ``0 ..
+    width-1``, so a draw that fits its slots runs as one batch, with no
+    bookkeeping per pass.  While samples wait, the kernel checks after each
+    pass whether :meth:`refill_due`; if so, it retires the finished slots'
+    samples (zeroes their plane entries and moves their outputs to ``sample
+    * n + node`` keys, see :class:`_Stream`) and :meth:`refill` hands the
+    slots the next waiting samples.  :meth:`ready` names the samples to
+    emit: the draw's finished prefix, once it holds a slot set.
+    """
+
+    def __init__(self, n: int, num: int, width: Optional[int], skip=None) -> None:
+        self.n = n
+        self.num = num
+        self.width = num if width is None else min(int(width), num)
+        self.sample = np.arange(self.width, dtype=np.int64)
+        waiting = np.arange(self.width, num, dtype=np.int64)
+        # Samples that never take a slot (PRR seed roots) are skipped.
+        self.queue = waiting if skip is None else waiting[~skip[self.width :]]
+        self.taken = 0  # queue entries that got a slot
+        self.refills = 0
+        self.first_live = 0  # every sample below it has finished
+        self.emitted = 0  # samples handed out in groups
+
+    @property
+    def waiting(self) -> bool:
+        return self.taken < self.queue.size
+
+    def refill_due(self, frontier: np.ndarray) -> Optional[np.ndarray]:
+        """The busy slots (those holding ``frontier`` keys) as a mask, when
+        enough of the others are free to refill them; else ``None``."""
+        busy = np.zeros(self.width, dtype=bool)
+        busy[frontier // self.n] = True
+        free = self.width - np.count_nonzero(busy)
+        return busy if free >= max(1, self.width // REFILL_SHARE) else None
+
+    def shift(self) -> np.ndarray:
+        """Per slot, what turns its ``slot * n + node`` keys into ``sample
+        * n + node`` keys."""
+        return (self.sample - np.arange(self.width)) * self.n
+
+    def refill(self, busy: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Give the slots that are not ``busy`` (retired already) the next
+        waiting samples; returns the ``(slots, samples)`` paired."""
+        free = np.flatnonzero(~busy)
+        samples = self.queue[self.taken : self.taken + free.size]
+        self.taken += samples.size
+        slots = free[: samples.size]
+        self.sample[free] = -1
+        self.sample[slots] = samples
+        self.refills += 1
+        live = self.sample[self.sample >= 0]
+        self.first_live = int(live.min()) if live.size else self.num
+        return slots, samples
+
+    def ready(self, final: bool = False) -> Optional[Tuple[int, int]]:
+        """The ``[lo, hi)`` samples to emit now, if any: the draw's
+        finished prefix once it holds a slot set, and once the draw is
+        ``final``, all the rest (an empty draw is one empty range)."""
+        lo = self.emitted
+        hi = self.num if final else self.first_live
+        if hi - lo < (1 if final and lo else self.width):
+            return None
+        self.emitted = hi
+        return lo, hi
+
+
+class _Stream:
+    """One per-pass output of a streamed kernel, as chunks of columns:
+    ``slot * n + node`` keys and columns aligned with them (``live``),
+    until :meth:`retire` or :meth:`convert` moves them to ``sample * n +
+    node`` keys (``done``), from which :meth:`take` hands out the rows of
+    finished samples."""
+
+    def __init__(self, *dtypes) -> None:
+        self.dtypes = dtypes
+        self.live = [[] for _ in dtypes]
+        self.done = [[] for _ in dtypes]
+
+    def append(self, *arrays) -> None:
+        for chunks, a in zip(self.live, arrays):
+            chunks.append(a)
+
+    def retire(self, slots: _Slots, finished: np.ndarray, plane: np.ndarray) -> None:
+        """Zero the ``plane`` entries of the samples in ``finished`` slots
+        and move their keys to sample space (a stream of keys alone); the
+        other keys stay live, as the keys of entries still set.  (The live
+        keys change last, so a failure midway leaves every set entry in
+        them.)"""
+        if not slots.refills and finished.all():
+            for chunk in self.live[0]:
+                plane[chunk] = 0
+            self.convert(slots)
+            return
+        keys = _join(self.live[0])
+        kept = []
+        if not finished.all():
+            fin = finished[keys // slots.n]
+            kept = [keys[~fin]]
+            keys = keys[fin]
+        plane[keys] = 0
+        self.done[0].append(keys + slots.shift()[keys // slots.n])
+        self.live = [kept]
+
+    def convert(self, slots: _Slots) -> None:
+        """Move every live row to sample space (before :meth:`_Slots.refill`
+        pairs a slot with another sample)."""
+        if slots.refills:
+            cols = [_join(c, t) for c, t in zip(self.live, self.dtypes)]
+            cols[0] = cols[0] + slots.shift()[cols[0] // slots.n]
+            self.live = [[c] for c in cols]
+        for done, live in zip(self.done, self.live):
+            done += live
+        self.live = [[] for _ in self.dtypes]
+
+    def take(self, n: int, lo: int, hi: int, last: bool) -> List[np.ndarray]:
+        """The rows of samples ``[lo, hi)`` (all retired ones when
+        ``last``), keys rebased to lanes ``0 .. hi-lo-1``.  Each column's
+        chunks are released as soon as they are joined."""
+        cols = [_drain(c, t) for c, t in zip(self.done, self.dtypes)]
+        if not last:
+            inside = cols[0] < hi * n
+            for done, c in zip(self.done, cols):
+                done.append(c[~inside])
+            cols = [c[inside] for c in cols]
+        if lo:
+            cols[0] = cols[0] - lo * n
+        return cols
+
+
+def _join(chunks: list, dtype=np.int64) -> np.ndarray:
+    """The concatenation of ``chunks``."""
+    if not chunks:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+
+
+def _drain(chunks: list, dtype=np.int64) -> np.ndarray:
+    """:func:`_join` of ``chunks``, which is emptied (the chunks are
+    released as soon as the caller drops the result's inputs)."""
+    out = _join(chunks, dtype)
+    chunks.clear()
+    return out
+
+
+# ----------------------------------------------------------------------
 # Reverse-reachable sets
 # ----------------------------------------------------------------------
 def rr_member_lanes(
-    engine, roots: np.ndarray, lane_seeds: np.ndarray
+    engine,
+    roots: np.ndarray,
+    lane_seeds: np.ndarray,
+    slots: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One RR-set per lane, all lanes advanced per frontier step.
+    """One RR-set per root, all running samples advanced per frontier step.
 
-    Lane ``b`` samples the world fixed by ``lane_seeds[b]``: edge
-    ``u -> v`` is live iff its 64-bit hash falls below ``round(p · 2^64)``.
-    Returns ``(counts, members)`` — lane ``b``'s members are
-    ``members[sum(counts[:b]) : sum(counts[:b+1])]``, sorted per lane.
+    Sample ``i`` samples the world fixed by ``lane_seeds[i]``: edge ``u ->
+    v`` is live iff its 64-bit hash falls below ``round(p · 2^64)``.  The
+    samples stream through ``slots`` lane slots (default: one per root,
+    one batch): a slot whose sample has no frontier left takes the next
+    root (see :class:`_Slots`).  Returns ``(counts, members)`` — sample
+    ``i``'s members are ``members[sum(counts[:i]) : sum(counts[:i+1])]``,
+    the root first, then each BFS level's new members in ascending order.
 
-    The visited plane is a bool view of the engine's lane arena; touched
-    entries are cleared on exit, so repeated batches cost no fresh
-    O(B·n) allocation.
+    The visited plane is a bool view of the engine's lane arena, one entry
+    per slot and node; a retired sample's entries are cleared before its
+    slot is reused and every entry is clear on exit, so repeated draws cost
+    no fresh O(slots·n) allocation.
     """
     n = engine.n
-    num = int(roots.size)
     in_indptr = engine._in_indptr
     in_nodes = engine._in_nodes
     edge_hash = engine._in_hash
     thr = engine._in_thr64
+    roots = roots.astype(np.int64, copy=False)
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
-    visited = engine.lane_arena(num * n).view(bool)
-    lane = np.arange(num, dtype=np.int64)
-    node = roots.astype(np.int64, copy=False)
+    lanes = _Slots(n, int(roots.size), slots)
+    width = lanes.width
+    slot_seeds = lane_seeds[:width].copy()
+    visited = engine.lane_arena(width * n).view(bool)
+    lane = np.arange(width, dtype=np.int64)
+    node = roots[:width]
     key = lane * n + node
     visited[key] = True
-    key_chunks = [key]
+    keys = _Stream(np.int64)
+    keys.append(key)
+    parts = []
     try:
-        while node.size:
+        while True:
             pos, counts = frontier_edge_positions(in_indptr, node)
-            if pos.size == 0:
-                break
             e_lane = np.repeat(lane, counts)
-            hit = _lane_draw_ints(lane_seeds, e_lane, edge_hash, pos) < thr.take(pos)
-            if not hit.any():
-                break
-            srcs = in_nodes.take(pos[hit])
-            key = e_lane[hit] * n + srcs
-            key = key[~visited[key]]
-            if key.size == 0:
-                break
-            key = unique_sorted(key)
+            hit = _lane_draw_ints(slot_seeds, e_lane, edge_hash, pos) < thr.take(pos)
+            key = e_lane[hit] * n + in_nodes.take(pos[hit])
+            key = unique_sorted(key[~visited[key]])
             visited[key] = True
-            key_chunks.append(key)
+            keys.append(key)
+            busy = lanes.refill_due(key) if lanes.waiting else None
+            if busy is not None:
+                keys.retire(lanes, ~busy, visited)
+                new, samples = lanes.refill(busy)
+                slot_seeds[new] = lane_seeds[samples]
+                init = new * n + roots[samples]
+                visited[init] = True
+                keys.append(init)
+                key = np.concatenate([key, init])
+                _rr_group(keys, lanes, lanes.ready(), parts)
+            if not key.size:
+                break
             lane = key // n
             node = key - lane * n
+        keys.retire(lanes, np.ones(width, dtype=bool), visited)
     finally:
         # Restore the shared plane even on interrupt/OOM — the engine is
         # cached on the graph, so leaked marks would corrupt every later
         # sample.
-        for chunk in key_chunks:
+        for chunk in keys.live[0]:
             visited[chunk] = False
-    keys = np.concatenate(key_chunks) if len(key_chunks) > 1 else key_chunks[0]
-    lane_all = keys // n
-    counts, order = _lane_csr(lane_all, num)
-    return counts, (keys - lane_all * n)[order]
+    _rr_group(keys, lanes, lanes.ready(final=True), parts)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([c for c, _ in parts]), np.concatenate([v for _, v in parts])
+
+
+def _rr_group(keys: _Stream, lanes: _Slots, ready, parts: list) -> None:
+    """Append the ``(counts, members)`` of the ``ready`` samples, if any,
+    to ``parts``."""
+    if ready is not None:
+        lo, hi = ready
+        (k,) = keys.take(lanes.n, lo, hi, hi == lanes.num)
+        lane = k // lanes.n
+        counts, order = _lane_csr(lane, hi - lo)
+        parts.append((counts, (k - lane * lanes.n)[order]))
 
 
 # ----------------------------------------------------------------------
@@ -335,56 +539,98 @@ def prr_phase1_lanes(
     roots: np.ndarray,
     k: int,
     lane_seeds: np.ndarray,
-) -> LanePhase1:
-    """Backward 0–1 BFS from ``B`` roots at once, distance-``> k`` pruned.
+    slots: Optional[int] = None,
+) -> Iterator[LanePhase1]:
+    """Backward 0–1 BFS from every root of a draw, distance-``> k`` pruned.
 
-    Runs Dial's algorithm for all lanes at once: every pass processes the
-    union of the lanes' current frontiers as flat ``lane * n + node``
-    keys, each lane at its own distance level.  Since each lane's world
-    is fixed by its seed, the shared schedule yields, per lane, exactly
-    the edge and seed sets (and node counts) of a solo world-seeded
-    :meth:`~repro.engine.batch.SamplingEngine.prr_phase1` run, in the
-    order the lane explored them.
+    Runs Dial's algorithm for all running samples at once: every pass
+    processes the union of their current frontiers as flat ``slot * n +
+    node`` keys, each sample at its own distance level.  Since each
+    sample's world is fixed by its seed, the shared schedule yields, per
+    sample, exactly the edge and seed sets (and node counts) of a solo
+    world-seeded :meth:`~repro.engine.batch.SamplingEngine.prr_phase1`
+    run, in the order the sample explored them.
 
-    Roots that are seeds come back activated without exploration.  The
-    per-lane ``explored`` edge counters of lanes that activate *during*
-    level 0 may exceed the solo path's (the shared pass finishes before
-    the activation takes effect) — diagnostics only; every arena-visible
-    output is identical.  The int16 distance plane (a view of the engine's
-    lane arena) is zeroed again before returning, also when the pass loop
-    raises.
+    The samples stream through ``slots`` lane slots (default: one per
+    root, one batch): a slot whose sample activates, or has no frontier
+    and nothing pooled left, takes the next root (see :class:`_Slots`).
+    Yields the draw as :class:`LanePhase1` groups of consecutive samples
+    in sample order: its finished prefix whenever that holds at least a
+    slot set, and the rest at the end; a draw that fits its slots comes
+    back as one group.  Between groups the plane of the running samples
+    is live in the lane arena: a consumer may only use the arena as
+    :func:`critical_lanes` does.
+
+    Roots that are seeds come back activated without exploration and
+    never take a freed slot.  The per-sample ``explored`` edge counters
+    of samples that activate *during* level 0 may exceed the solo path's
+    (the shared pass finishes before the activation takes effect) —
+    diagnostics only; every arena-visible output is identical.  The
+    int16 distance plane (a view of the engine's lane arena) is zeroed
+    again before the last group, and when the pass loop raises or the
+    consumer closes the generator.
     """
     if k + 1 >= int(DIST_BASE):
         raise ValueError("k exceeds the lane kernel's int16 distance range")
     n = engine.n
-    num = int(roots.size)
-    lane_seeds = lane_seeds.astype(np.uint64, copy=False)
     roots = roots.astype(np.int64, copy=False)
+    lane_seeds = lane_seeds.astype(np.uint64, copy=False)
     seed_roots = seeds_mask[roots]
     activated = seed_roots.copy()
-    dist = engine.lane_arena(2 * num * n).view(np.int16)
-    init = np.flatnonzero(~activated) * n + roots[~activated]
-    dist[init] = DIST_BASE  # distance 0
-    out = _Phase1Chunks(touched=[init])
+    lanes = _Slots(n, int(roots.size), slots, skip=seed_roots)
+    dist = engine.lane_arena(2 * lanes.width * n).view(np.int16)
+    out = _Phase1Chunks()
     try:
-        _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, out)
+        ready = _prr_level_loop(
+            engine, seeds_mask, k, roots, lane_seeds, activated, dist, lanes, out
+        )
+        for lo, hi in ready:
+            yield _phase1_group(engine, out, roots, activated, seed_roots, lo, hi)
     finally:
         # Restore the shared plane even on interrupt/OOM — the engine is
         # cached on the graph, so stale marks would corrupt later batches.
-        touched = _drain(out.touched)
-        dist[touched] = 0
+        for chunk in out.touched.live[0]:
+            dist[chunk] = 0
 
-    node_count, explored = _lane_counters(engine, touched, out.done, seed_roots)
-    edge_indptr, edge_src, edge_dst, edge_boost = _lane_edges(out, activated, n)
-    skeys = unique_sorted(_drain(out.seeds))
-    s_lane, seed_nodes = np.divmod(skeys, n)
+
+class _Phase1Chunks:
+    """Per-pass outputs of :func:`_prr_level_loop`: keys whose distance
+    left the sentinel, processed frontier keys, kept edges (source keys,
+    head nodes, boost flags) and the keys of discovered seeds."""
+
+    def __init__(self) -> None:
+        self.touched = _Stream(np.int64)
+        self.done = _Stream(np.int64)
+        self.edges = _Stream(np.int64, np.int64, bool)
+        self.seeds = _Stream(np.int64)
+
+    def retire(self, lanes: _Slots, finished: np.ndarray, dist: np.ndarray) -> None:
+        self.touched.retire(lanes, finished, dist)
+        for stream in (self.done, self.edges, self.seeds):
+            stream.convert(lanes)
+
+
+def _phase1_group(engine, out, roots, activated, seed_roots, lo, hi) -> LanePhase1:
+    """The :class:`LanePhase1` of samples ``[lo, hi)``, all retired."""
+    n = engine.n
+    num = hi - lo
+    last = hi == roots.size
+    activated = activated[lo:hi]
+    node_count, explored = _lane_counters(
+        engine, *out.touched.take(n, lo, hi, last), *out.done.take(n, lo, hi, last),
+        seed_roots[lo:hi],
+    )
+    edge_indptr, edge_src, edge_dst, edge_boost = _lane_edges(
+        out.edges.take(n, lo, hi, last), activated, n
+    )
+    (skeys,) = out.seeds.take(n, lo, hi, last)
+    s_lane, seed_nodes = np.divmod(unique_sorted(skeys), n)
     live = ~activated[s_lane]
     s_counts = np.bincount(s_lane[live], minlength=num)
     seed_indptr = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(s_counts, out=seed_indptr[1:])
-
     return LanePhase1(
-        roots=roots,
+        roots=roots[lo:hi],
         activated=activated,
         edge_indptr=edge_indptr,
         edge_src=edge_src,
@@ -404,135 +650,144 @@ def _lane_counters(engine, touched, done, seed_roots) -> Tuple[np.ndarray, np.nd
     n = engine.n
     num = seed_roots.size
     node_count = np.bincount(unique_sorted(touched) // n, minlength=num) + seed_roots
-    lane, node = np.divmod(_drain(done), n)
+    lane, node = np.divmod(done, n)
     indptr = engine._in_indptr
     degree = indptr[node + 1] - indptr[node]
     explored = np.bincount(lane, weights=degree, minlength=num).astype(np.int64)
     return node_count, explored
 
 
-def _lane_edges(out, activated, n):
+def _lane_edges(cols: list, activated, n):
     """``(edge_indptr, src, dst, boost)``: the kept edges of the lanes that
-    did not activate, grouped by lane in exploration order."""
+    did not activate, grouped by lane in exploration order, from the
+    ``[src keys, dst, boost]`` columns (released as they are used)."""
     num = activated.size
-    lane, srcs = np.divmod(_drain(out.src), n)
+    lane, srcs = np.divmod(cols.pop(0), n)
     lane[activated[lane]] = num  # sorts after every live lane, then dropped
     counts, order = _lane_csr(lane, num + 1)
     del lane
     order = order[: order.size - counts[num]]
     edge_indptr = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(counts[:num], out=edge_indptr[1:])
-    return (
-        edge_indptr,
-        srcs.take(order),
-        _drain(out.dst).take(order),
-        _drain(out.boost, bool).take(order),
-    )
+    return edge_indptr, srcs.take(order), cols.pop(0).take(order), cols.pop(0).take(order)
 
 
-def _drain(chunks: list, dtype=np.int64) -> np.ndarray:
-    """The concatenation of ``chunks``, which is emptied (the chunks are
-    released as soon as the caller drops the result's inputs)."""
-    if not chunks:
-        return np.empty(0, dtype=dtype)
-    out = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    chunks.clear()
-    return out
-
-
-@dataclass
-class _Phase1Chunks:
-    """Per-pass outputs of :func:`_prr_level_loop`, concatenated once at
-    the end: keys whose distance left the sentinel, processed frontier
-    keys, kept edges (source keys, head nodes, boost flags) and the keys
-    of discovered seeds."""
-
-    touched: list
-    done: list = field(default_factory=list)
-    src: list = field(default_factory=list)
-    dst: list = field(default_factory=list)
-    boost: list = field(default_factory=list)
-    seeds: list = field(default_factory=list)
-
-
-def _prr_level_loop(engine, seeds_mask, k, lane_seeds, activated, dist, init, out) -> None:
-    """Dial's 0-1 BFS of :func:`prr_phase1_lanes`, each lane at its own
-    distance level (split out so the caller can guarantee plane
+def _prr_level_loop(
+    engine, seeds_mask, k, roots, lane_seeds, activated, dist, lanes, out
+) -> Iterator[Tuple[int, int]]:
+    """Dial's 0-1 BFS of :func:`prr_phase1_lanes`, each slot's sample at
+    its own distance level; yields the ``[lo, hi)`` groups of samples it
+    has finished and retired (split out so the caller can guarantee plane
     restoration around it).
 
-    A pass processes every lane's current frontier.  A lane's live-edge
-    candidates stay at its level for the next pass; its boost-edge
-    candidates wait in a pool until the lane runs out of live candidates
-    and moves up a level (to ``k`` at most).  So each lane processes the
-    frontiers of a solo run in the same order, and no lane waits for the
-    others to finish a level.  Every distance write is a strict
-    improvement: a key is queued at most once per level and never after
-    it was processed, and a pooled key improved since fails the ``dist
-    == level`` check when its lane moves up.  No processed-mark plane is
-    kept.
+    A pass processes every running sample's current frontier.  A sample's
+    live-edge candidates stay at its level for the next pass; its
+    boost-edge candidates wait in a pool until it runs out of live
+    candidates and moves up a level (to ``k`` at most).  So each sample
+    processes the frontiers of a solo run in the same order, and none
+    waits for the others to finish a level.  Every distance write is a
+    strict improvement: a key is queued at most once per level and never
+    after it was processed, and a pooled key improved since fails the
+    ``dist == level`` check when its sample moves up.  No processed-mark
+    plane is kept.  A sample is finished when it activates, or when it
+    has no frontier left (a sample's pool only outlives its frontier when
+    it activated; those keys are dropped before the slot is reused).
     """
     n = engine.n
-    num = activated.size
+    width = lanes.width
     in_indptr = engine._in_indptr
     in_nodes = engine._in_nodes
     in_p = engine._in_p
     in_pp = engine._in_pp
     edge_hash = engine._in_hash
     with np.errstate(over="ignore"):
-        seed_mult = lane_seeds * SEED_MULT  # the per-lane half of every draw
-    level = np.zeros(num, dtype=np.int64)  # each lane's distance level
-    pool = _EMPTY_I64  # boost candidates of lanes not yet at their level
-    f = init
-    while f.size:
-        f = unique_sorted(f)
-        out.done.append(f)
-        lane, node = np.divmod(f, n)
-        pos, counts = frontier_edge_positions(in_indptr, node)
-        e_lane = lane.repeat(counts)
-        e_level = level.take(e_lane)
-        # hash_draw(lane seed, src, head) of every frontier edge.
-        x = seed_mult.take(e_lane)
-        x += edge_hash.take(pos)
-        draws = splitmix_finalize(x).astype(np.float64)
-        draws /= TWO64
-        live = draws < in_p.take(pos)
-        boost = draws < in_pp.take(pos)
-        boost &= ~live
-        boost &= e_level < k  # a boost edge at level k leads past k
-        kept = np.flatnonzero(live | boost)
-        srcs = in_nodes.take(pos.take(kept))
-        e_lane = e_lane.take(kept)
-        e_level = e_level.take(kept)
-        boost = boost.take(kept)
-        g = e_lane * n
-        g += srcs
-        out.src.append(g)
-        out.dst.append(node.repeat(counts).take(kept))
-        out.boost.append(boost)
-        is_seed = seeds_mask.take(srcs)
-        activating = False
-        if is_seed.any():
-            out.seeds.append(g[is_seed])
-            # A live edge from a seed at level 0 activates its lane's root
-            # without boosting.
-            act = e_lane[is_seed & ~boost & (e_level == 0)]
-            activated[act] = True
-            activating = act.size > 0
-        # Scatter the new distances (boost edges first, so a key reached
-        # both ways this pass keeps the live distance), DIST_BASE-encoded.
-        e_code = DIST_BASE - e_level
-        upd = dist[g] < e_code - boost
-        out.touched.append(g[upd])
-        upd &= ~is_seed  # seeds are never expanded
-        step = np.flatnonzero(upd & boost)
-        nxt = g.take(step)
-        dist[nxt] = e_code.take(step) - 1
-        step = np.flatnonzero(upd & ~boost)
-        live = g.take(step)
-        dist[live] = e_code.take(step)
-        f, pool = next_level_frontier(dist, n, level, lane, live, pool, nxt)
-        if activating:
-            f = f[~activated[f // n]]
+        seed_mult = lane_seeds[:width] * SEED_MULT  # the per-slot half of every draw
+    level = np.zeros(width, dtype=np.int64)  # each slot's distance level
+    lane_act = activated[:width].copy()  # whether each slot's sample activated
+    pool = _EMPTY_I64  # boost candidates of samples not yet at their level
+    f = np.flatnonzero(~lane_act) * n + roots[:width][~lane_act]
+    dist[f] = DIST_BASE  # distance 0
+    out.touched.append(f)
+    while True:
+        if f.size:
+            f = unique_sorted(f)
+            out.done.append(f)
+            lane, node = np.divmod(f, n)
+            pos, counts = frontier_edge_positions(in_indptr, node)
+            e_lane = lane.repeat(counts)
+            e_level = level.take(e_lane)
+            # hash_draw(sample seed, src, head) of every frontier edge.
+            x = seed_mult.take(e_lane)
+            x += edge_hash.take(pos)
+            draws = splitmix_finalize(x).astype(np.float64)
+            draws /= TWO64
+            live = draws < in_p.take(pos)
+            boost = draws < in_pp.take(pos)
+            boost &= ~live
+            boost &= e_level < k  # a boost edge at level k leads past k
+            kept = np.flatnonzero(live | boost)
+            srcs = in_nodes.take(pos.take(kept))
+            e_lane = e_lane.take(kept)
+            e_level = e_level.take(kept)
+            boost = boost.take(kept)
+            g = e_lane * n
+            g += srcs
+            out.edges.append(g, node.repeat(counts).take(kept), boost)
+            is_seed = seeds_mask.take(srcs)
+            activating = False
+            if is_seed.any():
+                out.seeds.append(g[is_seed])
+                # A live edge from a seed at level 0 activates its sample's
+                # root without boosting.
+                act = e_lane[is_seed & ~boost & (e_level == 0)]
+                lane_act[act] = True
+                activating = act.size > 0
+            # Scatter the new distances (boost edges first, so a key reached
+            # both ways this pass keeps the live distance), DIST_BASE-encoded.
+            e_code = DIST_BASE - e_level
+            upd = dist[g] < e_code - boost
+            out.touched.append(g[upd])
+            upd &= ~is_seed  # seeds are never expanded
+            step = np.flatnonzero(upd & boost)
+            nxt = g.take(step)
+            dist[nxt] = e_code.take(step) - 1
+            step = np.flatnonzero(upd & ~boost)
+            live = g.take(step)
+            dist[live] = e_code.take(step)
+            f, pool = next_level_frontier(dist, n, level, lane, live, pool, nxt)
+            if activating:
+                f = f[~lane_act[f // n]]
+        busy = lanes.refill_due(f) if lanes.waiting else None
+        if busy is not None:
+            _retire_samples(lanes, ~busy, lane_act, activated, dist, out)
+            pool = pool[busy[pool // n]]  # activated samples' boost candidates
+            new, samples = lanes.refill(busy)
+            with np.errstate(over="ignore"):
+                seed_mult[new] = lane_seeds[samples] * SEED_MULT
+            level[new] = 0
+            lane_act[new] = False
+            init = new * n + roots[samples]
+            dist[init] = DIST_BASE
+            out.touched.append(init)
+            f = np.concatenate([f, init])
+            ready = lanes.ready()
+            if ready is not None:
+                yield ready
+        if not f.size:
+            break
+    _retire_samples(lanes, np.ones(width, dtype=bool), lane_act, activated, dist, out)
+    ready = lanes.ready(final=True)
+    if ready is not None:
+        yield ready
+
+
+def _retire_samples(lanes, finished, lane_act, activated, dist, out) -> None:
+    """Retire the samples of the ``finished`` slots: record their
+    activation, zero their plane entries, move their outputs to sample
+    space."""
+    held = lanes.sample[finished]
+    activated[held[held >= 0]] = lane_act[finished][held >= 0]
+    out.retire(lanes, finished, dist)
 
 
 # ----------------------------------------------------------------------
@@ -543,80 +798,115 @@ def critical_lanes(
     seeds_mask: np.ndarray,
     roots: np.ndarray,
     lane_seeds: np.ndarray,
+    slots: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Critical node sets ``C_R`` for ``B`` roots at once.
+    """Critical node sets ``C_R`` for every root of a draw.
 
-    Phase I capped at boost-distance 1, then one live-reachability fixed
-    point grown across *all* boostable lanes simultaneously (the per-lane
-    regions live in disjoint ``lane * n + node`` key ranges, so a single
-    :func:`grow_reachable` pass serves every lane).  Returns
-    ``(status_codes, counts, members, explored)`` with the critical sets
-    as a lane-grouped CSR of sorted unique node ids.
+    Phase I capped at boost-distance 1, streamed through ``slots`` lane
+    slots (default: one per root; :func:`prr_phase1_lanes`), then per
+    group of finished samples one live-reachability pass over the group's
+    boostable lanes, at most ``slots`` of them at a time: their regions
+    live in disjoint ``rank * n + node`` key ranges, so one frontier BFS
+    (:func:`_grow_region`) serves them all.  Returns ``(status_codes,
+    counts, members, explored)`` with the critical sets as a lane-grouped
+    CSR of sorted unique node ids.
     """
+    width = max(1, roots.size if slots is None else min(slots, roots.size))
+    groups = prr_phase1_lanes(engine, seeds_mask, roots, 1, lane_seeds, slots)
+    with closing(groups):
+        parts = [_critical_sets(engine, ph, seeds_mask, width) for ph in groups]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+# A critical region is marked in bit 15 of the phase-I distance plane,
+# which DIST_BASE encoding never sets: the plane's other bits still hold
+# the distances of the samples running meanwhile.
+_REGION = np.int16(-(1 << 15))
+_DISTANCE = np.int16((1 << 15) - 1)
+
+
+def _critical_sets(engine, ph: LanePhase1, seeds_mask: np.ndarray, width: int):
+    """``(status_codes, counts, members, explored)`` of one phase-I group,
+    its boostable lanes ``width`` at a time."""
     n = engine.n
-    num = int(roots.size)
-    ph = prr_phase1_lanes(engine, seeds_mask, roots, 1, lane_seeds)
+    num = int(ph.roots.size)
     status = np.full(num, CODE_BOOSTABLE, dtype=np.int8)
+    status[np.diff(ph.seed_indptr) == 0] = CODE_HOPELESS
     status[ph.activated] = CODE_ACTIVATED
-    no_seeds = ~ph.activated & (np.diff(ph.seed_indptr) == 0)
-    status[no_seeds] = CODE_HOPELESS
-    boostable = status == CODE_BOOSTABLE
-    counts = np.zeros(num, dtype=np.int64)
-    members = _EMPTY_I64
-    if boostable.any():
-        el = np.repeat(
-            np.arange(num, dtype=np.int64), np.diff(ph.edge_indptr)
-        )
-        use = boostable[el]
-        el = el[use]
-        es = ph.edge_src[use]
-        ed = ph.edge_dst[use]
-        eb = ph.edge_boost[use]
-        # The live-reachability region is a bool view of the bytes phase
-        # I used as its distance plane (zero again now), tracking what we
-        # set so the bytes can be zeroed on exit.
-        region = engine.lane_arena(num * n).view(bool)
-        s_lane = np.repeat(
-            np.arange(num, dtype=np.int64), np.diff(ph.seed_indptr)
-        )
-        s_use = boostable[s_lane]
-        seed_keys = s_lane[s_use] * n + ph.seed_nodes[s_use]
-        region[seed_keys] = True
-        touched = [seed_keys]
-        try:
-            live = ~eb
-            tails = el[live] * n + es[live]
-            heads = el[live] * n + ed[live]
-            while True:
-                grow = region[tails] & ~region[heads]
-                if not grow.any():
-                    break
-                new = np.unique(heads[grow])
-                region[new] = True
-                touched.append(new)
-            # Defensive (phase I catches live seed->root paths): a root
-            # inside its live region is activated.
-            root_hit = (
-                region[np.arange(num, dtype=np.int64) * n + ph.roots] & boostable
-            )
-            if root_hit.any():
-                status[root_hit] = CODE_ACTIVATED
-                boostable = status == CODE_BOOSTABLE
-            crit = (
-                eb
-                & region[el * n + es]
-                & ~seeds_mask[ed]
-                & boostable[el]
-            )
-        finally:
-            for chunk in touched:  # zero the shared bytes again
-                region[chunk] = False
-        if crit.any():
-            keys = unique_sorted(el[crit] * n + ed[crit])
-            lane = keys // n
-            counts = np.bincount(lane, minlength=num)
-            members = keys - lane * n
-    return status, counts, members, ph.explored
+    lanes = np.flatnonzero(status == CODE_BOOSTABLE)
+    found = [_EMPTY_I64]
+    for lo in range(0, lanes.size, width):
+        chunk = lanes[lo : lo + width]
+        plane = engine.lane_arena(2 * chunk.size * n).view(np.int16)
+        found.append(_critical_keys(ph, chunk, seeds_mask, n, plane, status))
+    keys = np.concatenate(found)
+    lane = keys // n
+    return status, np.bincount(lane, minlength=num), keys - lane * n, ph.explored
+
+
+def _critical_keys(ph, lanes, seeds_mask, n, plane, status) -> np.ndarray:
+    """The sorted ``lane * n + node`` keys of the critical sets of the
+    boostable ``lanes`` of ``ph``.  Lane ``lanes[r]``'s live region is
+    marked at the keys ``r * n + node`` of ``plane`` (see
+    :data:`_REGION`) and unmarked before returning.  A root found inside
+    its live region is activated instead (defensive: phase I catches live
+    seed->root paths)."""
+    rank = np.arange(lanes.size, dtype=np.int64)
+    pos, counts = frontier_edge_positions(ph.edge_indptr, lanes)
+    edge_rank = rank.repeat(counts)
+    heads = ph.edge_dst.take(pos)
+    boost = ph.edge_boost.take(pos)
+    tails = edge_rank * n + ph.edge_src.take(pos)
+    pos, counts = frontier_edge_positions(ph.seed_indptr, lanes)
+    seed_keys = rank.repeat(counts) * n + ph.seed_nodes.take(pos)
+    marked = [seed_keys]
+    try:
+        plane[seed_keys] |= _REGION
+        _grow_region(plane, tails[~boost], edge_rank[~boost] * n + heads[~boost], marked)
+        inside = plane[tails] < 0
+        root_hit = plane[rank * n + ph.roots[lanes]] < 0
+    finally:
+        for keys in marked:
+            plane[keys] &= _DISTANCE
+    status[lanes[root_hit]] = CODE_ACTIVATED
+    crit = boost & inside & ~seeds_mask[heads] & ~root_hit[edge_rank]
+    keys = unique_sorted(edge_rank[crit] * n + heads[crit])
+    r = keys // n
+    return lanes[r] * n + (keys - r * n)
+
+
+def _grow_region(plane, tails, heads, marked: list) -> None:
+    """Mark (:data:`_REGION`) every key of ``plane`` reachable from the
+    marked ``marked[0]`` keys along the edges ``tails -> heads``,
+    appending the new keys of each round to ``marked``.
+
+    A frontier BFS over the edges grouped by tail once, as
+    :func:`repro.core.prr._bfs01` runs its passes: each round expands
+    only the keys the previous one reached.
+    """
+    size = tails.size
+    if not size:
+        return
+    key = tails * size
+    key += np.arange(size)
+    key.sort()
+    tails, order = np.divmod(key, size)
+    heads = heads[order]
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(tails[1:], tails[:-1], out=first[1:])
+    run_indptr = np.append(np.flatnonzero(first), size)
+    run_keys = tails[run_indptr[:-1]]
+    f = marked[0]
+    while f.size:
+        run, found = sorted_lookup(run_keys, f)
+        pos, _counts = frontier_edge_positions(run_indptr, run[found])
+        f = heads.take(pos)
+        f = unique_sorted(f[plane[f] >= 0])
+        plane[f] |= _REGION
+        marked.append(f)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ __all__ = [
     "frontier_edge_positions",
     "first_occurrence",
     "unique_sorted",
+    "sorted_lookup",
     "grow_reachable",
     "next_level_frontier",
     "DIST_BASE",
@@ -87,6 +88,14 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def sorted_lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, found)`` of ``queries`` in the sorted unique ``keys``."""
+    idx = np.searchsorted(keys, queries)
+    found = idx < keys.size
+    found[found] = keys[idx[found]] == queries[found]
+    return idx, found
 
 
 def grow_reachable(

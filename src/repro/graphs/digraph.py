@@ -453,6 +453,17 @@ class DiGraph:
         self._engine_pre = None
         return self._version
 
+    def snapshot(self) -> "DiGraph":
+        """The graph as it is now, at its :attr:`version`: a shallow copy
+        that shares every array.  :meth:`update_probabilities` replaces the
+        arrays instead of writing into them, so no later write reaches the
+        copy.  The copy builds its own sampling engine."""
+        copy = object.__new__(type(self))
+        for name in self.__slots__:
+            if name != "_engine_cache" and hasattr(self, name):
+                setattr(copy, name, getattr(self, name))
+        return copy
+
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------

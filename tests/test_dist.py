@@ -240,6 +240,32 @@ class TestDeterministicMerge:
         assert all(d > 0 for d in done), f"one host sat idle: {done}"
 
 
+class TestGraphVersions:
+    """Chunks sampled on two versions of a graph never merge into one draw."""
+
+    def test_a_write_fails_the_chunked_draws_of_bound_hosts(self, graph, two_hosts):
+        """Remote hosts keep the replica they connected with, so after a
+        write a chunked draw fails, naming both versions, instead of
+        returning their pre-write samples as the new version's."""
+        rt = DistributedRuntime(
+            graph, [h.addr for h in two_hosts], fallback_workers=1
+        )
+        parallel.bind_distributed_runtime(graph, rt)
+        try:
+            _src, _dst, p, pp = graph.edge_arrays()
+            graph.update_probabilities(p / 2, pp / 2)
+            with pytest.raises(RuntimeError, match="version 1.*version 0"):
+                parallel.parallel_rr_csr(graph, 2048, 5)
+            # Below the chunking threshold the draw stays in process, on
+            # the written graph.
+            small = parallel.parallel_rr_csr(graph, 256, 5)
+        finally:
+            parallel.unbind_distributed_runtime(graph)
+            rt.shutdown()
+        for got, want in zip(small, parallel.parallel_rr_csr(graph, 256, 5, workers=1)):
+            assert np.array_equal(got, want)
+
+
 def kill_in_first_chunk(monkeypatch, host):
     """Make ``host`` die inside its first chunk call: it stops serving and
     answers none of the chunks it holds, so it always dies with chunks in

@@ -520,6 +520,35 @@ class TestWorkerSupervision:
         got = PRRArena.from_payloads([(graph.n, *arrays) for arrays in out])
         _assert_same_payload(got, reference)
 
+    def test_every_host_killed_after_a_write_falls_back_to_the_forked_version(self):
+        """The degraded fallback samples the graph as the pool forked it,
+        not the live graph: a run returns its forked version's samples,
+        wherever its chunks ran."""
+        from repro.core import PRRArena
+        from repro.core.parallel import _chunk_jobs, _draw
+        from repro.graphs import learned_like, preferential_attachment
+        from repro.testing import faults
+
+        g_rng = np.random.default_rng(91)
+        graph = learned_like(preferential_attachment(150, 3, g_rng), g_rng,
+                             0.2)
+        reference = self._reference(graph)
+        jobs = _chunk_jobs(*_draw("prr", graph.n, 42, self.COUNT))
+        with _no_host_left():
+            with faults.inject(kill_worker="any", kill_on_chunk=1):
+                runtime = _pool(graph, 2)
+            try:
+                _src, _dst, p, pp = graph.edge_arrays()
+                graph.update_probabilities(p * 0.5, pp)
+                out = runtime.run("prr", jobs, (tuple(self.SEEDS), 5))
+                health = runtime.health()
+            finally:
+                runtime.shutdown()
+        # No host may be forked after the write, so the run degraded.
+        assert health.degraded and health.workers_alive == 0
+        got = PRRArena.from_payloads([(graph.n, *arrays) for arrays in out])
+        _assert_same_payload(got, reference)
+
 
 _RR_ON_A_STORE = """
 import sys

@@ -15,10 +15,11 @@ The digests were recorded before the lane batches were sized by a byte
 budget (:data:`~repro.engine.lanes.LANE_BYTES`) and before phase II
 compressed whole batches at once.  Every sample is a pure function of its
 ``(root, world_seed)`` pair, so the digests must not depend on how many
-lanes a batch holds: the lane-width tests re-run the matrix with the
-budget patched to 1-lane, 7-lane, 64-lane and whole-draw batches, and
-with phase II compressing each batch in slices of one lane or of a few
-thousand edges.
+lanes a batch holds or how many lane slots a critical draw streams
+through: the lane-width tests re-run the matrix with the budget patched
+to 1-, 7-, 64-lane and whole-draw batches and slot sets, and with phase
+II compressing each batch in slices of one lane or of a few thousand
+edges.
 """
 
 import hashlib
@@ -136,19 +137,26 @@ def graphs():
 
 @pytest.fixture
 def batch_width(monkeypatch):
-    """Patch the lane budget so every PRR and critical batch on an
-    ``n``-node graph holds ``width`` lanes (``None``: the whole draw),
-    and record the batch sizes the kernels actually saw."""
+    """Patch the lane budget so every PRR batch and the slot set of every
+    critical draw on an ``n``-node graph hold ``width`` lanes (``None``:
+    the whole draw), and record, per kernel call, its roots and the lane
+    slots they ran in."""
     seen = []
-    # PRR batches enter through the engine method, critical batches
-    # through the lanes module's kernel.
-    for owner, name in ((SamplingEngine, "prr_phase1_lanes"),
-                        (lanes_module, "prr_phase1_lanes")):
-        def spy(engine, seeds_mask, roots, *args, _inner=getattr(owner, name)):
-            seen.append(len(roots))
-            return _inner(engine, seeds_mask, roots, *args)
 
-        monkeypatch.setattr(owner, name, spy)
+    # PRR batches enter through the engine method, one fill of their
+    # slots each; critical draws hand the lanes module's kernel all their
+    # roots and a slot count.
+    def batch_spy(engine, seeds_mask, roots, *args, _inner=SamplingEngine.prr_phase1_lanes):
+        seen.append((len(roots), len(roots)))
+        return _inner(engine, seeds_mask, roots, *args)
+
+    def stream_spy(engine, seeds_mask, roots, k, lane_seeds, slots=None,
+                   _inner=lanes_module.prr_phase1_lanes):
+        seen.append((len(roots), len(roots) if slots is None else min(slots, len(roots))))
+        return _inner(engine, seeds_mask, roots, k, lane_seeds, slots)
+
+    monkeypatch.setattr(SamplingEngine, "prr_phase1_lanes", batch_spy)
+    monkeypatch.setattr(lanes_module, "prr_phase1_lanes", stream_spy)
 
     def set_width(width, n):
         # PRR and critical batches both span two plane bytes per lane and
@@ -163,12 +171,21 @@ def batch_width(monkeypatch):
     return set_width
 
 
-def _assert_widths(seen, width, count):
+def _assert_batches(seen, width, count):
+    """PRR draws: batches of ``width`` lanes (the last one may be short),
+    each one fill of its slots."""
     assert seen, "no lane batch ran"
-    if width is None:
-        assert max(seen) == count
-    else:
-        assert max(seen) == min(width, count)
+    slots = count if width is None else min(width, count)
+    assert sum(roots for roots, _ in seen) == count
+    assert all(used == roots for roots, used in seen)
+    assert max(used for _, used in seen) == slots
+
+
+def _assert_streamed(seen, width, count):
+    """Critical draws: one kernel call streams the whole draw through
+    exactly ``width`` slots (``count`` for a draw that fits)."""
+    slots = count if width is None else min(width, count)
+    assert seen == [(count, slots)]
 
 
 class TestGoldenDigests:
@@ -204,9 +221,9 @@ class TestGoldenDigests:
 
 
 class TestLaneWidthInvariance:
-    """Batch width changes the time, never a digest.  1- and 7-lane
-    batches replay the 50-sample cases; 64-lane and whole-draw batches
-    replay every case."""
+    """Batch and slot width change the time, never a digest.  1- and
+    7-lane widths replay the 50-sample cases; 64-lane and whole-draw
+    widths replay every case."""
 
     @pytest.mark.parametrize("width", [1, 7, 64, None])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -219,7 +236,7 @@ class TestLaneWidthInvariance:
                     seen = batch_width(width, graph.n)
                     key = f"{name}/k{k}/rng{rng_seed}/n{count}"
                     assert prr_case(graph, seeds, k, rng_seed, count) == golden["prr"][key], key
-                    _assert_widths(seen, width, count)
+                    _assert_batches(seen, width, count)
 
     @pytest.mark.parametrize("slice_edges", [1, 3000])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -245,4 +262,4 @@ class TestLaneWidthInvariance:
                 seen = batch_width(width, graph.n)
                 key = f"{name}/rng{rng_seed}/n{count}"
                 assert critical_case(graph, seeds, rng_seed, count) == golden["critical"][key], key
-                _assert_widths(seen, width, count)
+                _assert_streamed(seen, width, count)

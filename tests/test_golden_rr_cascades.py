@@ -13,9 +13,10 @@ counts:
 
 Every sample is a pure function of its root and world seed (its world
 seed alone for a cascade), so the digests must not depend on how many
-lanes a batch holds: the lane-width tests re-run the matrix with the
-lane budget (:data:`~repro.engine.lanes.LANE_BYTES`) patched to 1-lane,
-7-lane, 64-lane and whole-draw batches.
+lanes a batch holds or how many lane slots an RR draw streams through:
+the lane-width tests re-run the matrix with the lane budget
+(:data:`~repro.engine.lanes.LANE_BYTES`) patched to 1-, 7-, 64-lane and
+whole-draw batches and slot sets.
 
 Regenerate (only when a sampler's semantics change on purpose) with
 ``PYTHONPATH=src python tests/test_golden_rr_cascades.py``.
@@ -145,19 +146,25 @@ class TestGoldenDigests:
 
 @pytest.fixture
 def batch_width(monkeypatch):
-    """Patch the lane budget so every RR or IC batch on an ``n``-node
-    graph holds ``width`` lanes (``None``: the whole draw), and record
-    the batch sizes the kernels actually saw."""
+    """Patch the lane budget so the slot set of every RR draw and every IC
+    batch on an ``n``-node graph hold ``width`` lanes (``None``: the whole
+    draw), and record, per kernel call, its samples and the lanes they
+    ran in."""
     seen = []
-    for owner, name in ((batch_module, "rr_member_lanes"),
-                        (models_module, "ic_cascade_lanes")):
-        def spy(engine, *args, _inner=getattr(owner, name), **kwargs):
-            # RR kernels take (roots, lane_seeds), cascades (seed_idx,
-            # thresholds, lane_seeds): the lane seeds come last.
-            seen.append(len(args[-1]))
-            return _inner(engine, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, spy)
+    # RR draws hand the kernel all their roots and a slot count; cascade
+    # batches are one fill each, (seed_idx, thresholds, lane_seeds).
+    def rr_spy(engine, roots, lane_seeds, slots=None,
+               _inner=batch_module.rr_member_lanes):
+        seen.append((len(roots), len(roots) if slots is None else min(slots, len(roots))))
+        return _inner(engine, roots, lane_seeds, slots)
+
+    def ic_spy(engine, *args, _inner=models_module.ic_cascade_lanes, **kwargs):
+        seen.append((len(args[-1]), len(args[-1])))
+        return _inner(engine, *args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "rr_member_lanes", rr_spy)
+    monkeypatch.setattr(models_module, "ic_cascade_lanes", ic_spy)
 
     def set_width(width, n):
         # RR and IC planes both span one byte per lane and node.
@@ -169,19 +176,27 @@ def batch_width(monkeypatch):
     return set_width
 
 
-def _assert_widths(seen, width, count):
+def _assert_batches(seen, width, count):
+    """Cascades: batches of ``width`` lanes (the last one may be short)."""
     assert seen, "no lane batch ran"
-    if width is None:
-        assert max(seen) == count
-    else:
-        assert max(seen) == min(width, count)
+    slots = count if width is None else min(width, count)
+    assert sum(lanes for lanes, _ in seen) == count
+    assert max(used for _, used in seen) == slots
+
+
+def _assert_streamed(seen, width, count):
+    """RR draws: one kernel call streams the whole draw through exactly
+    ``width`` slots (``count`` for a draw that fits)."""
+    slots = count if width is None else min(width, count)
+    assert seen == [(count, slots)]
 
 
 class TestLaneWidthInvariance:
-    """Batch width changes the time, never a digest.  1- and 7-lane
-    batches replay the 50-sample cases; 64-lane and whole-draw batches
-    replay every case.  The RR draws skip the engine's narrow probe batch
-    (``dense=False``), so every batch has the patched width."""
+    """Batch and slot width change the time, never a digest.  1- and
+    7-lane widths replay the 50-sample cases; 64-lane and whole-draw
+    widths replay every case.  The RR draws skip the engine's narrow
+    probe batch (``dense=False``), so each hands the kernel its whole
+    draw and exactly the patched slot count."""
 
     @pytest.mark.parametrize("width", [1, 7, 64, None])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -193,7 +208,7 @@ class TestLaneWidthInvariance:
             seen = batch_width(width, graph.n)
             key = f"{name}/rng{rng_seed}/n{count}"
             assert rr_case(graph, rng_seed, count, dense=False) == golden["rr"][key], key
-            _assert_widths(seen, width, count)
+            _assert_streamed(seen, width, count)
 
     @pytest.mark.parametrize("width", [1, 7, 64, None])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -205,7 +220,7 @@ class TestLaneWidthInvariance:
             seen = batch_width(width, graph.n)
             key = f"{name}/rng{rng_seed}/n{count}"
             assert cascade_case(graph, rng_seed, count) == golden["ic"][key], key
-            _assert_widths(seen, width, count)
+            _assert_batches(seen, width, count)
 
 
 if __name__ == "__main__":

@@ -351,6 +351,9 @@ class TestScratchRestoredOnFailure:
 
     @staticmethod
     def prr_draw(graph):
+        # Every draw starts from the unlearned first batch width, so the
+        # call numbers of a clean draw name the same passes in each one.
+        SamplingEngine.for_graph(graph)._prr_kept = None
         return sample_prr_lanes(
             graph, TestScratchRestoredOnFailure.SEEDS, 3, np.random.default_rng(8), 300
         ).payload()
@@ -414,6 +417,37 @@ class TestScratchRestoredOnFailure:
             self.assert_clean(engine)
             self.assert_next_draw_is_fresh(fresh_graph, draw)
 
+    @pytest.mark.parametrize("draw_name,kernel", [("critical_draw", "critical"),
+                                                  ("rr_draw", "rr")])
+    def test_failure_after_refills(self, monkeypatch, fresh_graph, draw_name, kernel):
+        """With four lane slots, a streamed draw refills them many times;
+        a failure after a refill, in a frontier pass or in a critical
+        region pass, leaves the arena zero too."""
+        monkeypatch.setattr(lanes_module, "LANE_BYTES",
+                            4 * lanes_module.ENTRY_BYTES[kernel] * fresh_graph.n)
+        refills = [0]
+        real_refill = lanes_module._Slots.refill
+
+        def refill(slots, busy):
+            refills[0] += 1
+            return real_refill(slots, busy)
+
+        monkeypatch.setattr(lanes_module._Slots, "refill", refill)
+        draw = getattr(self, draw_name)
+        numbers = self.call_numbers(monkeypatch, lanes_module, draw, fresh_graph)
+        seen = []
+        for nth in numbers:
+            engine = SamplingEngine.for_graph(fresh_graph)
+            refills[0] = 0
+            with monkeypatch.context() as patch:
+                self.raise_on_call(patch, lanes_module, nth)
+                with pytest.raises(MemoryError):
+                    draw(fresh_graph)
+            seen.append(refills[0])
+            self.assert_clean(engine)
+            self.assert_next_draw_is_fresh(fresh_graph, draw)
+        assert seen[-1] > 0 and seen[-2] > 0  # the middle and last calls
+
     def test_compression_failure(self, monkeypatch, fresh_graph):
         for nth in self.call_numbers(monkeypatch, prr_module, self.prr_draw, fresh_graph):
             engine = SamplingEngine.for_graph(fresh_graph)
@@ -423,6 +457,79 @@ class TestScratchRestoredOnFailure:
                     self.prr_draw(fresh_graph)
             self.assert_clean(engine)
             self.assert_next_draw_is_fresh(fresh_graph, self.prr_draw)
+
+
+class TestStreamedSlots:
+    """A draw streams through a fixed set of lane slots: a slot whose
+    sample finished takes the next root, so no frontier pass runs for a
+    few stragglers while the rest of a batch idles."""
+
+    # Frontier passes of two seeded draws on the 10k/52k bench graph, run
+    # as consecutive batches of the lane budget's width (419 critical and
+    # 838 RR lanes), counted before the lanes became slots.
+    BATCHED_PASSES = {"critical": 563, "rr": 1424}
+
+    @pytest.fixture(scope="class")
+    def bench_graph(self):
+        rng = np.random.default_rng(2017)
+        return learned_like(preferential_attachment(10000, 4, rng), rng, 0.1, beta=2.0)
+
+    @staticmethod
+    def counter(monkeypatch, owner, name):
+        """Count the calls of ``owner.name``."""
+        real = getattr(owner, name)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_streamed_draws_need_a_third_of_the_batched_passes(
+        self, monkeypatch, bench_graph
+    ):
+        engine = SamplingEngine(bench_graph)
+        engine._rr_dense = False  # no narrow probe batch
+        order = np.argsort(-bench_graph.out_degrees(), kind="stable")
+        seeds = frozenset(int(v) for v in order[:20])
+        # Phase I calls next_level_frontier once a pass; the RR kernel
+        # calls frontier_edge_positions once a pass.
+        phase1 = self.counter(monkeypatch, lanes_module, "next_level_frontier")
+        engine.critical_lane_csr(seeds, np.random.default_rng(1), 12000)
+        assert phase1[0] <= self.BATCHED_PASSES["critical"] / 3
+        rr = self.counter(monkeypatch, lanes_module, "frontier_edge_positions")
+        engine.rr_lane_csr(np.random.default_rng(1), 40000)
+        assert rr[0] <= self.BATCHED_PASSES["rr"] / 3
+
+    def test_a_draw_that_fits_its_slots_runs_as_one_batch(self, monkeypatch, graph):
+        """Same passes as one batch of all roots, and no refill check."""
+        engine = SamplingEngine.for_graph(graph)
+        mask = engine.seeds_mask(frozenset({0, 1, 2}))
+        roots, world_seeds = lanes_module.draw_lane_inputs(
+            np.random.default_rng(4), graph.n, 300
+        )
+        checks = self.counter(monkeypatch, lanes_module._Slots, "refill_due")
+        for kernel, name in (("critical", "next_level_frontier"),
+                             ("rr", "frontier_edge_positions")):
+            width = lanes_module.batch_lanes(graph.n, kernel)
+            assert width >= roots.size
+            passes = self.counter(monkeypatch, lanes_module, name)
+            if kernel == "critical":
+                (one_batch,) = lanes_module.prr_phase1_lanes(engine, mask, roots, 1, world_seeds)
+                batch_passes = passes[0]
+                (fitted,) = lanes_module.prr_phase1_lanes(
+                    engine, mask, roots, 1, world_seeds, width
+                )
+                assert np.array_equal(fitted.edge_indptr, one_batch.edge_indptr)
+            else:
+                one_batch = lanes_module.rr_member_lanes(engine, roots, world_seeds)
+                batch_passes = passes[0]
+                fitted = lanes_module.rr_member_lanes(engine, roots, world_seeds, width)
+                assert all(np.array_equal(a, b) for a, b in zip(fitted, one_batch))
+            assert passes[0] == 2 * batch_passes
+        assert checks[0] == 0
 
 
 class TestLaneBudget:
