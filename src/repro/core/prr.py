@@ -72,6 +72,7 @@ from ..engine.lanes import (
 from ..engine.traversal import (
     DIST_BASE,
     frontier_edge_positions,
+    group_by_tail,
     grow_reachable,
     next_level_frontier,
     sorted_lookup,
@@ -365,8 +366,9 @@ def sample_prr_lanes(
     (two bytes per lane and node) and :data:`_PRR_EDGE_BYTES` per phase-I
     edge a lane of the call's earlier batches kept on average — at most
     four times their lanes.  The first batch budgets the mean of the
-    engine's last call with the same seeds and ``k``, or, before any,
-    every edge of the graph.
+    engine's last call with the same seeds and ``k``, trusted likewise
+    for at most four times that call's samples, or, before any, every
+    edge of the graph.
     """
     engine = SamplingEngine.for_graph(graph)
     mask = engine.seeds_mask(seeds)
@@ -379,12 +381,13 @@ def sample_prr_lanes(
     while lo < count:
         # Transients per lane: the mean kept edges of the batches so far,
         # trusted for at most four times as many lanes as they hold; for
-        # the first batch, the last call's mean, or every edge of the
-        # graph once.
+        # the first batch, the last call's mean (trusted the same way for
+        # its samples), or every edge of the graph once.
         if lo:
             width = min(4 * lo, batch_lanes(n, "prr", _PRR_EDGE_BYTES * kept / lo))
         elif learned is not None and learned[0] == key:
-            width = batch_lanes(n, "prr", _PRR_EDGE_BYTES * learned[1])
+            _key, mean, samples = learned
+            width = min(4 * samples, batch_lanes(n, "prr", _PRR_EDGE_BYTES * mean))
         else:
             width = batch_lanes(n, "prr", _PRR_EDGE_BYTES * graph.m)
         hi = min(count, lo + width)
@@ -397,7 +400,7 @@ def sample_prr_lanes(
         kept += int(ph.edge_indptr[-1])
         lo = hi
     if count:
-        engine._prr_kept = (key, kept / count)
+        engine._prr_kept = (key, kept / count, count)
     if arena is None:
         return PRRArena.from_payloads(parts) if parts else PRRArena(graph.n)
     if parts:
@@ -462,23 +465,12 @@ def _bfs01(
     Dial's algorithm with every lane at its own level, as in the phase-I
     lane kernel (:func:`~repro.engine.traversal.next_level_frontier`).
     """
-    size = tails.size
-    if size == 0:
+    if tails.size == 0:
         return
-    # Group the edges by tail: one sort of (tail, position) keys.
-    key = tails * size
-    key += np.arange(size)
-    key.sort()
-    tails, order = np.divmod(key, size)
-    del key
+    run_keys, run_indptr, order = group_by_tail(tails)
     heads = heads[order]
     boost = boost[order]
-    first = np.empty(size, dtype=bool)
-    first[0] = True
-    np.not_equal(tails[1:], tails[:-1], out=first[1:])
-    run_indptr = np.append(np.flatnonzero(first), size)
-    run_keys = tails[run_indptr[:-1]]
-    del tails, order, first
+    del tails, order
     level = np.zeros(num, dtype=np.int64)
     pool = _EMPTY_IDS
     f = sources

@@ -150,8 +150,9 @@ class DistributedRuntime(ChunkExecutor):
     ----------
     graph:
         The coordinator-side graph (used for the handshake fingerprint,
-        and as it is now, at its current version, as the degraded
-        fallback's sampling substrate).
+        and as the degraded fallback's sampling substrate: the graph as
+        it is now, at its current version, whatever writes it takes
+        later).
     hosts:
         Worker endpoints — ``"host:port,host:port"`` or a sequence of
         specs; every host must be serving the same graph replica
@@ -415,9 +416,12 @@ class DistributedRuntime(ChunkExecutor):
         self._dispatch()
 
     def _fallback(self, kind: str, jobs, params: tuple):
-        return run_chunks_local(
-            self._hosts_graph, kind, jobs, params, self._fallback_workers
-        )
+        # The live graph while it is the hosts' version (its engine and a
+        # local pool on it stay warm); after a write, the snapshot.
+        graph = self.graph
+        if getattr(graph, "version", 0) != self.graph_version:
+            graph = self._hosts_graph
+        return run_chunks_local(graph, kind, jobs, params, self._fallback_workers)
 
     def _pop_owed(self) -> Optional[Tuple[int, int]]:
         """The next queued chunk still owed (caller holds the lock);
@@ -512,10 +516,12 @@ class DistributedRuntime(ChunkExecutor):
 
         Closing a host's socket ends it: a local host reads EOF and
         exits, and its process is joined (killed if it outlives the
-        deadline); a remote host ends the session.
+        deadline); a remote host ends the session.  A local pool the
+        degraded fallback forked on the snapshot is shut down too.
         """
         if not self._close():
             return
+        parallel.shutdown_runtime_for(self._hosts_graph)
         deadline = time.monotonic() + max(float(timeout), 0.1)
         with self._cv:
             hosts = list(self._hosts)

@@ -195,9 +195,10 @@ class SamplingEngine:
             self._node_hash = node_hash_base(np.arange(self.n, dtype=np.int64))
         self._arena: Optional[np.ndarray] = None
         self._rr_dense: Optional[bool] = None  # learned on first lane batch
-        # ((seeds, k), mean kept phase-I edges per lane) of the last PRR
-        # lane draw: sizes the first batch of the next one (sample_prr_lanes).
-        self._prr_kept: Optional[Tuple[tuple, float]] = None
+        # ((seeds, k), mean kept phase-I edges per lane, samples) of the
+        # last PRR lane draw: sizes the first batch of the next one
+        # (sample_prr_lanes).
+        self._prr_kept: Optional[Tuple[tuple, float, int]] = None
         self._visit = np.zeros(self.n, dtype=np.int64)
         self._proc = np.zeros(self.n, dtype=np.int64)
         self._dist = np.zeros(self.n, dtype=np.int64)
@@ -442,9 +443,7 @@ class SamplingEngine:
             sizes = np.array([m.size for m in members], dtype=np.int64)
             parts.append((sizes, np.concatenate(members)))
         elif done < count:
-            parts.append(rr_member_lanes(
-                self, all_roots[done:], all_seeds[done:], width
-            ))
+            parts.append(rr_member_lanes(self, all_roots[done:], all_seeds[done:]))
             self._rr_dense = parts[-1][1].size > self.RR_DENSE_CUTOFF * (count - done)
         if len(parts) == 1:
             return parts[0]
@@ -801,18 +800,22 @@ class SamplingEngine:
         k: int,
         world_seeds: np.ndarray,
     ) -> LanePhase1:
-        """Phase-I exploration for a whole lane batch of roots at once
-        (one fill of its lane slots).
+        """Phase-I exploration for a whole lane batch of roots at once: at
+        most one PRR batch of them (:func:`~repro.engine.lanes.batch_lanes`),
+        one fill of the kernel's lane slots.
 
         ``world_seeds[i]`` fixes lane ``i``'s world exactly like the
         ``world_seed`` argument of :meth:`prr_phase1` — the per-lane
         output is bit-for-bit the solo result for the same seed.
         """
+        roots = np.asarray(roots, dtype=np.int64)
+        width = batch_lanes(self.n, "prr")
+        if roots.size > width:
+            raise ValueError(
+                f"{roots.size} roots exceed one PRR lane batch ({width} on this graph)"
+            )
         (group,) = prr_phase1_lanes(
-            self,
-            seeds_mask,
-            np.asarray(roots, dtype=np.int64),
-            k,
+            self, seeds_mask, roots, k,
             np.asarray(world_seeds).astype(np.uint64, copy=False),
         )
         return group
@@ -848,9 +851,7 @@ class SamplingEngine:
         all_roots, all_seeds = draw_lane_inputs(
             rng, self.n, count, roots, world_seeds, block=LANE_WIDTH
         )
-        return critical_lanes(
-            self, mask, all_roots, all_seeds, batch_lanes(self.n, "critical")
-        )
+        return critical_lanes(self, mask, all_roots, all_seeds)
 
     def sample_critical_batch(
         self,

@@ -107,6 +107,7 @@ from .hashing import SEED_MULT, TWO64, splitmix_finalize
 from .traversal import (
     DIST_BASE,
     frontier_edge_positions,
+    group_by_tail,
     next_level_frontier,
     sorted_lookup,
     unique_sorted,
@@ -153,8 +154,9 @@ REFILL_SHARE = 16
 
 # Plane bytes per (lane, node) entry of each kernel: a bool visited plane
 # (RR, IC cascades), a bool plane plus a float64 accumulator (LT), an
-# int16 distance plane (PRR, and critical sets, whose live-reachability
-# regions are marked in its top bit, see _REGION).
+# int16 distance plane (PRR, and critical sets, which run the PRR phase-I
+# kernel on it and mark their live-reachability regions in its top bit,
+# see _REGION).
 ENTRY_BYTES = {"rr": 1, "ic": 1, "lt": 9, "critical": 2, "prr": 2}
 
 CODE_ACTIVATED = 0
@@ -244,7 +246,8 @@ def _lane_csr(lanes: np.ndarray, num_lanes: int) -> Tuple[np.ndarray, np.ndarray
 # Lane slots: streaming a draw through a fixed set of lanes
 # ----------------------------------------------------------------------
 class _Slots:
-    """The lane slots a draw's samples stream through.
+    """The lane slots a draw's samples stream through: one batch of the
+    ``kernel`` (:func:`batch_lanes`), or the whole draw if it is smaller.
 
     Slot ``s`` runs sample ``sample[s]`` (``-1``: idle) on the plane
     entries ``s * n + node``.  Samples ``0 .. width-1`` take slots ``0 ..
@@ -257,10 +260,10 @@ class _Slots:
     emit: the draw's finished prefix, once it holds a slot set.
     """
 
-    def __init__(self, n: int, num: int, width: Optional[int], skip=None) -> None:
+    def __init__(self, n: int, num: int, kernel: str, skip=None) -> None:
         self.n = n
         self.num = num
-        self.width = num if width is None else min(int(width), num)
+        self.width = min(batch_lanes(n, kernel), num)
         self.sample = np.arange(self.width, dtype=np.int64)
         waiting = np.arange(self.width, num, dtype=np.int64)
         # Samples that never take a slot (PRR seed roots) are skipped.
@@ -395,18 +398,15 @@ def _drain(chunks: list, dtype=np.int64) -> np.ndarray:
 # Reverse-reachable sets
 # ----------------------------------------------------------------------
 def rr_member_lanes(
-    engine,
-    roots: np.ndarray,
-    lane_seeds: np.ndarray,
-    slots: Optional[int] = None,
+    engine, roots: np.ndarray, lane_seeds: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One RR-set per root, all running samples advanced per frontier step.
 
     Sample ``i`` samples the world fixed by ``lane_seeds[i]``: edge ``u ->
     v`` is live iff its 64-bit hash falls below ``round(p · 2^64)``.  The
-    samples stream through ``slots`` lane slots (default: one per root,
-    one batch): a slot whose sample has no frontier left takes the next
-    root (see :class:`_Slots`).  Returns ``(counts, members)`` — sample
+    samples stream through one RR batch of lane slots (:func:`batch_lanes`):
+    a slot whose sample has no frontier left takes the next root (see
+    :class:`_Slots`).  Returns ``(counts, members)`` — sample
     ``i``'s members are ``members[sum(counts[:i]) : sum(counts[:i+1])]``,
     the root first, then each BFS level's new members in ascending order.
 
@@ -422,7 +422,7 @@ def rr_member_lanes(
     thr = engine._in_thr64
     roots = roots.astype(np.int64, copy=False)
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
-    lanes = _Slots(n, int(roots.size), slots)
+    lanes = _Slots(n, int(roots.size), "rr")
     width = lanes.width
     slot_seeds = lane_seeds[:width].copy()
     visited = engine.lane_arena(width * n).view(bool)
@@ -539,7 +539,6 @@ def prr_phase1_lanes(
     roots: np.ndarray,
     k: int,
     lane_seeds: np.ndarray,
-    slots: Optional[int] = None,
 ) -> Iterator[LanePhase1]:
     """Backward 0–1 BFS from every root of a draw, distance-``> k`` pruned.
 
@@ -551,9 +550,10 @@ def prr_phase1_lanes(
     world-seeded :meth:`~repro.engine.batch.SamplingEngine.prr_phase1`
     run, in the order the sample explored them.
 
-    The samples stream through ``slots`` lane slots (default: one per
-    root, one batch): a slot whose sample activates, or has no frontier
-    and nothing pooled left, takes the next root (see :class:`_Slots`).
+    The samples stream through one PRR batch of lane slots
+    (:func:`batch_lanes`): a slot whose sample activates, or has no
+    frontier and nothing pooled left, takes the next root (see
+    :class:`_Slots`).
     Yields the draw as :class:`LanePhase1` groups of consecutive samples
     in sample order: its finished prefix whenever that holds at least a
     slot set, and the rest at the end; a draw that fits its slots comes
@@ -577,7 +577,7 @@ def prr_phase1_lanes(
     lane_seeds = lane_seeds.astype(np.uint64, copy=False)
     seed_roots = seeds_mask[roots]
     activated = seed_roots.copy()
-    lanes = _Slots(n, int(roots.size), slots, skip=seed_roots)
+    lanes = _Slots(n, int(roots.size), "prr", skip=seed_roots)
     dist = engine.lane_arena(2 * lanes.width * n).view(np.int16)
     out = _Phase1Chunks()
     try:
@@ -798,21 +798,20 @@ def critical_lanes(
     seeds_mask: np.ndarray,
     roots: np.ndarray,
     lane_seeds: np.ndarray,
-    slots: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Critical node sets ``C_R`` for every root of a draw.
 
-    Phase I capped at boost-distance 1, streamed through ``slots`` lane
-    slots (default: one per root; :func:`prr_phase1_lanes`), then per
-    group of finished samples one live-reachability pass over the group's
-    boostable lanes, at most ``slots`` of them at a time: their regions
-    live in disjoint ``rank * n + node`` key ranges, so one frontier BFS
+    Phase I capped at boost-distance 1, streamed through one batch of
+    lane slots (:func:`prr_phase1_lanes`), then per group of finished
+    samples one live-reachability pass over the group's boostable lanes,
+    at most one batch of them at a time: their regions live in disjoint
+    ``rank * n + node`` key ranges, so one frontier BFS
     (:func:`_grow_region`) serves them all.  Returns ``(status_codes,
     counts, members, explored)`` with the critical sets as a lane-grouped
     CSR of sorted unique node ids.
     """
-    width = max(1, roots.size if slots is None else min(slots, roots.size))
-    groups = prr_phase1_lanes(engine, seeds_mask, roots, 1, lane_seeds, slots)
+    width = batch_lanes(engine.n, "critical")
+    groups = prr_phase1_lanes(engine, seeds_mask, roots, 1, lane_seeds)
     with closing(groups):
         parts = [_critical_sets(engine, ph, seeds_mask, width) for ph in groups]
     if len(parts) == 1:
@@ -882,23 +881,16 @@ def _grow_region(plane, tails, heads, marked: list) -> None:
     marked ``marked[0]`` keys along the edges ``tails -> heads``,
     appending the new keys of each round to ``marked``.
 
-    A frontier BFS over the edges grouped by tail once, as
+    A frontier BFS over the edges grouped by tail once
+    (:func:`~repro.engine.traversal.group_by_tail`), as
     :func:`repro.core.prr._bfs01` runs its passes: each round expands
     only the keys the previous one reached.
     """
-    size = tails.size
-    if not size:
+    if not tails.size:
         return
-    key = tails * size
-    key += np.arange(size)
-    key.sort()
-    tails, order = np.divmod(key, size)
+    run_keys, run_indptr, order = group_by_tail(tails)
     heads = heads[order]
-    first = np.empty(size, dtype=bool)
-    first[0] = True
-    np.not_equal(tails[1:], tails[:-1], out=first[1:])
-    run_indptr = np.append(np.flatnonzero(first), size)
-    run_keys = tails[run_indptr[:-1]]
+    del tails, order
     f = marked[0]
     while f.size:
         run, found = sorted_lookup(run_keys, f)

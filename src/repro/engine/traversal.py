@@ -18,6 +18,7 @@ __all__ = [
     "first_occurrence",
     "unique_sorted",
     "sorted_lookup",
+    "group_by_tail",
     "grow_reachable",
     "next_level_frontier",
     "DIST_BASE",
@@ -96,6 +97,24 @@ def sorted_lookup(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np
     found = idx < keys.size
     found[found] = keys[idx[found]] == queries[found]
     return idx, found
+
+
+def group_by_tail(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(run_keys, run_indptr, order)`` grouping edges by tail, with one
+    sort of ``(tail, position)`` keys: the edges of tail ``run_keys[r]``
+    are ``order[run_indptr[r] : run_indptr[r + 1]]``, in input order.
+    ``run_keys`` is sorted and unique, ready for :func:`sorted_lookup`."""
+    size = tails.size
+    key = tails * size
+    key += np.arange(size)
+    key.sort()
+    tails, order = np.divmod(key, size)
+    del key
+    first = np.empty(size, dtype=bool)
+    first[:1] = True
+    np.not_equal(tails[1:], tails[:-1], out=first[1:])
+    run_indptr = np.append(np.flatnonzero(first), size)
+    return tails[run_indptr[:-1]], run_indptr, order
 
 
 def grow_reachable(

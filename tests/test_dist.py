@@ -25,6 +25,7 @@ spawning; the CLI entry point is exercised separately in
 ``test_cli.py``-style via ``bench_dist --smoke`` in CI.
 """
 
+import multiprocessing as mp
 import socket
 import threading
 import time
@@ -264,6 +265,49 @@ class TestGraphVersions:
             rt.shutdown()
         for got, want in zip(small, parallel.parallel_rr_csr(graph, 256, 5, workers=1)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.skipif(not parallel.fork_available(), reason="needs fork")
+    def test_a_degraded_run_after_a_write_samples_the_connected_version(
+        self, graph, two_hosts, monkeypatch
+    ):
+        """Every host dies after a write: the fallback's two-worker local
+        pool samples the version the hosts connected with, and shutting
+        the runtime down ends that pool."""
+        before = {proc.pid for proc in mp.active_children()}
+        rt = DistributedRuntime(graph, [h.addr for h in two_hosts], fallback_workers=2)
+        try:
+            _src, _dst, p, pp = graph.edge_arrays()
+            graph.update_probabilities(p / 2, pp / 2)
+            for host in two_hosts:
+                kill_in_first_chunk(monkeypatch, host)
+            jobs = parallel._chunk_jobs(*parallel._draw("rr", graph.n, 9, 8192))
+            got = parallel._columns(rt.run("rr", jobs, ()))
+            assert rt.degraded
+        finally:
+            rt.shutdown()
+        left = [proc for proc in mp.active_children() if proc.pid not in before]
+        assert left == [], f"fallback hosts alive after shutdown: {left}"
+        for g, w in zip(got, local_reference(fresh_graph(), "rr", 8192, 9)):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.skipif(not parallel.fork_available(), reason="needs fork")
+    def test_closing_a_session_ends_the_fallback_pool_of_its_lost_hosts(
+        self, two_hosts, monkeypatch
+    ):
+        """Every host dies mid-draw, so the run degrades to a two-worker
+        local pool on the session's graph; closing the session ends it."""
+        monkeypatch.setattr(coordinator, "_resolve_workers", lambda workers: 2)
+        before = {proc.pid for proc in mp.active_children()}
+        graph = fresh_graph()
+        with Session(graph, hosts=[h.addr for h in two_hosts]):
+            for host in two_hosts:
+                kill_in_first_chunk(monkeypatch, host)
+            got = parallel.parallel_rr_csr(graph, 8192, 7)
+            assert parallel.runtime_is_alive(graph)
+        left = [proc for proc in mp.active_children() if proc.pid not in before]
+        assert left == [], f"fallback hosts alive after close: {left}"
+        for g, w in zip(got, local_reference(fresh_graph(), "rr", 8192, 7)):
+            assert np.array_equal(g, w)
 
 
 def kill_in_first_chunk(monkeypatch, host):

@@ -139,32 +139,28 @@ def graphs():
 def batch_width(monkeypatch):
     """Patch the lane budget so every PRR batch and the slot set of every
     critical draw on an ``n``-node graph hold ``width`` lanes (``None``:
-    the whole draw), and record, per kernel call, its roots and the lane
-    slots they ran in."""
+    the whole draw), and record, per phase-I kernel run, its samples and
+    the lane slots they ran in."""
     seen = []
 
-    # PRR batches enter through the engine method, one fill of their
-    # slots each; critical draws hand the lanes module's kernel all their
-    # roots and a slot count.
-    def batch_spy(engine, seeds_mask, roots, *args, _inner=SamplingEngine.prr_phase1_lanes):
-        seen.append((len(roots), len(roots)))
-        return _inner(engine, seeds_mask, roots, *args)
+    # Each run of the phase-I kernel sets up its slots once: per batch of
+    # a PRR draw, once for a whole critical draw.
+    class Slots(lanes_module._Slots):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append((self.num, self.width))
 
-    def stream_spy(engine, seeds_mask, roots, k, lane_seeds, slots=None,
-                   _inner=lanes_module.prr_phase1_lanes):
-        seen.append((len(roots), len(roots) if slots is None else min(slots, len(roots))))
-        return _inner(engine, seeds_mask, roots, k, lane_seeds, slots)
+    monkeypatch.setattr(lanes_module, "_Slots", Slots)
 
-    monkeypatch.setattr(SamplingEngine, "prr_phase1_lanes", batch_spy)
-    monkeypatch.setattr(lanes_module, "prr_phase1_lanes", stream_spy)
-
-    def set_width(width, n):
+    def set_width(width, graph):
         # PRR and critical batches both span two plane bytes per lane and
         # node; PRR batches also budget their transients, which this
-        # zeroes so that the plane alone sizes them.
+        # zeroes so that the plane alone sizes them, and start from the
+        # unlearned first width, not one a smaller earlier draw taught.
         monkeypatch.setattr(prr_module, "_PRR_EDGE_BYTES", 0)
-        budget = 10**12 if width is None else width * 2 * n
+        budget = 10**12 if width is None else width * 2 * graph.n
         monkeypatch.setattr(lanes_module, "LANE_BYTES", budget)
+        SamplingEngine.for_graph(graph)._prr_kept = None
         seen.clear()
         return seen
 
@@ -182,7 +178,7 @@ def _assert_batches(seen, width, count):
 
 
 def _assert_streamed(seen, width, count):
-    """Critical draws: one kernel call streams the whole draw through
+    """Critical draws: one kernel run streams the whole draw through
     exactly ``width`` slots (``count`` for a draw that fits)."""
     slots = count if width is None else min(width, count)
     assert seen == [(count, slots)]
@@ -233,7 +229,7 @@ class TestLaneWidthInvariance:
         for k in KS:
             for rng_seed in RNG_SEEDS:
                 for count in counts:
-                    seen = batch_width(width, graph.n)
+                    seen = batch_width(width, graph)
                     key = f"{name}/k{k}/rng{rng_seed}/n{count}"
                     assert prr_case(graph, seeds, k, rng_seed, count) == golden["prr"][key], key
                     _assert_batches(seen, width, count)
@@ -259,7 +255,7 @@ class TestLaneWidthInvariance:
         counts = COUNTS if width in (64, None) else COUNTS[:1]
         for rng_seed in RNG_SEEDS:
             for count in counts:
-                seen = batch_width(width, graph.n)
+                seen = batch_width(width, graph)
                 key = f"{name}/rng{rng_seed}/n{count}"
                 assert critical_case(graph, seeds, rng_seed, count) == golden["critical"][key], key
                 _assert_streamed(seen, width, count)

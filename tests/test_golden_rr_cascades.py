@@ -31,7 +31,6 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.engine import SamplingEngine
-from repro.engine import batch as batch_module
 from repro.engine import lanes as lanes_module
 from repro.engine import models as models_module
 from repro.engine.lanes import draw_lane_seeds
@@ -148,22 +147,22 @@ class TestGoldenDigests:
 def batch_width(monkeypatch):
     """Patch the lane budget so the slot set of every RR draw and every IC
     batch on an ``n``-node graph hold ``width`` lanes (``None``: the whole
-    draw), and record, per kernel call, its samples and the lanes they
+    draw), and record, per kernel run, its samples and the lanes they
     ran in."""
     seen = []
 
-    # RR draws hand the kernel all their roots and a slot count; cascade
+    # An RR kernel run sets up its slots once for the whole draw; cascade
     # batches are one fill each, (seed_idx, thresholds, lane_seeds).
-    def rr_spy(engine, roots, lane_seeds, slots=None,
-               _inner=batch_module.rr_member_lanes):
-        seen.append((len(roots), len(roots) if slots is None else min(slots, len(roots))))
-        return _inner(engine, roots, lane_seeds, slots)
+    class Slots(lanes_module._Slots):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append((self.num, self.width))
 
     def ic_spy(engine, *args, _inner=models_module.ic_cascade_lanes, **kwargs):
         seen.append((len(args[-1]), len(args[-1])))
         return _inner(engine, *args, **kwargs)
 
-    monkeypatch.setattr(batch_module, "rr_member_lanes", rr_spy)
+    monkeypatch.setattr(lanes_module, "_Slots", Slots)
     monkeypatch.setattr(models_module, "ic_cascade_lanes", ic_spy)
 
     def set_width(width, n):
@@ -185,7 +184,7 @@ def _assert_batches(seen, width, count):
 
 
 def _assert_streamed(seen, width, count):
-    """RR draws: one kernel call streams the whole draw through exactly
+    """RR draws: one kernel run streams the whole draw through exactly
     ``width`` slots (``count`` for a draw that fits)."""
     slots = count if width is None else min(width, count)
     assert seen == [(count, slots)]

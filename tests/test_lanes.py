@@ -504,31 +504,34 @@ class TestStreamedSlots:
         assert rr[0] <= self.BATCHED_PASSES["rr"] / 3
 
     def test_a_draw_that_fits_its_slots_runs_as_one_batch(self, monkeypatch, graph):
-        """Same passes as one batch of all roots, and no refill check."""
+        """A batch runs until its slowest sample finishes: a draw that fits
+        its slots takes as many passes as its slowest sample takes alone,
+        and never checks for a refill."""
         engine = SamplingEngine.for_graph(graph)
         mask = engine.seeds_mask(frozenset({0, 1, 2}))
         roots, world_seeds = lanes_module.draw_lane_inputs(
-            np.random.default_rng(4), graph.n, 300
+            np.random.default_rng(4), graph.n, 100
         )
         checks = self.counter(monkeypatch, lanes_module._Slots, "refill_due")
-        for kernel, name in (("critical", "next_level_frontier"),
-                             ("rr", "frontier_edge_positions")):
-            width = lanes_module.batch_lanes(graph.n, kernel)
-            assert width >= roots.size
+        # Phase I calls next_level_frontier once a pass; the RR kernel
+        # calls frontier_edge_positions once a pass.
+        draws = (
+            ("critical", "next_level_frontier",
+             lambda r, s: lanes_module.critical_lanes(engine, mask, r, s)),
+            ("rr", "frontier_edge_positions",
+             lambda r, s: lanes_module.rr_member_lanes(engine, r, s)),
+        )
+        for kernel, name, draw in draws:
+            assert lanes_module.batch_lanes(graph.n, kernel) >= roots.size
             passes = self.counter(monkeypatch, lanes_module, name)
-            if kernel == "critical":
-                (one_batch,) = lanes_module.prr_phase1_lanes(engine, mask, roots, 1, world_seeds)
-                batch_passes = passes[0]
-                (fitted,) = lanes_module.prr_phase1_lanes(
-                    engine, mask, roots, 1, world_seeds, width
-                )
-                assert np.array_equal(fitted.edge_indptr, one_batch.edge_indptr)
-            else:
-                one_batch = lanes_module.rr_member_lanes(engine, roots, world_seeds)
-                batch_passes = passes[0]
-                fitted = lanes_module.rr_member_lanes(engine, roots, world_seeds, width)
-                assert all(np.array_equal(a, b) for a, b in zip(fitted, one_batch))
-            assert passes[0] == 2 * batch_passes
+            alone = []
+            for i in range(roots.size):
+                before = passes[0]
+                draw(roots[i : i + 1], world_seeds[i : i + 1])
+                alone.append(passes[0] - before)
+            before = passes[0]
+            draw(roots, world_seeds)
+            assert passes[0] - before == max(alone), kernel
         assert checks[0] == 0
 
 
@@ -592,6 +595,47 @@ class TestLaneBudget:
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
+
+    def test_prr_draws_start_at_the_width_the_last_one_learned(self, monkeypatch):
+        """A PRR draw's first batch budgets the mean kept edges per lane of
+        the engine's last draw with the same seeds and k, trusted for at
+        most four times that draw's samples.  No sample changes."""
+        rng = np.random.default_rng(5)
+        graph = learned_like(preferential_attachment(150, 3, rng), rng, 0.3)
+        seeds = frozenset({0, 1, 2})
+        widths, kept = [], []
+        real = SamplingEngine.prr_phase1_lanes
+
+        def spy(engine, seeds_mask, roots, *args):
+            ph = real(engine, seeds_mask, roots, *args)
+            widths.append(len(roots))
+            kept.append(int(ph.edge_indptr[-1]))
+            return ph
+
+        monkeypatch.setattr(SamplingEngine, "prr_phase1_lanes", spy)
+
+        def draw(count, rng_seed=8):
+            widths.clear()
+            kept.clear()
+            arena = sample_prr_lanes(graph, seeds, 3, np.random.default_rng(rng_seed), count)
+            return arena.payload(), list(widths), sum(kept) / count
+
+        def width(mean_kept):
+            return lanes_module.batch_lanes(
+                graph.n, "prr", prr_module._PRR_EDGE_BYTES * mean_kept
+            )
+
+        first, first_widths, mean = draw(300)
+        assert first_widths[0] == width(graph.m) < 300
+        second, second_widths, _ = draw(300)
+        assert second_widths == [300]
+        _, wide_widths, _ = draw(2000, rng_seed=10)
+        assert wide_widths[0] == min(4 * 300, width(mean)) == 1200
+        draw(2, rng_seed=9)  # a two-sample draw is trusted for eight lanes
+        third, third_widths, _ = draw(300)
+        assert third_widths[0] == 8
+        for got in (second, third):
+            assert all(np.array_equal(a, b) for a, b in zip(got, first))
 
 
 class TestEngineCacheThreadSafety:
