@@ -468,9 +468,10 @@ def _bfs01(
     if tails.size == 0:
         return
     run_keys, run_indptr, order = group_by_tail(tails)
+    del tails  # a caller's temporary: free it before the gathers
     heads = heads[order]
     boost = boost[order]
-    del tails, order
+    del order
     level = np.zeros(num, dtype=np.int64)
     pool = _EMPTY_IDS
     f = sources

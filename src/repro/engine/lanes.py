@@ -889,8 +889,9 @@ def _grow_region(plane, tails, heads, marked: list) -> None:
     if not tails.size:
         return
     run_keys, run_indptr, order = group_by_tail(tails)
+    del tails  # a caller's temporary: free it before the gather
     heads = heads[order]
-    del tails, order
+    del order
     f = marked[0]
     while f.size:
         run, found = sorted_lookup(run_keys, f)
