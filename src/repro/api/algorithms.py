@@ -24,9 +24,7 @@ key                implementation                              query
 =================  ==========================================  ==========
 
 The tree handlers are exact/deterministic (no sampling): the resolved
-budget's ``epsilon`` doubles as DP-Boost's FPTAS accuracy parameter, and
-``params={"method": "legacy"}`` routes ``tree_dp`` through the pinned
-loop oracle instead of the vectorized kernels.
+budget's ``epsilon`` doubles as DP-Boost's FPTAS accuracy parameter.
 
 Baseline handlers generate their candidate boost sets and, by default,
 Monte-Carlo rank them on shared sampled worlds, so ranking is a paired
@@ -80,7 +78,7 @@ def _require_ic(query) -> None:
 # ----------------------------------------------------------------------
 # PRR-Boost family
 # ----------------------------------------------------------------------
-def _boost_envelope(query, res) -> QueryResult:
+def _boost_envelope(query, res, estimates) -> QueryResult:
     extra = {}
     if res.stats is not None:
         # CollectionStats is a __slots__ class, not a dataclass.
@@ -90,11 +88,7 @@ def _boost_envelope(query, res) -> QueryResult:
     return QueryResult(
         algorithm=query.algorithm,
         selected=list(res.boost_set),
-        estimates={
-            "boost": res.estimated_boost,
-            "mu": res.mu_estimate,
-            "delta": res.delta_estimate,
-        },
+        estimates=estimates,
         num_samples=res.num_samples,
         extra=extra,
         raw=res,
@@ -105,34 +99,37 @@ def _boost_envelope(query, res) -> QueryResult:
 def _run_prr_boost(session, query, rng) -> QueryResult:
     _require_ic(query)
     budget = session.resolve_budget(query)
-    params = query.param_dict
     res = prr_boost_core(
         session.graph, set(query.seeds), query.k, rng,
         epsilon=budget.epsilon, ell=budget.ell,
         max_samples=budget.max_samples,
-        selection=params.get("selection", "vectorized"),
         workers=budget.workers,
         index=session.scratch_index(), arena=session.scratch_arena(),
         candidates=session.candidates_for(query.seeds),
     )
-    return _boost_envelope(query, res)
+    return _boost_envelope(query, res, {
+        "boost": res.estimated_boost,
+        "mu": res.mu_estimate,
+        "delta": res.delta_estimate,
+    })
 
 
 @register_algorithm("prr_boost_lb")
 def _run_prr_boost_lb(session, query, rng) -> QueryResult:
     _require_ic(query)
     budget = session.resolve_budget(query)
-    params = query.param_dict
     res = prr_boost_lb_core(
         session.graph, set(query.seeds), query.k, rng,
         epsilon=budget.epsilon, ell=budget.ell,
         max_samples=budget.max_samples,
-        selection=params.get("selection", "vectorized"),
         workers=budget.workers,
         index=session.scratch_index(),
         candidates=session.candidates_for(query.seeds),
     )
-    return _boost_envelope(query, res)
+    # Δ̂ is never computed here: the LB arm estimates only μ.
+    return _boost_envelope(
+        query, res, {"boost": res.estimated_boost, "mu": res.mu_estimate}
+    )
 
 
 @register_algorithm("mc_greedy")
@@ -247,7 +244,6 @@ def _run_imm(session, query, rng) -> QueryResult:
         session.graph, query.k, rng,
         epsilon=budget.epsilon, ell=budget.ell,
         max_samples=budget.max_samples,
-        legacy_selection=query.param_dict.get("legacy_selection", False),
         workers=budget.workers,
     )
     return QueryResult(
@@ -311,22 +307,21 @@ def _run_tree_dp(session, query, rng) -> QueryResult:
     _require_ic(query)
     budget = session.resolve_budget(query)
     tree = session.tree_for(query.seeds, getattr(query, "root", 0))
-    method = query.param_dict.get("method", "vectorized")
     from ..trees import dp_boost
 
-    res = dp_boost(tree, query.k, epsilon=budget.epsilon, method=method)
+    res = dp_boost(tree, query.k, epsilon=budget.epsilon)
     return QueryResult(
         algorithm=query.algorithm,
         selected=list(res.boost_set),
         estimates={
             "boost": float(res.boost),
             "dp_value": float(res.dp_value),
-            "delta": float(res.delta_param),
         },
         extra={
             "table_entries": int(res.table_entries),
+            # The FPTAS rounding parameter δ, not an estimate of Δ.
+            "delta_param": float(res.delta_param),
             "epsilon": float(budget.epsilon),
-            "method": method,
         },
         raw=res,
     )

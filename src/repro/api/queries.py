@@ -275,8 +275,7 @@ class TreeQuery(_BaseQuery):
     roots it at ``root`` with the query's seed set via
     :meth:`repro.api.Session.tree_for`.  ``algorithm`` is ``"tree_dp"``
     (the DP-Boost FPTAS; the resolved budget's ``epsilon`` is its
-    accuracy parameter, and ``params={"method": "legacy"}`` selects the
-    pinned loop oracle) or ``"tree_greedy"`` (exact Greedy-Boost).  Both
+    accuracy parameter) or ``"tree_greedy"`` (exact Greedy-Boost).  Both
     are deterministic — no sampling — so results cache on any
     ``rng_seed``.
     """

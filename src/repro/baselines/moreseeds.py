@@ -9,19 +9,19 @@ boosts sit close to the existing seeds.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set
+from typing import Iterable, List, Set
 
 import numpy as np
 
+from ..engine.coverage import CoverageIndex
 from ..graphs.digraph import DiGraph
-from ..im.greedy import greedy_max_coverage
 from ..im.imm import imm_sampling
-from ..im.rr import random_rr_set
+from ..im.rr import RRSampler
 
 __all__ = ["more_seeds_baseline"]
 
 
-class _MarginalRRSampler:
+class _MarginalRRSampler(RRSampler):
     """RR-sets that ignore roots already covered by the existing seeds.
 
     An RR-set whose node set intersects ``S`` contributes nothing to the
@@ -30,15 +30,22 @@ class _MarginalRRSampler:
     """
 
     def __init__(self, graph: DiGraph, seeds: Set[int]) -> None:
-        self.graph = graph
-        self.seeds = frozenset(seeds)
-        self.n = graph.n
+        super().__init__(graph)
+        self.seeds = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
 
-    def sample(self, rng: np.random.Generator) -> FrozenSet[int]:
-        rr = random_rr_set(self.graph, rng)
-        if rr & self.seeds:
-            return frozenset()
-        return rr
+    def sample_into(
+        self, rng: np.random.Generator, count: int, index: CoverageIndex
+    ) -> None:
+        """``count`` RR-sets of one lane draw, each row that meets ``S``
+        emptied (the row count is kept)."""
+        counts, values = self._draw_csr(rng, count)
+        rows = np.repeat(np.arange(counts.size), counts)
+        met = np.zeros(counts.size, dtype=bool)
+        met[rows[np.isin(values, self.seeds)]] = True
+        index.extend_csr(
+            np.where(met, 0, counts),
+            values[~met[rows]].astype(np.int32, copy=False),
+        )
 
 
 def more_seeds_baseline(
@@ -53,9 +60,10 @@ def more_seeds_baseline(
     """Select ``k`` extra-seed nodes via IMM on marginal RR coverage."""
     seed_set = set(seeds)
     candidates = {v for v in range(graph.n) if v not in seed_set}
-    sampler = _MarginalRRSampler(graph, seed_set)
-    samples = imm_sampling(
-        sampler, k, epsilon, ell, rng, candidates=candidates, max_samples=max_samples
+    index = CoverageIndex(graph.n)
+    imm_sampling(
+        _MarginalRRSampler(graph, seed_set), k, epsilon, ell, rng,
+        candidates=candidates, max_samples=max_samples, index=index,
     )
-    chosen, _covered = greedy_max_coverage(samples, k, candidates)
+    chosen, _covered = index.greedy(k, candidates)
     return chosen

@@ -20,23 +20,18 @@ lists), critical sets stream into the IMM phase's
 vectorized kernels of :mod:`repro.core.estimator`.  ``μ̂`` and ``Δ̂`` of
 both arms come from :func:`estimate_mu`/:func:`estimate_delta` over the
 same collection — one source of truth for the sandwich comparison.
-``selection="legacy"`` reruns the pre-arena object path (Python sample
-lists, dict/heap greedy, per-graph loops) with identical RNG consumption
-— the seeded-equivalence oracle and the benchmark baseline of
-``benchmarks/bench_select.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..engine.coverage import CoverageIndex, csr_to_frozensets
+from ..engine.coverage import CoverageIndex
 from ..graphs.digraph import DiGraph
-from ..im.greedy import legacy_greedy_max_coverage
 from ..im.imm import imm_sampling
 from . import parallel
 from .estimator import (
@@ -45,11 +40,9 @@ from .estimator import (
     estimate_delta,
     estimate_mu,
     greedy_delta_selection,
-    legacy_estimate_delta,
-    legacy_greedy_delta_selection,
 )
 from .parallel import resolve_sampler_workers
-from .prr import PRRArena, PRRGraph
+from .prr import PRRArena
 # Unused here, but perfbench/spans.py patches this name on this module.
 from .prr import sample_prr_lanes  # noqa: F401
 
@@ -78,9 +71,7 @@ class PRRSampler:
     :func:`~repro.core.parallel.parallel_prr_payloads`: the samples'
     roots and world seeds come from ``rng``, and the lane kernels
     evaluate them in process, on the local host pool or on remote
-    hosts — the same arena payloads either way.  All sampling forms
-    consume the RNG identically for a given request size, so the legacy
-    and vectorized selection arms stay sample-for-sample in sync.
+    hosts — the same arena payloads either way.
     """
 
     def __init__(
@@ -105,36 +96,16 @@ class PRRSampler:
         """The sampled collection (a sequence of lazy PRRGraph views)."""
         return self.arena
 
-    def _draw(self, rng: np.random.Generator, count: int) -> int:
-        """Grow the arena by ``count`` samples; returns the start index."""
-        start = len(self.arena)
-        payloads = parallel.parallel_prr_payloads(
-            self.graph, self.seeds, self.k, count, rng, self.workers
-        )
-        self.arena.extend_arena(PRRArena.from_payloads(payloads))
-        return start
-
-    def sample(self, rng: np.random.Generator) -> FrozenSet[int]:
-        start = self._draw(rng, 1)
-        return self.arena.critical_frozenset(start)
-
-    def sample_batch(
-        self, rng: np.random.Generator, count: int
-    ) -> List[FrozenSet[int]]:
-        """``count`` PRR-graphs in one batch; returns their critical sets
-        (the ``μ`` payload) while the full graphs accumulate."""
-        start = self._draw(rng, count)
-        return [
-            self.arena.critical_frozenset(i)
-            for i in range(start, len(self.arena))
-        ]
-
     def sample_into(
         self, rng: np.random.Generator, count: int, index: CoverageIndex
     ) -> None:
         """``count`` PRR-graphs; critical sets go straight into ``index``
         as one CSR chunk (no frozensets), graphs into the arena."""
-        start = self._draw(rng, count)
+        start = len(self.arena)
+        payloads = parallel.parallel_prr_payloads(
+            self.graph, self.seeds, self.k, count, rng, self.workers
+        )
+        self.arena.extend_arena(PRRArena.from_payloads(payloads))
         index.extend_csr(*self.arena.critical_csr(start))
 
 
@@ -142,8 +113,7 @@ class CriticalSetSampler:
     """Sampler that generates only critical sets (PRR-Boost-LB fast path).
 
     Draws through :func:`~repro.core.parallel.parallel_critical_csr`,
-    like :class:`PRRSampler`.  ``statuses`` and ``explored_edges`` keep
-    the per-collection diagnostics.
+    like :class:`PRRSampler`.
     """
 
     def __init__(
@@ -155,39 +125,16 @@ class CriticalSetSampler:
         self.graph = graph
         self.seeds = frozenset(seeds)
         self.n = graph.n
-        self.explored_edges = 0
-        self.statuses = {"activated": 0, "hopeless": 0, "boostable": 0}
         self.workers = resolve_sampler_workers(workers)
-
-    def _draw(self, rng: np.random.Generator, count: int):
-        """``count`` samples as ``(status_codes, counts, values)`` CSR,
-        with the diagnostics accumulated."""
-        status, counts, values, explored = parallel.parallel_critical_csr(
-            self.graph, self.seeds, count, rng, self.workers
-        )
-        self.explored_edges += int(explored.sum())
-        tallies = np.bincount(status, minlength=3)
-        for code, name in enumerate(PRRArena.status_names):
-            self.statuses[name] += int(tallies[code])
-        return status, counts, values
-
-    def sample(self, rng: np.random.Generator) -> FrozenSet[int]:
-        _status, _counts, values = self._draw(rng, 1)
-        return frozenset(values.tolist())
-
-    def sample_batch(
-        self, rng: np.random.Generator, count: int
-    ) -> List[FrozenSet[int]]:
-        """``count`` critical sets in one lane batch."""
-        _status, counts, values = self._draw(rng, count)
-        return csr_to_frozensets(counts, values)
 
     def sample_into(
         self, rng: np.random.Generator, count: int, index: CoverageIndex
     ) -> None:
         """``count`` critical sets appended as one CSR chunk (no
-        frozensets); same RNG consumption as :meth:`sample_batch`."""
-        _status, counts, values = self._draw(rng, count)
+        frozensets)."""
+        _status, counts, values, _explored = parallel.parallel_critical_csr(
+            self.graph, self.seeds, count, rng, self.workers
+        )
         index.extend_csr(counts, values.astype(np.int32, copy=False))
 
 
@@ -231,7 +178,6 @@ def prr_boost_core(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
     arena: Optional[PRRArena] = None,
@@ -258,10 +204,6 @@ def prr_boost_core(
     max_samples:
         Safety cap on the number of PRR-graphs (keeps worst-case
         parameterizations laptop-friendly).
-    selection:
-        ``"vectorized"`` (default) runs the arena/index kernels;
-        ``"legacy"`` reruns the pre-arena object path with identical RNG
-        consumption and identical outputs (oracle/benchmark only).
     workers:
         With ``workers > 1`` (and fork available) the sampling phases
         dispatch to the persistent local host pool of
@@ -280,41 +222,21 @@ def prr_boost_core(
 
     ell_prime = ell * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = PRRSampler(graph, seed_set, k, workers=workers, arena=arena)
-
-    if selection == "legacy":
-        critical_sets = imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, legacy_selection=True,
-        )
-        prr_graphs: Sequence[PRRGraph] = list(sampler.arena)
-        mu_set, mu_covered = legacy_greedy_max_coverage(
-            critical_sets, k, candidates
-        )
-        mu_estimate = graph.n * mu_covered / len(critical_sets)
-        delta_set, delta_estimate = legacy_greedy_delta_selection(
-            prr_graphs, graph.n, k, candidates
-        )
-        mu_delta = legacy_estimate_delta(prr_graphs, graph.n, set(mu_set))
-        num_samples = len(prr_graphs)
-        stats = collection_stats(prr_graphs)
-    else:
-        if index is None:
-            index = CoverageIndex(graph.n)
-        imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, index=index,
-        )
-        arena = sampler.arena
-        mu_set, _mu_covered = index.greedy(k, candidates)
-        # One source of truth for both arms: μ̂ and Δ̂ of either candidate
-        # set come from the vectorized estimators over the same arena.
-        mu_estimate = estimate_mu(arena, graph.n, set(mu_set))
-        delta_set, delta_estimate = greedy_delta_selection(
-            arena, graph.n, k, candidates
-        )
-        mu_delta = estimate_delta(arena, graph.n, set(mu_set))
-        num_samples = len(arena)
-        stats = collection_stats(arena)
+    if index is None:
+        index = CoverageIndex(graph.n)
+    imm_sampling(
+        sampler, k, epsilon, ell_prime, rng, candidates=candidates,
+        max_samples=max_samples, index=index,
+    )
+    arena = sampler.arena
+    mu_set, _mu_covered = index.greedy(k, candidates)
+    # One source of truth for both arms: μ̂ and Δ̂ of either candidate
+    # set come from the vectorized estimators over the same arena.
+    mu_estimate = estimate_mu(arena, graph.n, set(mu_set))
+    delta_set, delta_estimate = greedy_delta_selection(
+        arena, graph.n, k, candidates
+    )
+    mu_delta = estimate_delta(arena, graph.n, set(mu_set))
 
     if mu_delta >= delta_estimate:
         chosen, value = mu_set, mu_delta
@@ -328,8 +250,8 @@ def prr_boost_core(
         mu_estimate=mu_estimate,
         delta_set=sorted(delta_set),
         delta_estimate=delta_estimate,
-        num_samples=num_samples,
-        stats=stats,
+        num_samples=len(arena),
+        stats=collection_stats(arena),
         elapsed_seconds=time.perf_counter() - start,
     )
 
@@ -342,7 +264,6 @@ def prr_boost_lb_core(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
     candidates: Optional[Set[int]] = None,
@@ -361,24 +282,14 @@ def prr_boost_lb_core(
 
     ell_prime = ell * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = CriticalSetSampler(graph, seed_set, workers=workers)
-    if selection == "legacy":
-        critical_sets = imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, legacy_selection=True,
-        )
-        mu_set, mu_covered = legacy_greedy_max_coverage(
-            critical_sets, k, candidates
-        )
-        num_samples = len(critical_sets)
-    else:
-        if index is None:
-            index = CoverageIndex(graph.n)
-        imm_sampling(
-            sampler, k, epsilon, ell_prime, rng, candidates=candidates,
-            max_samples=max_samples, index=index,
-        )
-        mu_set, mu_covered = index.greedy(k, candidates)
-        num_samples = index.num_sets
+    if index is None:
+        index = CoverageIndex(graph.n)
+    imm_sampling(
+        sampler, k, epsilon, ell_prime, rng, candidates=candidates,
+        max_samples=max_samples, index=index,
+    )
+    mu_set, mu_covered = index.greedy(k, candidates)
+    num_samples = index.num_sets
     mu_estimate = graph.n * mu_covered / num_samples
 
     return BoostResult(
@@ -400,7 +311,6 @@ def _run_boost_query(
     epsilon: float,
     ell: float,
     max_samples: int,
-    selection: str,
     workers: int | None,
 ) -> BoostResult:
     """Route a legacy free-function call through a throwaway session.
@@ -419,7 +329,6 @@ def _run_boost_query(
         budget=SamplingBudget(
             max_samples=max_samples, epsilon=epsilon, ell=ell, workers=workers
         ),
-        params={"selection": selection},
     )
     with Session(graph, manage_runtime=False) as session:
         return session.run(query, rng=rng).raw
@@ -433,7 +342,6 @@ def prr_boost(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
 ) -> BoostResult:
     """Run PRR-Boost (Algorithm 2) and return the sandwich solution.
@@ -445,7 +353,7 @@ def prr_boost(
     """
     return _run_boost_query(
         "prr_boost", graph, seeds, k, rng,
-        epsilon, ell, max_samples, selection, workers,
+        epsilon, ell, max_samples, workers,
     )
 
 
@@ -457,7 +365,6 @@ def prr_boost_lb(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 200_000,
-    selection: str = "vectorized",
     workers: int | None = None,
 ) -> BoostResult:
     """Run PRR-Boost-LB (lower bound only).
@@ -467,5 +374,5 @@ def prr_boost_lb(
     """
     return _run_boost_query(
         "prr_boost_lb", graph, seeds, k, rng,
-        epsilon, ell, max_samples, selection, workers,
+        epsilon, ell, max_samples, workers,
     )

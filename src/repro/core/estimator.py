@@ -19,7 +19,7 @@ Two implementations coexist:
   :class:`PRRGraph` objects are converted to an arena once up front.
 * the **legacy per-graph loops** (``legacy_estimate_delta`` / ``legacy_estimate_mu``
   / ``legacy_greedy_delta_selection``) — kept verbatim as seeded-equivalence
-  oracles and benchmark baselines, the same pattern as
+  oracles, the same pattern as
   :mod:`repro.engine.reference`.  ``tests/test_selection.py`` pins the arena
   kernels to their exact outputs (identical chosen sets, tie-breaks and
   estimates).
@@ -75,35 +75,28 @@ def _forward_reached(arena: PRRArena, boosted: np.ndarray) -> np.ndarray:
 def estimate_delta(
     prr_graphs: Collection, n: int, boost: AbstractSet[int]
 ) -> float:
-    """``Δ̂_R(B)`` — unbiased estimate of the boost of influence ``Δ_S(B)``.
-
-    :class:`PRRArena` collections are evaluated with one vectorized
-    reachability pass over all graphs; object sequences fall back to the
-    per-graph loop (converting for a single evaluation would cost more).
-    """
-    if not isinstance(prr_graphs, PRRArena):
-        return legacy_estimate_delta(prr_graphs, n, boost)
-    if len(prr_graphs) == 0:
+    """``Δ̂_R(B)`` — unbiased estimate of the boost of influence ``Δ_S(B)``,
+    from one vectorized reachability pass over all graphs."""
+    arena = _as_arena(prr_graphs, n)
+    if len(arena) == 0:
         return 0.0
-    flat = prr_graphs.flat()
-    reached = _forward_reached(prr_graphs, _boost_mask(n, boost))
+    flat = arena.flat()
+    reached = _forward_reached(arena, _boost_mask(n, boost))
     roots = flat["root_arena"][flat["boostable"]]
     covered = int(np.count_nonzero(reached[roots]))
-    return n * covered / len(prr_graphs)
+    return n * covered / len(arena)
 
 
 def estimate_mu(
     prr_graphs: Collection, n: int, boost: AbstractSet[int]
 ) -> float:
     """``μ̂_R(B)`` — estimate of the submodular lower bound ``μ(B)``."""
-    if not isinstance(prr_graphs, PRRArena):
-        return legacy_estimate_mu(prr_graphs, n, boost)
-    if len(prr_graphs) == 0:
+    arena = _as_arena(prr_graphs, n)
+    if len(arena) == 0:
         return 0.0
-    boosted = _boost_mask(n, boost)
-    hit = boosted[prr_graphs.crit_nodes]
-    covered = int(np.unique(prr_graphs.flat()["crit_gid"][hit]).size)
-    return n * covered / len(prr_graphs)
+    hit = _boost_mask(n, boost)[arena.crit_nodes]
+    covered = int(np.unique(arena.flat()["crit_gid"][hit]).size)
+    return n * covered / len(arena)
 
 
 def legacy_estimate_delta(

@@ -45,8 +45,7 @@ def csr_to_frozensets(counts: np.ndarray, values: np.ndarray) -> List[frozenset]
     """Materialize a ``(counts, values)`` member CSR as frozensets.
 
     The inverse convenience of :meth:`CoverageIndex.extend_csr`, for the
-    callers that still speak list-of-frozensets (legacy selection arms,
-    sampler ``sample_batch`` protocols): row ``i`` is
+    callers that still speak list-of-frozensets: row ``i`` is
     ``values[sum(counts[:i]) : sum(counts[:i+1])]``.
     """
     offsets = np.zeros(counts.size + 1, dtype=np.int64)

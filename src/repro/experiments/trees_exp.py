@@ -53,15 +53,8 @@ def tree_comparison(
     k_values: Sequence[int],
     epsilons: Sequence[float],
     run_dp: bool = True,
-    dp_method: str = "vectorized",
 ) -> List[TreeRun]:
-    """Greedy-Boost vs DP-Boost over ``k`` and ε grids.
-
-    ``dp_method`` is forwarded to :func:`~repro.trees.dp.dp_boost` —
-    ``"vectorized"`` (default) or ``"legacy"`` for the pinned loop
-    oracle, which lets the benchmark harness time both on the same
-    workload.
-    """
+    """Greedy-Boost vs DP-Boost over ``k`` and ε grids."""
     runs: List[TreeRun] = []
     n = tree.n
     for k in k_values:
@@ -81,7 +74,7 @@ def tree_comparison(
             continue
         for eps in epsilons:
             start = time.perf_counter()
-            dp = dp_boost(tree, k, epsilon=eps, method=dp_method)
+            dp = dp_boost(tree, k, epsilon=eps)
             runs.append(
                 TreeRun(
                     algorithm="DP-Boost",

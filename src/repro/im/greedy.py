@@ -9,7 +9,7 @@ reduce to the same primitive: given a collection of sampled node sets, pick
 :class:`repro.engine.coverage.CoverageIndex` (dense-gain argmax with
 decrement-on-cover, no per-set Python objects); the pre-index heap
 implementation is kept verbatim as :func:`legacy_greedy_max_coverage` — the
-seeded-equivalence oracle and benchmark baseline, same pattern as
+seeded-equivalence oracle, same pattern as
 :mod:`repro.engine.reference`.  The two produce identical outputs (same
 picks, same smallest-id tie-breaks); ``tests/test_selection.py`` enforces
 it.

@@ -3,8 +3,8 @@
 The sampling phase estimates a lower bound on ``OPT`` by doubling searches,
 then draws enough samples for the ``(1 − 1/e − ε)`` guarantee; the node
 selection phase is greedy maximum coverage.  Both phases are written against
-a generic *sampler* (``n`` attribute + ``sample(rng)`` returning a node set)
-so the same machinery drives
+a generic *sampler* (``n`` attribute + ``sample_into(rng, count, index)``
+appending sampled node sets) so the same machinery drives
 
 * classical influence maximization with RR-sets (:class:`repro.im.rr.RRSampler`),
 * the lower-bound maximization inside PRR-Boost, where the sampled sets are
@@ -15,14 +15,9 @@ persists across the doubling rounds: each round appends the newly drawn
 samples to the flat CSR and re-runs the vectorized greedy kernel (a warm
 restart), instead of rebuilding a Python dict/heap over the full sample
 list from scratch — the dominant cost of the pre-index sampling phase.
-Samplers may expose ``sample_into(rng, count, index)`` to stream member
-arrays straight into the index; the returned sample collection is a lazy
-:class:`~repro.engine.coverage.SetsView`, so frozensets are only
-materialized for callers that actually read them.  Passing
-``legacy_selection=True`` re-enables the pre-index path (Python sample
-list + heap greedy) — the seeded-equivalence oracle and benchmark
-baseline; both paths consume the RNG identically and return identical
-samples and selections.
+Samplers stream member arrays straight into the index; the returned
+sample collection is a lazy :class:`~repro.engine.coverage.SetsView`, so
+frozensets are only materialized for callers that actually read them.
 """
 
 from __future__ import annotations
@@ -34,7 +29,6 @@ from typing import FrozenSet, List, Protocol, Sequence, Set
 import numpy as np
 
 from ..engine.coverage import CoverageIndex
-from .greedy import legacy_greedy_max_coverage
 from .rr import RRSampler
 
 __all__ = [
@@ -49,37 +43,16 @@ __all__ = [
 
 
 class SetSampler(Protocol):
-    """Anything that can draw random node sets over ``n`` nodes.
-
-    Samplers may additionally expose ``sample_batch(rng, count)`` returning
-    ``count`` sets (equivalent to ``count`` ``sample`` calls on the same
-    RNG), and ``sample_into(rng, count, index)`` appending ``count`` sets
-    to a :class:`CoverageIndex` without materializing Python sets; the
-    sampling phases prefer the cheapest form available.
-    """
+    """Anything that can draw random node sets over ``n`` nodes into a
+    :class:`CoverageIndex`, as flat member arrays (no Python sets)."""
 
     n: int
 
-    def sample(self, rng: np.random.Generator) -> FrozenSet[int]:  # pragma: no cover
+    def sample_into(
+        self, rng: np.random.Generator, count: int, index: CoverageIndex
+    ) -> None:  # pragma: no cover
+        """Append ``count`` sampled sets to ``index``."""
         ...
-
-
-def _extend_samples(
-    samples: List[FrozenSet[int]],
-    sampler: SetSampler,
-    rng: np.random.Generator,
-    target: int,
-) -> None:
-    """Grow ``samples`` to ``target`` entries, batched when supported."""
-    need = target - len(samples)
-    if need <= 0:
-        return
-    batch = getattr(sampler, "sample_batch", None)
-    if batch is not None:
-        samples.extend(batch(rng, need))
-        return
-    while len(samples) < target:
-        samples.append(sampler.sample(rng))
 
 
 def _extend_index(
@@ -88,20 +61,10 @@ def _extend_index(
     rng: np.random.Generator,
     target: int,
 ) -> None:
-    """Grow ``index`` to ``target`` sets via the cheapest sampler form."""
+    """Grow ``index`` to ``target`` sets."""
     need = target - index.num_sets
-    if need <= 0:
-        return
-    into = getattr(sampler, "sample_into", None)
-    if into is not None:
-        into(rng, need, index)
-        return
-    batch = getattr(sampler, "sample_batch", None)
-    if batch is not None:
-        index.extend(batch(rng, need))
-        return
-    while index.num_sets < target:
-        index.append(sampler.sample(rng))
+    if need > 0:
+        sampler.sample_into(rng, need, index)
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -148,7 +111,6 @@ def imm_sampling(
     candidates: Set[int] | None = None,
     max_samples: int = 2_000_000,
     index: CoverageIndex | None = None,
-    legacy_selection: bool = False,
 ) -> Sequence[FrozenSet[int]]:
     """IMM sampling phase: draw enough sets for the approximation guarantee.
 
@@ -160,10 +122,7 @@ def imm_sampling(
     ``index`` (optional, must be empty) receives every sample; callers that
     run further selections over the collection — e.g. the final
     max-coverage pick of :func:`imm` or PRR-Boost's μ arm — pass one in
-    and reuse it, skipping any rebuild.  With ``legacy_selection=True``
-    the doubling rounds run the pre-index heap greedy over a Python
-    sample list instead (oracle/benchmark path; identical RNG consumption
-    and results).
+    and reuse it, skipping any rebuild.
     """
     if k <= 0:
         raise ValueError("k must be positive")
@@ -173,13 +132,10 @@ def imm_sampling(
     log_n = math.log(max(n, 2))
     log_nk = log_binomial(n, k)
 
-    if legacy_selection:
-        samples: List[FrozenSet[int]] = []
-    else:
-        if index is None:
-            index = CoverageIndex(n)
-        elif index.num_sets:
-            raise ValueError("imm_sampling requires an empty index")
+    if index is None:
+        index = CoverageIndex(n)
+    elif index.num_sets:
+        raise ValueError("imm_sampling requires an empty index")
     lower_bound = 1.0
 
     eps_prime = math.sqrt(2.0) * epsilon
@@ -195,14 +151,9 @@ def imm_sampling(
     for i in range(1, max_rounds):
         x = n / (2.0**i)
         theta_i = min(int(math.ceil(lambda_prime / x)), max_samples)
-        if legacy_selection:
-            _extend_samples(samples, sampler, rng, theta_i)
-            chosen, covered = legacy_greedy_max_coverage(samples, k, candidates)
-            drawn = len(samples)
-        else:
-            _extend_index(index, sampler, rng, theta_i)
-            chosen, covered = index.greedy(k, candidates)
-            drawn = index.num_sets
+        _extend_index(index, sampler, rng, theta_i)
+        chosen, covered = index.greedy(k, candidates)
+        drawn = index.num_sets
         estimate = n * covered / drawn
         if estimate >= (1.0 + eps_prime) * x:
             lower_bound = estimate / (1.0 + eps_prime)
@@ -217,9 +168,6 @@ def imm_sampling(
     beta = math.sqrt((1.0 - 1.0 / math.e) * (log_nk + ell * log_n + math.log(2.0)))
     lambda_star = 2.0 * n * ((1.0 - 1.0 / math.e) * alpha + beta) ** 2 / (epsilon**2)
     theta = min(int(math.ceil(lambda_star / max(lower_bound, 1e-12))), max_samples)
-    if legacy_selection:
-        _extend_samples(samples, sampler, rng, theta)
-        return samples
     _extend_index(index, sampler, rng, theta)
     return index.sets_view()
 
@@ -231,7 +179,6 @@ def imm_core(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 2_000_000,
-    legacy_selection: bool = False,
     workers: int | None = None,
 ) -> IMMResult:
     """Classical influence maximization: select ``k`` seeds with IMM.
@@ -247,19 +194,12 @@ def imm_core(
     the returned ``samples`` view stays valid for as long as the caller
     holds the result, so no warm-session scratch is recycled into it.
     """
-    sampler = RRSampler(graph, workers=workers)
-    if legacy_selection:
-        samples = imm_sampling(
-            sampler, k, epsilon, ell, rng, max_samples=max_samples,
-            legacy_selection=True,
-        )
-        chosen, covered = legacy_greedy_max_coverage(samples, k)
-    else:
-        index = CoverageIndex(graph.n)
-        samples = imm_sampling(
-            sampler, k, epsilon, ell, rng, max_samples=max_samples, index=index
-        )
-        chosen, covered = index.greedy(k)
+    index = CoverageIndex(graph.n)
+    samples = imm_sampling(
+        RRSampler(graph, workers=workers), k, epsilon, ell, rng,
+        max_samples=max_samples, index=index,
+    )
+    chosen, covered = index.greedy(k)
     estimate = graph.n * covered / len(samples)
     return IMMResult(
         chosen=chosen,
@@ -277,7 +217,6 @@ def imm(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 2_000_000,
-    legacy_selection: bool = False,
     workers: int | None = None,
 ) -> IMMResult:
     """Classical influence maximization: select ``k`` seeds with IMM.
@@ -294,7 +233,6 @@ def imm(
         budget=SamplingBudget(
             max_samples=max_samples, epsilon=epsilon, ell=ell, workers=workers
         ),
-        params={"legacy_selection": legacy_selection},
     )
     with Session(graph, manage_runtime=False) as session:
         return session.run(query, rng=rng).raw

@@ -8,7 +8,7 @@ maximization to maximum coverage over sampled RR-sets.
 Sampling runs on the shared vectorized engine.  The single-sample path
 (:func:`random_rr_set`) draws one uniform per in-edge of a whole frontier
 at a time, bit-for-bit matching the edge-wise lazy BFS it replaced — the
-seeded oracle.  The batch forms drive the multi-source lane kernel
+seeded oracle.  :class:`RRSampler` drives the multi-source lane kernel
 (:meth:`SamplingEngine.rr_lane_csr`): as many roots as fit
 :data:`~repro.engine.lanes.LANE_BYTES` of visited plane (one byte per
 lane and node) advance per frontier step over per-lane hashed worlds,
@@ -21,12 +21,12 @@ same roots and world seeds, so they return the same sets.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, Optional
 
 import numpy as np
 
 from ..engine import SamplingEngine
-from ..engine.coverage import CoverageIndex, csr_to_frozensets
+from ..engine.coverage import CoverageIndex
 from ..graphs.digraph import DiGraph
 
 __all__ = ["random_rr_set", "RRSampler"]
@@ -46,60 +46,41 @@ def random_rr_set(
 class RRSampler:
     """Adapter exposing RR-set sampling through the generic sampler protocol.
 
-    The IMM sampling phase (:mod:`repro.im.imm`) works with any object that
-    has an ``n`` attribute and a ``sample(rng)`` method returning a set of
-    candidate nodes; this class provides that interface for classical
-    influence maximization, plus the batched forms the sampling phases
-    prefer.  ``sample_batch`` and ``sample_into`` share one CSR draw per
-    request, so the legacy and vectorized selection paths see identical
-    samples for identical RNG states.
+    The IMM and SSA sampling phases (:mod:`repro.im.imm`,
+    :mod:`repro.im.ssa`) work with any object that has an ``n`` attribute
+    and a ``sample_into(rng, count, index)`` method; this class provides
+    that interface for classical influence maximization.
 
-    Batch draws go through :func:`repro.core.parallel.parallel_rr_csr`,
-    which draws every sample's root and world seed from ``rng`` and
-    evaluates them in process, on the local host pool (``workers >
-    1``) or on remote hosts — the same sets either way.
+    Draws go through :func:`repro.core.parallel.parallel_rr_csr`, which
+    draws every sample's root and world seed from ``rng`` and evaluates
+    them in process, on the local host pool (``workers > 1``) or on
+    remote hosts — the same sets either way.
     """
 
     def __init__(self, graph: DiGraph, workers: Optional[int] = None) -> None:
         self.graph = graph
         self.n = graph.n
-        self._engine = SamplingEngine.for_graph(graph)
         # Lazy import: repro.core pulls in the im package during its own
         # initialization, so resolving at call level avoids the cycle.
         from ..core.parallel import resolve_sampler_workers
 
         self.workers = resolve_sampler_workers(workers)
 
-    def sample(self, rng: np.random.Generator) -> FrozenSet[int]:
-        """One RR-set for a uniformly random root (the seeded oracle)."""
-        return self._engine.rr_set(rng)
-
     def _draw_csr(self, rng: np.random.Generator, count: int):
         from ..core import parallel
 
         return parallel.parallel_rr_csr(self.graph, count, rng, self.workers)
-
-    def sample_batch(
-        self, rng: np.random.Generator, count: int
-    ) -> List[FrozenSet[int]]:
-        """``count`` RR-sets via the lane kernel.
-
-        Deterministic for a given RNG state and drawn from the same
-        distribution as :meth:`sample` (a different, equally valid
-        stream: per-sample hashed worlds instead of lazy generator
-        draws).
-        """
-        return csr_to_frozensets(*self._draw_csr(rng, count))
 
     def sample_into(
         self, rng: np.random.Generator, count: int, index: CoverageIndex
     ) -> None:
         """Append ``count`` RR-sets straight into a coverage index.
 
-        Same RNG consumption and sampled sets as :meth:`sample_batch`,
-        but the lane kernel's member CSR goes into the flat index without
-        a frozenset round-trip — the form the IMM/SSA sampling phases
-        use.
+        Deterministic for a given RNG state and drawn from the same
+        distribution as :func:`random_rr_set` (a different, equally
+        valid stream: per-sample hashed worlds instead of lazy generator
+        draws); the lane kernel's member CSR goes into the flat index
+        without a frozenset round-trip.
         """
         counts, values = self._draw_csr(rng, count)
         index.extend_csr(counts, values.astype(np.int32, copy=False))

@@ -21,8 +21,7 @@ validation count is one masked scan — no list slicing, no per-round
 rebuild.  Outputs are identical to the pre-index implementation.
 
 Sampling throughput follows the sampler passed in: every pool extension
-goes through the cheapest form the sampler offers (``sample_into`` →
-``sample_batch`` → ``sample``), so the lane-kernel batches of
+is one ``sample_into`` call, so the lane-kernel batches of
 :class:`repro.im.rr.RRSampler` / :class:`repro.core.boost.
 CriticalSetSampler` apply unchanged, and constructing those samplers
 with ``workers > 1`` runs SSA's generation phase on the local host
@@ -87,7 +86,7 @@ def ssa_sampling(
         raise ValueError("epsilon must lie in (0, 1)")
     n = sampler.n
     index = CoverageIndex(n)
-    size = max(initial_samples, 16)
+    size = min(max(initial_samples, 16), max_samples)
     rounds = 0
     min_coverage = max(8, int(math.ceil(4.0 / epsilon)))
 

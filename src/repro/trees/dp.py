@@ -63,10 +63,9 @@ from .reference import (
     _NodeTable,
     _Rounding,
     finish_dp,
-    legacy_dp_boost,
 )
 
-__all__ = ["DPBoostResult", "dp_boost", "legacy_dp_boost", "reachability_weight"]
+__all__ = ["DPBoostResult", "dp_boost", "reachability_weight"]
 
 # Per-chunk temporary-array element budget for the batched fills; the f
 # axis is chunked so batch fills never materialize more than this.
@@ -687,7 +686,6 @@ def dp_boost(
     k: int,
     epsilon: float = 0.5,
     delta_override: Optional[float] = None,
-    method: str = "vectorized",
 ) -> DPBoostResult:
     """Run DP-Boost and return a ``(1 − ε)``-approximate boost set.
 
@@ -703,16 +701,7 @@ def dp_boost(
     delta_override:
         Directly set the rounding parameter δ (testing/ablation hook);
         bypasses Equation 13.
-    method:
-        ``"vectorized"`` (default) runs the level-batched numpy fills;
-        ``"legacy"`` is the escape hatch to the pinned loop oracle
-        (:func:`repro.trees.reference.legacy_dp_boost`).  Both produce
-        bit-identical tables and therefore identical selections.
     """
-    if method == "legacy":
-        return legacy_dp_boost(tree, k, epsilon, delta_override)
-    if method != "vectorized":
-        raise ValueError(f"unknown dp_boost method: {method!r}")
     if k <= 0:
         raise ValueError("k must be positive")
     if not 0.0 < epsilon:

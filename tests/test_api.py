@@ -45,6 +45,14 @@ def graph():
 BUDGET = SamplingBudget(max_samples=800, mc_runs=200)
 
 
+@pytest.fixture(scope="module")
+def tree_graph():
+    from repro.experiments.trees_exp import make_tree_workload
+
+    tree = make_tree_workload(63, 5, np.random.default_rng(0))
+    return tree.to_digraph(), sorted(tree.seeds)
+
+
 class TestQueries:
     def test_seeds_normalized(self):
         q = BoostQuery(seeds=[5, 3, 3, 1], k=2)
@@ -66,7 +74,7 @@ class TestQueries:
         q = BoostQuery(
             seeds=(1, 2), k=3, algorithm="prr_boost_lb",
             budget=SamplingBudget(max_samples=123, workers=2),
-            rng_seed=9, params={"selection": "legacy"},
+            rng_seed=9, params={"initial_samples": 128},
         )
         clone = query_from_dict(json.loads(json.dumps(q.to_dict())))
         assert clone == q
@@ -224,18 +232,6 @@ class TestParity:
             )
         assert result.selected == legacy
 
-    def test_legacy_selection_knob(self, graph):
-        with Session(graph) as session:
-            vec = session.run(
-                BoostQuery(seeds=(0, 1), k=5, budget=BUDGET, rng_seed=7)
-            )
-            leg = session.run(
-                BoostQuery(seeds=(0, 1), k=5, budget=BUDGET, rng_seed=7,
-                           params={"selection": "legacy"})
-            )
-        assert vec.selected == leg.selected
-        assert vec.estimates == leg.estimates
-
 
 class TestWarmState:
     def test_repeat_query_identical(self, graph):
@@ -326,6 +322,52 @@ class TestEnvelope:
         assert len(result.extra["candidate_sets"]) == 4
         assert result.selected in result.extra["candidate_sets"]
         assert "boost" in result.estimates
+
+
+ESTIMATE_KEYS = {
+    "prr_boost": {"boost", "mu", "delta"},
+    "prr_boost_lb": {"boost", "mu"},
+    "mc_greedy": set(),
+    "degree_global": {"boost"},
+    "degree_local": {"boost"},
+    "pagerank": {"boost"},
+    "ppr": {"boost"},
+    "more_seeds": {"boost"},
+    "imm": {"influence"},
+    "ssa": {"influence", "selection_estimate"},
+    "degree": set(),
+    "random": set(),
+    "evaluate": {"boost"},
+    "tree_dp": {"boost", "dp_value"},
+    "tree_greedy": {"boost", "sigma", "sigma_empty"},
+}
+
+
+class TestEstimateKeys:
+    """An envelope's ``estimates`` name only what its algorithm estimated."""
+
+    @pytest.mark.parametrize("algorithm", sorted(ESTIMATE_KEYS))
+    def test_keys(self, algorithm, graph, tree_graph):
+        from repro.api import TreeQuery
+
+        budget = SamplingBudget(max_samples=300, mc_runs=50)
+        if algorithm.startswith("tree_"):
+            graph, seeds = tree_graph
+            query = TreeQuery(seeds=seeds, k=2, algorithm=algorithm, rng_seed=1)
+        elif algorithm == "evaluate":
+            query = EvalQuery(seeds=(0, 1), boost=(5,), budget=budget, rng_seed=1)
+        elif algorithm in ("imm", "ssa", "degree", "random"):
+            query = SeedQuery(k=2, algorithm=algorithm, budget=budget, rng_seed=1)
+        else:
+            query = BoostQuery(
+                seeds=(0, 1), k=2, algorithm=algorithm, budget=budget,
+                params={"candidates": tuple(range(2, 12))}, rng_seed=1,
+            )
+        with Session(graph) as session:
+            result = session.run(query)
+        assert set(result.estimates) == ESTIMATE_KEYS[algorithm]
+        if algorithm == "tree_dp":
+            assert result.extra["delta_param"] > 0
 
 
 class TestLifecycle:
@@ -421,14 +463,7 @@ class TestLifecycle:
         assert not parallel.runtime_is_alive(graph)
 
 class TestTreeQueries:
-    """TreeQuery routing: envelope, cache, admission, legacy dispatch."""
-
-    @pytest.fixture(scope="class")
-    def tree_graph(self):
-        from repro.experiments.trees_exp import make_tree_workload
-
-        tree = make_tree_workload(63, 5, np.random.default_rng(0))
-        return tree.to_digraph(), sorted(tree.seeds)
+    """TreeQuery routing: envelope, cache, admission."""
 
     def test_registered(self):
         names = algorithm_names()
@@ -440,7 +475,7 @@ class TestTreeQueries:
         from repro.api import TreeQuery
 
         q = TreeQuery(seeds=(4, 2), k=3, root=1, algorithm="tree_greedy",
-                      rng_seed=7, params={"method": "legacy"})
+                      rng_seed=7, params={"initial_samples": 128})
         clone = query_from_dict(json.loads(json.dumps(q.to_dict())))
         assert clone == q
         assert q.seeds == (2, 4)
@@ -482,21 +517,6 @@ class TestTreeQueries:
                 TreeQuery(seeds=seeds, k=4, algorithm="tree_greedy", rng_seed=1)
             )
         assert greedy.estimates["boost"] >= dp.estimates["boost"] * 0.95
-
-    def test_legacy_method_param(self, tree_graph):
-        from repro.api import TreeQuery
-
-        graph, seeds = tree_graph
-        with Session(graph) as session:
-            vec = session.run(TreeQuery(seeds=seeds, k=3, rng_seed=2))
-            legacy = session.run(
-                TreeQuery(seeds=seeds, k=3, rng_seed=2,
-                          params={"method": "legacy"})
-            )
-        assert legacy.selected == vec.selected
-        assert legacy.estimates == vec.estimates
-        # different params -> different semantic identity
-        assert legacy.fingerprint != vec.fingerprint
 
     def test_admission_pricing(self, tree_graph):
         from repro.api import TreeQuery, estimate_cost

@@ -162,3 +162,31 @@ class TestMoreSeeds:
         g = b.build()
         chosen = more_seeds_baseline(g, {0}, 1, rng, max_samples=4000)
         assert chosen == [6]
+
+    def test_rows_that_meet_the_seeds_are_emptied(self, social):
+        """One lane draw: each row is the RR-set of its ``(root,
+        world_seed)``, or empty exactly when that set meets ``S``."""
+        from repro.baselines.moreseeds import _MarginalRRSampler
+        from repro.engine import SamplingEngine
+        from repro.engine.coverage import CoverageIndex, csr_to_frozensets
+        from repro.engine.lanes import draw_lane_inputs
+
+        seeds, count = {0, 1, 2}, 600
+        index = CoverageIndex(social.n)
+        _MarginalRRSampler(social, seeds).sample_into(
+            np.random.default_rng(4), count, index
+        )
+        roots, world_seeds = draw_lane_inputs(
+            np.random.default_rng(4), social.n, count
+        )
+        expected = csr_to_frozensets(
+            *SamplingEngine.for_graph(social).rr_lane_csr(
+                None, count, roots, world_seeds
+            )
+        )
+        rows = list(index.sets_view())
+        assert len(rows) == len(expected) == count
+        met = [bool(rr & seeds) for rr in expected]
+        assert 0 < sum(met) < count
+        for row, rr, hit in zip(rows, expected, met):
+            assert row == (frozenset() if hit else rr)

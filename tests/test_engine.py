@@ -26,6 +26,7 @@ from repro.core import (
 from repro.core.prr import _hash_draw
 from repro.diffusion import estimate_sigma, simulate_lt_spread, simulate_spread
 from repro.engine import SamplingEngine, hash_draw, hash_draw_array
+from repro.engine.coverage import CoverageIndex
 from repro.engine.reference import (
     reference_rr_set,
     reference_sample_critical_set,
@@ -87,9 +88,8 @@ class TestRRBitwise:
     def test_strict_batch_equals_sequential(self, graph):
         r_one = np.random.default_rng(7)
         r_batch = np.random.default_rng(7)
-        sampler = RRSampler(graph)
         engine = SamplingEngine.for_graph(graph)
-        singles = [sampler.sample(r_one) for _ in range(80)]
+        singles = [random_rr_set(graph, r_one) for _ in range(80)]
         batch = engine.sample_rr_batch(r_batch, 80, strict=True)
         assert singles == batch
         assert r_one.bit_generator.state == r_batch.bit_generator.state
@@ -101,7 +101,9 @@ class TestRRBitwise:
         strict = SamplingEngine.for_graph(graph).sample_rr_batch(
             np.random.default_rng(31), samples, strict=True
         )
-        fast = RRSampler(graph).sample_batch(np.random.default_rng(32), samples)
+        index = CoverageIndex(graph.n)
+        RRSampler(graph).sample_into(np.random.default_rng(32), samples, index)
+        fast = list(index.sets_view())
         mean_strict = np.mean([len(s) for s in strict])
         mean_fast = np.mean([len(s) for s in fast])
         # mean RR size == expected influence of a uniform seed; generous

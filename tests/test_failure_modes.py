@@ -187,18 +187,6 @@ class TestVectorizedDPParity:
                 assert vec.delta_param == ref.delta_param, ctx
                 assert vec.table_entries == ref.table_entries, ctx
 
-    def test_method_dispatch(self):
-        from repro.trees import legacy_dp_boost
-
-        rng = np.random.default_rng(5)
-        tree = _random_bidirected_tree(rng, 9)
-        via_param = dp_boost(tree, 2, epsilon=0.5, method="legacy")
-        direct = legacy_dp_boost(tree, 2, epsilon=0.5)
-        assert via_param.boost_set == direct.boost_set
-        assert via_param.dp_value == direct.dp_value
-        with pytest.raises(ValueError):
-            dp_boost(tree, 2, epsilon=0.5, method="nope")
-
 
 # ----------------------------------------------------------------------
 # Runtime supervision: host death, retry, degradation, process hygiene

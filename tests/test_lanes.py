@@ -38,12 +38,10 @@ from repro.core.parallel import fork_available, get_runtime
 from repro.core.prr import PRRArena
 from repro.engine import LANE_WIDTH, SamplingEngine
 from repro.engine import lanes as lanes_module
-from repro.engine.coverage import CoverageIndex
 from repro.engine.hashing import hash_draw, hash_draw_pairs
 from repro.engine.world import BLOCKED, BOOST, LIVE, EdgeStateArray, lane_states, lane_uniforms
 from repro.engine.reference import reference_sample_critical_set
 from repro.graphs import GraphBuilder, learned_like, preferential_attachment
-from repro.im import RRSampler
 
 
 @pytest.fixture(scope="module")
@@ -210,16 +208,6 @@ class TestRRLanes:
         for s in oracle_sets:
             freq_oracle[list(s)] += 1.0 / samples
         assert np.abs(freq_lane - freq_oracle).max() < 0.05
-
-    def test_batch_and_into_share_one_stream(self, graph):
-        """sample_batch and sample_into must expose identical samples for
-        identical RNG states — the invariant the legacy/vectorized
-        selection parity rests on."""
-        sampler = RRSampler(graph)
-        sets = sampler.sample_batch(np.random.default_rng(31), 150)
-        index = CoverageIndex(graph.n)
-        sampler.sample_into(np.random.default_rng(31), 150, index)
-        assert list(index.sets_view()) == sets
 
     def test_dense_fallback_is_same_pure_function(self, graph):
         """Forcing the dense evaluator must not change a single sample:

@@ -16,6 +16,10 @@ so the suite is deterministic.
 The exact couplings need no bound: on one set of worlds ``B = ∅`` scores
 exactly 0, a superset of ``B`` never scores lower, and a one-candidate
 ranking replays ``estimate_boost`` on the same RNG seed.
+
+The PRR estimators (``estimate_delta``, ``estimate_mu``) average ``RUNS``
+per-root values ``n · f_R(B)`` in ``[0, n]``, so Δ̂ gets the same bound
+with ``w = n``, and μ̂ ≤ Δ̂ holds exactly on every collection.
 """
 
 import math
@@ -26,6 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.algorithms import rank_candidates
+from repro.core import estimate_delta, estimate_mu, parallel_prr_collection
 from repro.diffusion import estimate_boost, estimate_sigma, exact_boost, exact_sigma
 from repro.diffusion.worlds import WorldCollection
 from repro.graphs import DiGraph, learned_like, preferential_attachment
@@ -131,3 +136,28 @@ class TestExactCouplings:
         _chosen, value = rank_candidates(graph, seeds, [boost], np.random.default_rng(5), 700)
         assert value == estimate_boost(graph, seeds, boost, np.random.default_rng(5), 700)
         assert value > 0 or not boost
+
+
+class TestPRREstimatorsWithinBound:
+    @SETTINGS
+    @given(cases())
+    def test_delta_hat_within_bound_and_mu_below(self, case):
+        graph, seeds, boost, extra, rng_seed = case
+        # Pruning keeps f_R(B) exact for every |B| up to the budget k.
+        k = max(len(boost | extra), 1)
+        arena = parallel_prr_collection(graph, seeds, k, RUNS, rng_seed, workers=1)
+        for chosen in (boost, boost | extra):
+            delta = estimate_delta(arena, graph.n, chosen)
+            assert abs(delta - exact_boost(graph, seeds, chosen)) <= hoeffding(graph.n)
+            assert estimate_mu(arena, graph.n, chosen) <= delta
+
+    def test_chain_of_two_boosts_tells_delta_from_mu(self):
+        """0 → 1 → 2 with p = 0 and p' = 1, S = {0}, B = {1, 2}: root 1 needs
+        only node 1 boosted (critical), root 2 needs both (no critical
+        node), so Δ = 2 and μ = 1."""
+        graph = DiGraph(3, [0, 1], [1, 2], [0.0, 0.0], [1.0, 1.0])
+        arena = parallel_prr_collection(graph, {0}, 2, RUNS, 5, workers=1)
+        t = hoeffding(graph.n)
+        assert exact_boost(graph, {0}, {1, 2}) == 2.0
+        assert abs(estimate_delta(arena, graph.n, {1, 2}) - 2.0) <= t
+        assert abs(estimate_mu(arena, graph.n, {1, 2}) - 1.0) <= t

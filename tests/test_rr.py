@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.coverage import CoverageIndex
 from repro.graphs import DiGraph, path, constant_probability
 from repro.im import RRSampler, random_rr_set
 
@@ -48,6 +49,7 @@ class TestRRSampler:
         g = constant_probability(path(5), 0.5)
         sampler = RRSampler(g)
         assert sampler.n == 5
-        rr = sampler.sample(rng)
-        assert isinstance(rr, frozenset)
-        assert len(rr) >= 1
+        index = CoverageIndex(5)
+        sampler.sample_into(rng, 3, index)
+        assert index.num_sets == 3
+        assert all(len(rr) >= 1 for rr in index.sets_view())

@@ -21,13 +21,14 @@ from repro.core import (
     legacy_estimate_mu,
     legacy_greedy_delta_selection,
     prr_boost,
-    prr_boost_lb,
     sample_prr_arena,
     sample_prr_batch,
 )
+from repro.core.boost import prr_boost_core, prr_boost_lb_core
 from repro.engine.coverage import CoverageIndex
 from repro.graphs import GraphBuilder, learned_like, preferential_attachment
-from repro.im import greedy_max_coverage, imm, legacy_greedy_max_coverage
+from repro.im import greedy_max_coverage, legacy_greedy_max_coverage
+from repro.im.imm import imm_core
 
 GRAPH_SEEDS = [7, 11, 42]
 
@@ -227,50 +228,92 @@ class TestArenaParity:
         assert 1 in legacy[0]  # the smaller-id relay is boosted first
 
 
+@pytest.fixture
+def greedy_calls(monkeypatch):
+    """Every ``CoverageIndex.greedy`` call of a run, as ``(index, k,
+    candidates, num_sets, result)``."""
+    calls = []
+    greedy = CoverageIndex.greedy
+
+    def spy(self, k, candidates=None, limit=None):
+        assert limit is None  # the IMM rounds pick over whole prefixes
+        result = greedy(self, k, candidates)
+        calls.append((self, k, candidates, self.num_sets, result))
+        return result
+
+    monkeypatch.setattr(CoverageIndex, "greedy", spy)
+    return calls
+
+
+def assert_picks_match_legacy(calls, index, k, candidates):
+    """Each doubling-round pick, and the final one, equals the legacy heap
+    greedy over the same prefix of the collection the run drew."""
+    sets = list(index.sets_view())
+    assert len(calls) >= 2
+    for owner, k_call, candidates_call, num_sets, result in calls:
+        assert (owner, k_call, candidates_call) == (index, k, candidates)
+        assert result == legacy_greedy_max_coverage(sets[:num_sets], k, candidates)
+    assert calls[-1][3] == len(sets)
+
+
 class TestEndToEndParity:
+    """The production runs select once, on the flat kernels; the legacy
+    object oracles re-select on the very collection they drew."""
+
     @pytest.mark.parametrize("seed", GRAPH_SEEDS)
-    def test_prr_boost_legacy_equals_vectorized(self, seed):
+    def test_prr_boost_legacy_equals_vectorized(self, seed, greedy_calls):
         g = random_graph(seed, n=100)
-        legacy = prr_boost(
+        index, arena = CoverageIndex(g.n), PRRArena(g.n)
+        fast = prr_boost_core(
             g, {0, 1}, 5, np.random.default_rng(seed), max_samples=1000,
-            selection="legacy",
+            index=index, arena=arena,
         )
-        fast = prr_boost(
-            g, {0, 1}, 5, np.random.default_rng(seed), max_samples=1000,
-            selection="vectorized",
+        candidates = set(range(2, g.n))
+        assert_picks_match_legacy(greedy_calls, index, 5, candidates)
+        objs = list(arena)
+        mu_set, mu_covered = greedy_calls[-1][4]
+        assert fast.mu_set == sorted(mu_set)
+        assert fast.mu_estimate == pytest.approx(
+            g.n * mu_covered / len(objs), abs=1e-9
         )
-        assert legacy.boost_set == fast.boost_set
-        assert legacy.mu_set == fast.mu_set
-        assert legacy.delta_set == fast.delta_set
-        assert legacy.mu_estimate == pytest.approx(fast.mu_estimate, abs=1e-9)
-        assert legacy.delta_estimate == pytest.approx(fast.delta_estimate, abs=1e-9)
-        assert legacy.estimated_boost == pytest.approx(fast.estimated_boost, abs=1e-9)
-        assert legacy.num_samples == fast.num_samples
+        assert fast.mu_estimate == pytest.approx(
+            legacy_estimate_mu(objs, g.n, set(mu_set)), abs=1e-9
+        )
+        delta_set, delta_estimate = legacy_greedy_delta_selection(
+            objs, g.n, 5, candidates
+        )
+        assert fast.delta_set == delta_set
+        assert fast.delta_estimate == pytest.approx(delta_estimate, abs=1e-9)
+        mu_delta = legacy_estimate_delta(objs, g.n, set(mu_set))
+        if mu_delta >= delta_estimate:
+            chosen, value = sorted(mu_set), mu_delta
+        else:
+            chosen, value = delta_set, delta_estimate
+        assert fast.boost_set == chosen
+        assert fast.estimated_boost == pytest.approx(value, abs=1e-9)
+        assert fast.num_samples == len(objs) == index.num_sets
 
-    def test_prr_boost_lb_legacy_equals_vectorized(self):
+    def test_prr_boost_lb_legacy_equals_vectorized(self, greedy_calls):
         g = random_graph(13, n=100)
-        legacy = prr_boost_lb(
+        index = CoverageIndex(g.n)
+        fast = prr_boost_lb_core(
             g, {0, 1}, 5, np.random.default_rng(13), max_samples=1000,
-            selection="legacy",
+            index=index,
         )
-        fast = prr_boost_lb(
-            g, {0, 1}, 5, np.random.default_rng(13), max_samples=1000,
-            selection="vectorized",
+        assert_picks_match_legacy(greedy_calls, index, 5, set(range(2, g.n)))
+        mu_set, covered = greedy_calls[-1][4]
+        assert fast.boost_set == sorted(mu_set)
+        assert fast.estimated_boost == pytest.approx(
+            g.n * covered / index.num_sets, abs=1e-9
         )
-        assert legacy.boost_set == fast.boost_set
-        assert legacy.estimated_boost == pytest.approx(
-            fast.estimated_boost, abs=1e-9
-        )
+        assert fast.num_samples == index.num_sets
 
-    def test_imm_legacy_equals_vectorized(self):
+    def test_imm_legacy_equals_vectorized(self, greedy_calls):
         g = random_graph(17, n=80, p=0.15)
-        legacy = imm(g, 4, np.random.default_rng(17), max_samples=2000,
-                     legacy_selection=True)
-        fast = imm(g, 4, np.random.default_rng(17), max_samples=2000)
-        assert legacy.chosen == fast.chosen
-        assert legacy.coverage == fast.coverage
-        assert legacy.theta == fast.theta
-        assert list(legacy.samples) == list(fast.samples)
+        fast = imm_core(g, 4, np.random.default_rng(17), max_samples=2000)
+        assert_picks_match_legacy(greedy_calls, fast.samples.index, 4, None)
+        assert (fast.chosen, fast.coverage) == greedy_calls[-1][4]
+        assert fast.theta == len(fast.samples)
 
     def test_mu_estimate_single_source_of_truth(self):
         """The reported mu_estimate must equal the vectorized estimator's

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import SamplingBudget, SeedQuery, Session
 from repro.core import prr_boost
 from repro.core.boost import CriticalSetSampler
 from repro.graphs import GraphBuilder, constant_probability, star
@@ -42,6 +43,17 @@ class TestSSASampling:
             ssa_sampling(RRSampler(g), 0, 0.3, rng)
         with pytest.raises(ValueError):
             ssa_sampling(RRSampler(g), 1, 1.3, rng)
+
+    def test_session_reports_the_capped_pool(self):
+        """Admission prices an SSA query at its ``max_samples``; the query
+        draws no more than that, whatever its ``initial_samples``."""
+        g = constant_probability(star(30, outward=True), 0.2)
+        query = SeedQuery(
+            algorithm="ssa", k=5, budget=SamplingBudget(max_samples=300),
+            params={"initial_samples": 1000}, rng_seed=1,
+        )
+        with Session(g) as session:
+            assert session.run(query).num_samples == 300
 
     def test_with_critical_set_sampler(self, rng):
         """SSA drives the boosting lower bound, as the paper suggests."""
