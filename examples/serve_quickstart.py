@@ -7,8 +7,9 @@ One warm :class:`repro.Session` fronted by the serving-tier pieces:
    deterministic queries near-free,
 2. an :class:`repro.AdmissionPolicy` that prices queries *before* any
    sampling starts and rejects (or queues) over-budget work,
-3. the overlapped ``run_many`` that pipelines independent seeded
-   queries onto the shared-memory worker pool.
+3. ``run_many``, which answers a batch in order — admitted queries
+   first, then queued ones — and, on request, returns a rejection in
+   its query's slot instead of failing the batch.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -43,7 +44,7 @@ def main() -> None:
         cache=ResultCache(capacity=128),
         admission=policy,
     ) as session:
-        print("2) Answering a mixed batch (overlapped run_many) ...")
+        print("2) Answering a mixed batch (run_many) ...")
         seeds = session.run(SeedQuery(k=10, rng_seed=SEED)).selected
         batch = [
             BoostQuery(seeds=seeds, k=20, rng_seed=SEED,

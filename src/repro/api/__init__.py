@@ -20,10 +20,11 @@ typed queries:
 On top of the session sits the serving tier: a fingerprint-keyed
 :class:`ResultCache` (graph-version-invalidated envelope memoization),
 an :class:`AdmissionPolicy` pricing queries before sampling
-(:exc:`AdmissionRejected` / structured rejection envelopes), the
-overlapped :meth:`Session.run_many` pipelining independent seeded
-queries over the local host pool, and the :func:`serve_ndjson` /
-:func:`serve_http` front ends behind ``repro serve``.
+(:exc:`AdmissionRejected` / structured rejection envelopes), the batch
+form :meth:`Session.run_many` (admitted queries first, then queued
+ones, with per-query deadlines and error envelopes), and the
+:func:`serve_ndjson` / :func:`serve_http` front ends behind ``repro
+serve``.
 
 The legacy free functions (``prr_boost``, ``prr_boost_lb``, ``imm``,
 ``ssa``, ...) remain available as thin wrappers over a default throwaway
@@ -50,13 +51,11 @@ from .queries import (
 )
 from .registry import algorithm_names, get_algorithm, register_algorithm
 from .result import (
-    ERROR_DEGRADED,
     ERROR_FAILED,
     ERROR_REJECTED,
     ERROR_TIMEOUT,
     QueryResult,
     QueryTimeout,
-    degraded_result,
     error_result,
     failure_result,
     timeout_result,
@@ -89,9 +88,7 @@ __all__ = [
     "ERROR_REJECTED",
     "ERROR_TIMEOUT",
     "ERROR_FAILED",
-    "ERROR_DEGRADED",
     "error_result",
     "timeout_result",
     "failure_result",
-    "degraded_result",
 ]

@@ -14,8 +14,8 @@ cost model in front of :meth:`repro.api.Session.run`:
   the achievable lane occupancy),
 * :class:`AdmissionPolicy` compares the estimate to its thresholds and
   returns an :class:`AdmissionDecision` — ``admit``, ``queue`` (run, but
-  only after the admitted wave; the overlapped ``run_many`` and the
-  serving front end honour this) or ``reject`` (do not run at all),
+  only after the batch's admitted queries; ``run_many`` and the serving
+  front end honour this) or ``reject`` (do not run at all),
 * a rejected query surfaces as :exc:`AdmissionRejected`, whose
   :attr:`~AdmissionRejected.envelope` is the structured JSON shape the
   NDJSON/HTTP front ends return instead of a result.
@@ -241,9 +241,8 @@ class AdmissionPolicy:
         ``None`` disables rejection.
     queue_units:
         Queries above this (but within ``reject_units``) are *queued*:
-        batch executors start them only once the lane pool has drained
-        below its capacity — behind every admitted submission of the
-        wave — so heavy work never delays interactive traffic.
+        a batch runs them after every query it admitted, so heavy work
+        never delays interactive traffic.
         ``None`` disables queueing.
     max_samples, max_mc_runs:
         Hard caps on the respective budget fields, independent of the
@@ -351,9 +350,9 @@ class AdmissionPolicy:
             )
         # Runtime health gate: a degraded runtime (worker pool lost,
         # serial fallback only) still serves correct results, but at
-        # serial throughput — admitting the full interactive wave would
-        # stack up convoys.  Queue what would have been admitted so work
-        # drains one-at-a-time behind the admitted wave.
+        # serial throughput — admitting every interactive query would
+        # stack up convoys.  Queue what would have been admitted: it
+        # still runs, after whatever its batch admitted.
         health = None
         health_of = getattr(session, "runtime_health", None)
         if callable(health_of):
@@ -363,7 +362,7 @@ class AdmissionPolicy:
                 QUEUE, cost,
                 reason=(
                     "runtime degraded (worker pool lost): queued behind "
-                    "the admitted wave at serial throughput"
+                    "the admitted queries at serial throughput"
                 ),
             )
         return AdmissionDecision(ADMIT, cost)

@@ -227,7 +227,7 @@ _register_baseline(
         more_seeds_baseline(
             graph, set(query.seeds), query.k, rng,
             epsilon=budget.epsilon, ell=budget.ell,
-            max_samples=budget.max_samples,
+            max_samples=budget.max_samples, workers=budget.workers,
         )
     ],
 )

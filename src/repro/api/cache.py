@@ -29,8 +29,9 @@ counters are exposed for the serving front end's ``/stats``.
 The cache stores (and returns) the original ``QueryResult`` object —
 envelope-identical to the uncached run by construction, including its
 recorded timings.  Treat results as read-only, which every consumer of
-the session API already does.  Thread-safe: the overlapped ``run_many``
-lanes and the HTTP front end share one instance.
+the session API already does.  Thread-safe: the HTTP front end reads
+the counters on one thread while another runs queries, and one cache
+may back several sessions.
 """
 
 from __future__ import annotations

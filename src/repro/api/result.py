@@ -11,7 +11,7 @@ return exactly that), but it is never serialized.
 
 Error taxonomy
 --------------
-Every way a query can end without a normal result maps to one of four
+Every way a query can end without a normal result maps to one of three
 ``error`` classes, each carried in a :class:`QueryResult`-shaped JSON
 envelope (``selected`` empty, ``extra["error"]`` set) so batch positions
 and NDJSON lines keep their shape:
@@ -21,10 +21,9 @@ and NDJSON lines keep their shape:
 * ``"timeout"`` — the query's ``deadline_ms`` elapsed (HTTP 504);
   raised in-process as :exc:`QueryTimeout`.
 * ``"failed"`` — the algorithm raised (HTTP 500).
-* ``"degraded"`` — the runtime lost its worker pool and the query was
-  not executed under the current policy (HTTP 503).  NB: a query that
-  *does* run on a degraded runtime (serial fallback) still succeeds and
-  is merely marked ``extra["degraded"] = True``.
+
+A query that runs on a degraded runtime (the serial fallback) still
+succeeds; its envelope is marked ``extra["degraded"] = True``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = [
     "QueryResult",
@@ -40,17 +39,14 @@ __all__ = [
     "ERROR_REJECTED",
     "ERROR_TIMEOUT",
     "ERROR_FAILED",
-    "ERROR_DEGRADED",
     "error_result",
     "timeout_result",
     "failure_result",
-    "degraded_result",
 ]
 
 ERROR_REJECTED = "rejected"
 ERROR_TIMEOUT = "timeout"
 ERROR_FAILED = "failed"
-ERROR_DEGRADED = "degraded"
 
 
 def _jsonable(value: Any) -> Any:
@@ -199,20 +195,6 @@ def failure_result(query, exc: BaseException) -> QueryResult:
         detail=f"{type(exc).__name__}: {exc}",
         exception=type(exc).__name__,
     )
-
-
-def degraded_result(query, health: Optional[Dict[str, Any]] = None) -> QueryResult:
-    """The ``"degraded"`` envelope: the runtime lost its worker pool and
-    policy forbade executing this query.  ``health`` is the
-    :class:`~repro.core.parallel.RuntimeHealth` dict if available."""
-    res = error_result(
-        query,
-        ERROR_DEGRADED,
-        detail="runtime degraded: worker pool lost, query not executed",
-    )
-    if health is not None:
-        res.extra["runtime"] = dict(health)
-    return res
 
 
 class QueryTimeout(RuntimeError):

@@ -1,15 +1,15 @@
 """Batch serving front ends over a warm :class:`~repro.api.Session`.
 
 Two thin transports expose the serving tier (result cache, admission,
-overlapped ``run_many``) without any dependency beyond the stdlib:
+``run_many``) without any dependency beyond the stdlib:
 
 * :func:`serve_ndjson` — newline-delimited JSON over arbitrary streams
   (stdin/stdout in the CLI).  Each input line is either one query object
   (the :meth:`~repro.api.queries._BaseQuery.to_dict` wire shape) or an
   array of them; each query produces exactly one NDJSON output line, in
-  input order.  Arrays run through the overlapped ``run_many``, so a
-  client that batches its independent seeded queries gets the pipelined
-  path for free.
+  input order.  An array runs as one ``run_many`` batch: admitted
+  queries first, then queue-classed ones, each answer in its query's
+  position.
 * :func:`serve_http` — a ``http.server``-based endpoint::
 
       POST /query    body = query object or array -> result / array
@@ -17,23 +17,21 @@ overlapped ``run_many``) without any dependency beyond the stdlib:
       GET  /healthz  liveness probe
 
   Requests are handled on server threads; query execution is serialized
-  per request through a session lock (the session's *internal* overlap
-  lanes still pipeline each batch), which keeps the shared warm scratch
-  single-writer without a second queueing layer.
+  per request through a session lock, which keeps the shared warm
+  scratch single-writer without a second queueing layer.
 
 Error contract (both transports): every non-result outcome is a
 structured envelope carrying one class of the error taxonomy
 (:mod:`repro.api.result`) — ``bad_request`` for malformed input,
 ``rejected`` for admission refusals, ``timeout`` for missed
-``deadline_ms`` budgets, ``failed`` for algorithm exceptions,
-``degraded`` for a lost worker pool — and the stream/server keeps going
-either way.  The NDJSON transport emits the envelopes inline, one line
-per query, always.  The HTTP transport additionally maps the classes to
-status codes (400 / 429 / 504 / 500 / 503): a single-query POST gets its
-envelope's code, a batch POST answers 200 with inline envelopes unless
-the batch is malformed (400) or every envelope carries the same error
-class (that class's code).  ``GET /healthz`` turns 503 while the
-runtime is degraded.
+``deadline_ms`` budgets, ``failed`` for algorithm exceptions — and the
+stream/server keeps going either way.  The NDJSON transport emits the
+envelopes inline, one line per query, always.  The HTTP transport
+additionally maps the classes to status codes (400 / 429 / 504 / 500):
+a single-query POST gets its envelope's code, a batch POST answers 200
+with inline envelopes unless the batch is malformed (400) or every
+envelope carries the same error class (that class's code).
+``GET /healthz`` turns 503 while the runtime is degraded.
 """
 
 from __future__ import annotations
@@ -45,12 +43,7 @@ from typing import Any, Dict, IO, List, Optional
 
 from .admission import AdmissionRejected
 from .queries import query_from_dict
-from .result import (
-    ERROR_DEGRADED,
-    ERROR_FAILED,
-    ERROR_REJECTED,
-    ERROR_TIMEOUT,
-)
+from .result import ERROR_FAILED, ERROR_REJECTED, ERROR_TIMEOUT
 from .session import Session
 
 __all__ = ["serve_ndjson", "serve_http", "ServeStats"]
@@ -89,7 +82,6 @@ _STATUS_BY_ERROR = {
     ERROR_REJECTED: 429,   # the client may retry with a smaller budget
     ERROR_TIMEOUT: 504,    # the deadline elapsed before the answer
     ERROR_FAILED: 500,     # the algorithm raised
-    ERROR_DEGRADED: 503,   # the runtime lost its pool
 }
 
 
@@ -112,10 +104,10 @@ def _answer(
     """Run one decoded request payload; one envelope dict per query.
 
     A dict payload is a single query; a list payload is a batch handed to
-    the overlapped ``run_many``.  Admission rejections, deadline misses
-    and algorithm failures all come back as their structured envelopes
-    in-position (never as exceptions), so a batch with one bad member
-    still answers the rest.  Queries without their own ``deadline_ms``
+    ``run_many``.  Admission rejections, deadline misses and algorithm
+    failures all come back as their structured envelopes in-position
+    (never as exceptions), so a batch with one bad member still answers
+    the rest.  Queries without their own ``deadline_ms``
     inherit ``default_deadline_ms`` (the server-wide latency SLO).
     """
     batch = payload if isinstance(payload, list) else [payload]
@@ -208,9 +200,9 @@ def serve_http(
 
     ``default_deadline_ms`` is the server-wide latency SLO: queries that
     do not carry their own ``deadline_ms`` inherit it.  Status codes
-    follow the error taxonomy (429 rejected, 504 timeout, 500 failed,
-    503 degraded); ``/healthz`` answers 503 with the supervision
-    counters while the runtime is degraded.
+    follow the error taxonomy (429 rejected, 504 timeout, 500 failed);
+    ``/healthz`` answers 503 with the supervision counters while the
+    runtime is degraded.
     """
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 

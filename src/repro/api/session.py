@@ -29,15 +29,9 @@ On top of that sits the serving tier:
   refresh on the same signal),
 * an optional :class:`~repro.api.admission.AdmissionPolicy` prices each
   query *before* sampling and rejects (or queues) over-budget work,
-* :meth:`run_many` **overlaps** independent seeded queries: each runs in
-  a session-owned lane thread through a :class:`_SessionLane` view
-  (thread-local engine and scratch via the thread-keyed
-  :meth:`SamplingEngine.for_graph`), and their sampling chunks interleave
-  on the one local host pool through the runtime's
-  tag-multiplexed ``run`` — one query's selection phase
-  runs while the others' samples are still being drawn.  Results are
-  bit-identical to the serial path because every seeded query's
-  samples are drawn from its own ``rng_seed``-built generator.
+* :meth:`run_many` answers a batch in order on the calling thread:
+  admitted queries first, then queue-classed ones, each failure folded
+  into its own position on request.
 
 Queries are typed objects (:mod:`repro.api.queries`) dispatched through
 the string-keyed registry (:mod:`repro.api.registry`); every answer is a
@@ -51,19 +45,18 @@ Sessions are context managers::
         delta = session.run(EvalQuery(seeds=seeds, boost=boost.selected,
                                       rng_seed=7))
 
-Lifecycle contract: :meth:`close` is idempotent, releases the lane pool
-and the host pool's processes (when this session's graph owns them),
-and any later :meth:`run` raises ``RuntimeError``.
-Direct :meth:`run` calls remain single-threaded per session — the warm
-scratch is shared mutable state; concurrency belongs to :meth:`run_many`
-(overlap lanes) and the serving front end built on it.
+Lifecycle contract: :meth:`close` is idempotent, releases the host
+pool's processes (when this session's graph owns them), and any later
+:meth:`run` raises ``RuntimeError``.  A session answers one query at a
+time — the warm scratch is shared mutable state — so threads that share
+one serialize their calls, as :func:`~repro.api.serve.serve_http` does
+with its session lock.  Sampling parallelism lives below the session,
+in the host pool.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -99,62 +92,6 @@ def _package_version() -> str:
     return __version__
 
 
-class _SessionLane:
-    """A thread-facing view of a :class:`Session` for overlap lanes.
-
-    Handlers receive this instead of the session itself when a query runs
-    on a lane thread.  Reads delegate to the base session (graph, budget
-    resolution, the locked per-model graph and candidate caches); the
-    *mutable scratch* — engine stamp buffers, coverage index, PRR arena —
-    resolves to thread-local instances instead, because those are the
-    parts two concurrent queries must never share.  The engine comes from
-    the thread-keyed :meth:`SamplingEngine.for_graph`, the same call every
-    sampler makes internally, so handler-level and sampler-level accesses
-    agree on one engine per (thread, graph).
-    """
-
-    __slots__ = ("_base",)
-
-    def __init__(self, base: "Session") -> None:
-        self._base = base
-
-    def __getattr__(self, name):
-        return getattr(self._base, name)
-
-    @property
-    def graph(self) -> DiGraph:
-        return self._base.graph
-
-    @property
-    def engine(self) -> SamplingEngine:
-        return SamplingEngine.for_graph(self._base.graph)
-
-    def engine_for(self, model=None) -> SamplingEngine:
-        return SamplingEngine.for_graph(self._base.graph_for(model))
-
-    def scratch_index(self) -> CoverageIndex:
-        tls = self._base._lane_tls
-        index = getattr(tls, "index", None)
-        if index is None:
-            index = CoverageIndex(self._base.graph.n)
-            tls.index = index
-        else:
-            index.clear()
-        return index
-
-    def scratch_arena(self):
-        from ..core.prr import PRRArena
-
-        tls = self._base._lane_tls
-        arena = getattr(tls, "arena", None)
-        if arena is None:
-            arena = PRRArena(self._base.graph.n)
-            tls.arena = arena
-        else:
-            arena.clear()
-        return arena
-
-
 class Session:
     """A warm query facade bound to one influence graph.
 
@@ -180,11 +117,7 @@ class Session:
         it runs; rejection raises :exc:`AdmissionRejected` (or yields a
         rejection envelope in :meth:`run_many` with
         ``on_reject="envelope"``), and "queue"-classed queries run after
-        the admitted wave of their batch.
-    overlap_lanes:
-        Lane threads :meth:`run_many` may use to overlap independent
-        seeded queries (the pool is created lazily on the first
-        overlapped batch).
+        the admitted queries of their batch.
     hosts:
         Optional worker-host endpoints (``"host:port,host:port"`` or a
         sequence) running ``repro dist-worker`` on replicas of this
@@ -202,7 +135,6 @@ class Session:
         manage_runtime: bool = True,
         cache: Optional[ResultCache] = None,
         admission: Optional[AdmissionPolicy] = None,
-        overlap_lanes: int = 4,
         hosts=None,
     ) -> None:
         self.graph = graph
@@ -210,15 +142,8 @@ class Session:
         self._manage_runtime = bool(manage_runtime)
         self.cache = cache
         self.admission = admission
-        self.overlap_lanes = max(1, int(overlap_lanes))
         self._closed = False
         self.queries_run = 0
-        self._stats_lock = threading.Lock()
-        # Guards the version-keyed state (signature, model-graph views)
-        # and the lazily-created caches the lane threads share.
-        self._state_lock = threading.RLock()
-        self._lane_pool: Optional[ThreadPoolExecutor] = None
-        self._lane_tls = threading.local()
         # Warm the engine now: CSR views, splitmix64 hash bases, integer
         # thresholds and scratch planes are built once per graph and every
         # query (and every other session on the same graph) reuses them.
@@ -275,18 +200,15 @@ class Session:
     def close(self) -> None:
         """Release session state (idempotent).
 
-        Drops the recycled scratch, joins the overlap lane pool, and —
-        for runtime-managing sessions — shuts down the local host pool
-        when it is bound to this session's graph.
+        Drops the recycled scratch and — for runtime-managing sessions —
+        shuts down the local host pool when it is bound to this session's
+        graph.
         The engine stays cached on the graph (it is plain process-local
         memory shared by design).
         """
         if self._closed:
             return
         self._closed = True
-        pool, self._lane_pool = self._lane_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         self._scratch_index = None
         self._scratch_arena = None
         self._candidates_cache.clear()
@@ -329,18 +251,17 @@ class Session:
         field instead.
         """
         version = getattr(self.graph, "version", 0)
-        with self._state_lock:
-            if self._signature_version != version:
-                src, dst, p, pp = self.graph.edge_arrays()
-                self._graph_signature = {
-                    "n": int(self.graph.n),
-                    "m": int(self.graph.m),
-                    "p_sum": round(float(p.sum()), 9),
-                    "pp_sum": round(float(pp.sum()), 9),
-                }
-                self._model_graphs = {"ic": self.graph, "ic_out": self.graph}
-                self._signature_version = version
-            return self._graph_signature
+        if self._signature_version != version:
+            src, dst, p, pp = self.graph.edge_arrays()
+            self._graph_signature = {
+                "n": int(self.graph.n),
+                "m": int(self.graph.m),
+                "p_sum": round(float(p.sum()), 9),
+                "pp_sum": round(float(pp.sum()), 9),
+            }
+            self._model_graphs = {"ic": self.graph, "ic_out": self.graph}
+            self._signature_version = version
+        return self._graph_signature
 
     def fingerprint_for(self, query: Query) -> str:
         """The reproducibility fingerprint a query will be stamped with.
@@ -408,12 +329,11 @@ class Session:
 
         mdl = resolve_model(model)
         self._signature()  # drop stale model views after a graph mutation
-        with self._state_lock:
-            graph = self._model_graphs.get(mdl.name)
-            if graph is None:
-                graph = mdl.prepare_graph(self.graph)
-                self._model_graphs[mdl.name] = graph
-            return graph
+        graph = self._model_graphs.get(mdl.name)
+        if graph is None:
+            graph = mdl.prepare_graph(self.graph)
+            self._model_graphs[mdl.name] = graph
+        return graph
 
     def engine_for(self, model=None) -> SamplingEngine:
         """The warm engine serving ``model``'s graph view.
@@ -435,15 +355,14 @@ class Session:
         """
         self._check_open()
         key = tuple(seeds)
-        with self._state_lock:
-            pool = self._candidates_cache.get(key)
-            if pool is None:
-                seed_set = set(key)
-                pool = {v for v in range(self.graph.n) if v not in seed_set}
-                if len(self._candidates_cache) >= 16:
-                    self._candidates_cache.clear()
-                self._candidates_cache[key] = pool
-            return pool
+        pool = self._candidates_cache.get(key)
+        if pool is None:
+            seed_set = set(key)
+            pool = {v for v in range(self.graph.n) if v not in seed_set}
+            if len(self._candidates_cache) >= 16:
+                self._candidates_cache.clear()
+            self._candidates_cache[key] = pool
+        return pool
 
     def tree_for(self, seeds, root: int = 0):
         """The rooted :class:`~repro.trees.BidirectedTree` view for
@@ -463,14 +382,13 @@ class Session:
 
         key = (tuple(sorted(int(s) for s in seeds)), int(root),
                getattr(self.graph, "version", 0))
-        with self._state_lock:
-            tree = self._tree_cache.get(key)
-            if tree is None:
-                tree = BidirectedTree(self.graph, key[0], root=int(root))
-                if len(self._tree_cache) >= 16:
-                    self._tree_cache.clear()
-                self._tree_cache[key] = tree
-            return tree
+        tree = self._tree_cache.get(key)
+        if tree is None:
+            tree = BidirectedTree(self.graph, key[0], root=int(root))
+            if len(self._tree_cache) >= 16:
+                self._tree_cache.clear()
+            self._tree_cache[key] = tree
+        return tree
 
     # ------------------------------------------------------------------
     # Runtime
@@ -571,27 +489,21 @@ class Session:
     def _run_admitted(
         self,
         query: Query,
-        rng: Optional[np.random.Generator] = None,
-        exec_session=None,
-        started: Optional[float] = None,
+        rng: Optional[np.random.Generator],
+        started: float,
     ) -> QueryResult:
         """Cache-check, execute and stamp one already-admitted query.
 
-        ``exec_session`` is the object handlers see — the session itself
-        on the serial path, a :class:`_SessionLane` on lane threads.
-
         ``started`` is the ``perf_counter`` instant the query's
         ``deadline_ms`` counts from — batch submission time in
-        :meth:`run_many`, so a deadline covers queue wait, not just
-        compute.  The deadline is checked before running (a query whose
-        budget is already spent is not started at all) and after (a
-        result that arrives late is still cached — the work is valid and
-        a retry may hit it — but :exc:`QueryTimeout` is raised, carrying
-        the structured timeout envelope instead).
+        :meth:`run_many`, so a deadline covers the wait behind earlier
+        queries, not just compute.  The deadline is checked before
+        running (a query whose budget is already spent is not started at
+        all) and after (a result that arrives late is still cached — the
+        work is valid and a retry may hit it — but :exc:`QueryTimeout` is
+        raised, carrying the structured timeout envelope instead).
         """
         deadline_ms = getattr(query, "deadline_ms", None)
-        if started is None:
-            started = time.perf_counter()
         if deadline_ms is not None:
             elapsed = (time.perf_counter() - started) * 1000.0
             if elapsed >= deadline_ms:
@@ -601,17 +513,15 @@ class Session:
         if self.cache is not None:
             hit = self.cache.get(key)
             if hit is not None:
-                with self._stats_lock:
-                    self.queries_run += 1
+                self.queries_run += 1
                 return hit
         handler = get_algorithm(query.algorithm)
         if query.rng_seed is not None:
             rng = np.random.default_rng(query.rng_seed)
         elif rng is None:
             rng = np.random.default_rng()
-        target = self if exec_session is None else exec_session
         start = time.perf_counter()
-        result = handler(target, query, rng)
+        result = handler(self, query, rng)
         result.timings["total"] = time.perf_counter() - start
         result.query = query.to_dict()
         result.fingerprint = self.fingerprint_for(query)
@@ -622,8 +532,7 @@ class Session:
             # healthy path — only latency differed — so it is still
             # cacheable, marker included.
             result.extra["degraded"] = True
-        with self._stats_lock:
-            self.queries_run += 1
+        self.queries_run += 1
         if self.cache is not None:
             self.cache.put(key, result)
         if deadline_ms is not None:
@@ -635,9 +544,8 @@ class Session:
     def _guarded(
         self,
         query: Query,
-        rng: Optional[np.random.Generator] = None,
-        exec_session=None,
-        started: Optional[float] = None,
+        rng: Optional[np.random.Generator],
+        started: float,
     ) -> QueryResult:
         """:meth:`_run_admitted`, with failures folded into envelopes.
 
@@ -647,9 +555,7 @@ class Session:
         query cannot sink its batch.
         """
         try:
-            return self._run_admitted(
-                query, rng=rng, exec_session=exec_session, started=started
-            )
+            return self._run_admitted(query, rng, started)
         except QueryTimeout as exc:
             return exc.result
         except Exception as exc:
@@ -680,22 +586,7 @@ class Session:
             decision = self.admission.decide(self, query)
             if decision.action == REJECT:
                 raise AdmissionRejected(query, decision)
-        return self._run_admitted(query, rng=rng, started=started)
-
-    def _lane_run(
-        self, query: Query, started: Optional[float] = None, guard: bool = False
-    ) -> QueryResult:
-        runner = self._guarded if guard else self._run_admitted
-        return runner(query, exec_session=_SessionLane(self), started=started)
-
-    def _lanes(self) -> ThreadPoolExecutor:
-        with self._state_lock:
-            if self._lane_pool is None:
-                self._lane_pool = ThreadPoolExecutor(
-                    max_workers=self.overlap_lanes,
-                    thread_name_prefix="repro-lane",
-                )
-            return self._lane_pool
+        return self._run_admitted(query, rng, started)
 
     def run_iter(
         self,
@@ -710,8 +601,7 @@ class Session:
         --json`` uses to emit NDJSON per result instead of buffering the
         batch.  With ``on_error="envelope"``, a deadline miss or
         algorithm failure yields its structured envelope and the stream
-        continues; deadlines count from each query's own start (there is
-        no batch wave to wait behind).
+        continues; deadlines count from each query's own start.
         """
         self._check_open()
         if on_error not in ("raise", "envelope"):
@@ -737,41 +627,25 @@ class Session:
         self,
         queries: Iterable[Query],
         rng: Optional[np.random.Generator] = None,
-        overlap: object = "auto",
         on_reject: str = "raise",
         on_error: str = "raise",
     ) -> List[QueryResult]:
-        """Answer a batch of queries on shared warm state, overlapped.
+        """Answer a batch of queries in order on shared warm state.
 
         The worker pool is pre-warmed once for the largest worker count
         any query in the batch asks for, so the first parallel query does
-        not pay pool startup.
+        not pay pool startup.  The queries then run one at a time on the
+        calling thread, each exactly as :meth:`run` would answer it, and
+        come back in input order.  Queries without a seed consume the
+        ambient ``rng`` in the order they run (or fresh entropy when none
+        is given); a repeat of a cacheable query — within the batch or
+        across batches — is answered by the result cache.
 
-        **Overlap** (``overlap="auto"``, the default): queries with an
-        explicit ``rng_seed`` are independent — each runs on its own
-        reproducible stream — so the batch pipelines them onto the lane
-        pool: every lane samples through its thread-local engine, chunked
-        sampling from all lanes interleaves on the one local host pool
-        (tag-multiplexed), and one query's selection phase
-        overlaps the others' sampling.  Results are identical to the
-        serial path, in input order.  Identical cacheable queries in one
-        batch are computed once and share the envelope.  ``overlap=False``
-        forces the serial path.
-
-        Queries *without* a seed always run serially, consuming the
-        ambient ``rng`` in batch order (or fresh entropy when none is
-        given) — exactly the pre-overlap semantics, since seeded queries
-        never touch the ambient stream.
-
-        **Admission** (when a policy is installed): rejected queries
-        raise by default; ``on_reject="envelope"`` slots a structured
-        rejection envelope into their position instead.  "Queue"-classed
-        *seeded* queries drain asynchronously: they are queued on the
-        lane pool behind the admitted wave and start as soon as a lane
-        frees up, never before an admitted query would have used it
-        (envelopes are unchanged — seeded queries are pure functions of
-        their stream).  Unseeded queued queries still run at the batch
-        tail, preserving their ambient-RNG order.
+        **Admission** (when a policy is installed): every query is priced
+        before any runs.  Rejected queries raise by default;
+        ``on_reject="envelope"`` slots a structured rejection envelope
+        into their position instead.  Admitted queries run first, in
+        batch order, then the "queue"-classed ones, in batch order.
 
         **Failures** (``on_error``): by default a deadline miss raises
         :exc:`QueryTimeout` and an algorithm exception propagates, both
@@ -779,7 +653,7 @@ class Session:
         ``"timeout"`` / ``"failed"`` envelope into the failing query's
         position and the rest of the batch completes — the serving front
         end's mode.  Per-query ``deadline_ms`` counts from batch
-        submission, so it bounds queue wait behind slower queries too.
+        submission, so it bounds the wait behind earlier queries too.
         """
         self._check_open()
         if on_reject not in ("raise", "envelope"):
@@ -812,45 +686,9 @@ class Session:
             else:
                 admitted.append(i)
 
-        lane_idx = [i for i in admitted if batch[i].rng_seed is not None]
-        if not overlap or len(lane_idx) < 2:
-            lane_idx = []
-        serial_idx = [i for i in admitted if i not in set(lane_idx)]
-        # Async admission drain: queued *seeded* queries go onto the lane
-        # pool behind the admitted submissions — the FIFO executor starts
-        # each one exactly when the pool drains below the lane capacity,
-        # instead of waiting for the whole batch tail.  Seeded queries
-        # are pure functions of their own stream, so starting them early
-        # cannot change any envelope; unseeded deferred queries keep the
-        # strict tail order because they consume the ambient ``rng``.
-        drain_idx = (
-            [i for i in deferred if batch[i].rng_seed is not None]
-            if overlap else []
-        )
-        tail_idx = [i for i in deferred if i not in set(drain_idx)]
-
-        guard = on_error == "envelope"
-        runner = self._guarded if guard else self._run_admitted
-        if lane_idx or drain_idx:
-            pool = self._lanes()
-            shared: Dict[tuple, Future] = {}
-            pending: List[tuple] = []
-            for i in lane_idx + drain_idx:
-                key = self._cache_key(batch[i])
-                future = shared.get(key) if key is not None else None
-                if future is None:
-                    future = pool.submit(
-                        self._lane_run, batch[i], started, guard
-                    )
-                    if key is not None:
-                        shared[key] = future
-                pending.append((i, future))
-            for i, future in pending:
-                results[i] = future.result()
-        for i in serial_idx:
-            results[i] = runner(batch[i], rng=rng, started=started)
-        for i in tail_idx:
-            results[i] = runner(batch[i], rng=rng, started=started)
+        runner = self._guarded if on_error == "envelope" else self._run_admitted
+        for i in admitted + deferred:
+            results[i] = runner(batch[i], rng, started)
         return results
 
     # ------------------------------------------------------------------

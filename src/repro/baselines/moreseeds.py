@@ -9,7 +9,7 @@ boosts sit close to the existing seeds.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -29,8 +29,10 @@ class _MarginalRRSampler(RRSampler):
     (still counted by the estimator's denominator).
     """
 
-    def __init__(self, graph: DiGraph, seeds: Set[int]) -> None:
-        super().__init__(graph)
+    def __init__(
+        self, graph: DiGraph, seeds: Set[int], workers: Optional[int] = None
+    ) -> None:
+        super().__init__(graph, workers)
         self.seeds = np.fromiter(seeds, dtype=np.int64, count=len(seeds))
 
     def sample_into(
@@ -56,13 +58,17 @@ def more_seeds_baseline(
     epsilon: float = 0.5,
     ell: float = 1.0,
     max_samples: int = 100_000,
+    workers: Optional[int] = None,
 ) -> List[int]:
-    """Select ``k`` extra-seed nodes via IMM on marginal RR coverage."""
+    """Select ``k`` extra-seed nodes via IMM on marginal RR coverage.
+
+    ``workers`` is where RR draws run (see :class:`~repro.im.rr.RRSampler`);
+    the chosen nodes are the same at any worker count."""
     seed_set = set(seeds)
     candidates = {v for v in range(graph.n) if v not in seed_set}
     index = CoverageIndex(graph.n)
     imm_sampling(
-        _MarginalRRSampler(graph, seed_set), k, epsilon, ell, rng,
+        _MarginalRRSampler(graph, seed_set, workers), k, epsilon, ell, rng,
         candidates=candidates, max_samples=max_samples, index=index,
     )
     chosen, _covered = index.greedy(k, candidates)

@@ -43,8 +43,8 @@ answers instead of waiting for the whole batch::
 
 The ``serve`` subcommand keeps one warm session alive behind a front
 end (:mod:`repro.api.serve`): by default NDJSON over stdin/stdout (each
-input line is a query object or an array batch; arrays run through the
-overlapped ``run_many``), or ``--http PORT`` for the stdlib HTTP
+input line is a query object or an array batch; an array runs as one
+``run_many`` batch), or ``--http PORT`` for the stdlib HTTP
 endpoint (``POST /query``, ``GET /stats``, ``GET /healthz``).  The
 result cache is on by default (``--no-cache`` disables it) and
 ``--reject-units`` / ``--queue-units`` / ``--cap-samples`` /
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--queue-units", type=float, default=None,
-        help="admission: run queries above this estimate after the admitted wave",
+        help="admission: run queries above this estimate after the admitted ones",
     )
     p_serve.add_argument(
         "--cap-samples", type=int, default=None,

@@ -19,8 +19,8 @@ repeated use:
   :class:`repro.dist.DistributedRuntime`, the one transport subclass of
   :class:`ChunkExecutor`: one result format, and one liveness model, in
   which a host's death is an EOF.  Every :meth:`ChunkExecutor.run` gets
-  its own tag, so concurrent callers — the serving tier's overlapped
-  ``run_many`` lanes — pipeline their chunks onto one pool.
+  its own tag, so concurrent callers — threads that sample at once —
+  pipeline their chunks onto one pool.
 
 Determinism: one sampling stream.  Every draw first takes all of its
 samples' ``(root, world_seed)`` pairs from the query's RNG, in the
@@ -42,9 +42,11 @@ stashes merged in submission order, first-answer-wins delivery, the
 scoped to its run: a chunk that raises, or exhausts its retries, fails
 the one ``run`` (query) it belongs to.  A lost chunk is re-executed
 bit-identically elsewhere, a dead local host is respawned, and after
-:data:`MAX_CONSECUTIVE_DEATHS` deaths of one host slot in a row the
-runtime **degrades**: runs finish serially in-process, and later
-dispatches bypass the pool — same results, no recovery storm.
+:data:`MAX_CONSECUTIVE_DEATHS` deaths of one host slot in a row — or
+once a host death leaves one chunk lost that many times, whichever
+slots it died on — the runtime **degrades**: runs finish serially
+in-process, and later dispatches bypass the pool — same results, no
+recovery storm.
 :func:`runtime_health` snapshots the supervision counters
 (:class:`RuntimeHealth`), and every recovery path is deterministically
 drivable via :mod:`repro.testing.faults`.
@@ -102,8 +104,10 @@ PARALLEL_MIN_SAMPLES = 512
 # Supervision bounds, read at use time.  A lost chunk is resent at most
 # MAX_TASK_RETRIES times.  A dead local host is respawned after
 # RETRY_BACKOFF_BASE seconds, doubled per death of its slot in a row;
-# after MAX_CONSECUTIVE_DEATHS such deaths the pool degrades to the
-# in-process serial path instead of respawning further.
+# after MAX_CONSECUTIVE_DEATHS such deaths, or a death that leaves one
+# chunk lost that many times, the pool degrades to the in-process
+# serial path instead of respawning further.  With MAX_CONSECUTIVE_DEATHS
+# <= MAX_TASK_RETRIES, host deaths alone never exhaust a chunk.
 MAX_TASK_RETRIES = 3
 RETRY_BACKOFF_BASE = 0.05
 MAX_CONSECUTIVE_DEATHS = 3
@@ -247,8 +251,8 @@ class ChunkExecutor:
 
     The bookkeeping lives here and only here; a backend supplies the
     transport.  Every :meth:`run` gets an executor-unique tag, so
-    concurrent callers (the serving tier's overlapped ``run_many``
-    lanes) share one backend and each waits only on its own chunks.
+    concurrent callers (threads that sample at once) share one backend
+    and each waits only on its own chunks.
 
     * **First answer wins** — :meth:`_deliver` stashes a chunk's result
       only while the chunk is owed; a late duplicate of a resent chunk is
@@ -410,8 +414,8 @@ def get_runtime(graph: DiGraph, workers: int):
     multi-round algorithms (IMM doubling, repeated boosts) pay pool
     startup once per graph instead of once per call.  A version bump
     (in-place probability update) retires the pool: its hosts hold the
-    pre-mutation arrays.  Thread-safe — overlap lanes race here on first
-    parallel dispatch.
+    pre-mutation arrays.  Thread-safe: concurrent callers may race here
+    on first parallel dispatch.
     """
     global _runtime
     with _RUNTIME_LOCK:

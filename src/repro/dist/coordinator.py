@@ -11,9 +11,11 @@ another graph.
 
 * **Scatter** — each host gets a sliding window of chunks proportional
   to its worker capacity, refilled as answers stream back, so fast
-  hosts naturally take more of the tail.  Every job carries its roots
-  and world seeds, and the executor merges results in submission order,
-  so where a chunk ran never changes the merged payload.
+  hosts naturally take more of the tail.  A host with N workers runs a
+  frame on its own pool, so it is refilled N chunks at a time, in one
+  frame.  Every job carries its roots and world seeds, and the executor
+  merges results in submission order, so where a chunk ran never
+  changes the merged payload.
 * **Lost chunks** — a host answers chunks in the order it received
   them, so an answer that overtakes an owed chunk marks that chunk
   lost, and so does :data:`~repro.core.parallel.TASK_TIMEOUT` seconds of
@@ -23,9 +25,10 @@ another graph.
 * **Host loss** — a host's death is an EOF on its socket, and its owed
   chunks are lost.  A local host is respawned (see :meth:`_respawn`)
   until its slot dies :data:`~repro.core.parallel.MAX_CONSECUTIVE_DEATHS`
-  times in a row; then, or when no host is left, the runtime
-  **degrades**: remaining and future chunks run in process (a remote
-  runtime's on the local pool), results unchanged.
+  times in a row, or a death leaves one chunk lost that many times;
+  then, or when no host is left, the runtime **degrades**: remaining and
+  future chunks run in process (a remote runtime's on the local pool),
+  results unchanged.
 
 ``Session(hosts=...)`` binds a remote runtime to its graph with
 :func:`repro.core.parallel.bind_distributed_runtime`, after which every
@@ -285,7 +288,8 @@ class DistributedRuntime(ChunkExecutor):
                     getattr(self.graph, "version", 0) != self.graph_version):
                 self._degrade_if_hostless()
                 return
-            # Forked under the lock, so a shutdown cannot miss the host.
+            # Forked, and its reader started, under the lock: a shutdown
+            # can neither miss the host nor join a reader not yet started.
             try:
                 host = self._fork(dead.slot, dead.generation + 1, dead.deaths)
             except OSError:  # no process to be had: the slot stays dead
@@ -293,7 +297,7 @@ class DistributedRuntime(ChunkExecutor):
                 return
             self._hosts[dead.slot] = host
             self.restarts += 1
-        self._start_reader(host)
+            self._start_reader(host)
         self._dispatch()
 
     def _degrade_if_hostless(self) -> None:
@@ -355,13 +359,16 @@ class DistributedRuntime(ChunkExecutor):
         host.owed.popleft()
         self._lose(host, lost, f"host {host.label} answered a later chunk")
 
-    def _lose(self, host: _Host, tasks, why: str) -> None:
+    def _lose(self, host: _Host, tasks, why: str) -> int:
         """Re-queue ``host``'s lost chunks ahead of the queue, each within
-        its retry bound (caller holds the lock)."""
+        its retry bound, and return the most times one of them has now
+        been lost (caller holds the lock)."""
         host.chunks_lost += len(tasks)
+        losses = [self._retry(*task, why) for task in tasks]
         self._queue.extendleft(reversed(
-            [task for task in tasks if self._retry(*task, why)]
+            [task for task, lost in zip(tasks, losses) if lost]
         ))
+        return max(losses, default=0)
 
     def _answer_due(self, host: _Host, timeout: float) -> bool:
         """Wait for ``host``'s next answer.  Past ``timeout`` seconds after
@@ -389,13 +396,18 @@ class DistributedRuntime(ChunkExecutor):
             host.alive = False
             lost = list(host.owed)
             host.owed.clear()
-            self._lose(host, lost, f"host {host.label} lost")
+            worst = self._lose(host, lost, f"host {host.label} lost")
             respawn = False
             if host.proc is None:
                 self.restarts += 1
             else:
                 host.deaths += 1
-                if host.deaths >= parallel.MAX_CONSECUTIVE_DEATHS:
+                # Degrade when this slot keeps dying, or when one of its
+                # chunks has now been lost that often: a chunk resent to
+                # the front of the queue can ride deaths of several
+                # slots, none of them on a streak, and its retries must
+                # not run out before the pool degrades.
+                if max(host.deaths, worst) >= parallel.MAX_CONSECUTIVE_DEATHS:
                     self._degrade()
                 respawn = not self._degraded
             if not respawn:
@@ -447,24 +459,32 @@ class DistributedRuntime(ChunkExecutor):
         frames: Dict[_Host, Dict[int, List[int]]] = {}
         with self._send_lock:
             with self._cv:
-                # Round-robin one chunk at a time so a batch smaller than
-                # one host's window still spreads across every live host;
-                # the windows then only cap in-flight depth.
-                while self.active:
-                    hosts = [h for h in self._hosts
-                             if h.alive and len(h.owed) < h.window]
-                    tasks = [task for task in (self._pop_owed() for _ in hosts)
-                             if task is not None]
-                    if not tasks:
-                        break
+                # Round-robin so a batch smaller than one host's window
+                # still spreads across every live host; the windows then
+                # only cap in-flight depth.  A host takes one chunk per
+                # worker a turn, and only once its window has room for
+                # all of them: a host with several workers runs each
+                # frame on its own pool, so it gets full frames, and a
+                # serial host gets one chunk a turn.
+                progressed = True
+                while progressed and self.active:
+                    progressed = False
                     now = time.monotonic()
-                    for host, task in zip(hosts, tasks):
-                        if not host.owed:
-                            host.clock = now
-                        host.owed.append(task)
-                        frames.setdefault(host, {}).setdefault(
-                            task[0], []
-                        ).append(task[1])
+                    for host in self._hosts:
+                        room = host.window - len(host.owed)
+                        if not host.alive or room < host.workers:
+                            continue
+                        for _ in range(host.workers):
+                            task = self._pop_owed()
+                            if task is None:
+                                break
+                            if not host.owed:
+                                host.clock = now
+                            host.owed.append(task)
+                            frames.setdefault(host, {}).setdefault(
+                                task[0], []
+                            ).append(task[1])
+                            progressed = True
                 sends = [
                     (host, [self._frame(tag, cids)
                             for tag, cids in by_tag.items()])

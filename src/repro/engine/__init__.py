@@ -47,20 +47,21 @@ main thread gets the per-graph cached engine (one instance process-wide,
 creation guarded by a lock), while every other thread gets — and keeps
 across calls — a private thread-local engine for the graph.  The engine
 *itself* is never thread-safe (its stamp buffers are shared mutable
-scratch), so this keying is what lets the serving tier's overlap lanes
-sample concurrently over one graph through the ordinary sampler entry
-points.  Process-based parallelism (:mod:`repro.core.parallel`) is
-unaffected: every worker attaches to the shared read-only graph arrays
-and owns its own engine and scratch buffers.
+scratch), so this keying is what lets code off the main thread — an
+HTTP handler thread of ``repro serve``, a caller's own threads — sample
+over one graph through the ordinary sampler entry points.
+Process-based parallelism (:mod:`repro.core.parallel`) is unaffected:
+every local host is a forked process that inherits the graph
+(copy-on-write) and builds its own engine and scratch buffers.
 
 Supervision rides on the same property: when the runtime respawns a
-crashed worker, the replacement re-attaches to the published arrays and
-rebuilds its private engine from them — no master-side engine state is
-shared, so a respawn (or the degraded in-process serial fallback) cannot
-observe, or corrupt, another thread's scratch.  Re-executed chunks are
-bit-identical because every chunk's samples are a pure function of
-the roots and world seeds it carries, through the hash-based worlds —
-no engine instance, thread, or process identity leaks into the draw.
+crashed host, the new fork builds its private engine from the graph it
+inherits — no coordinator-side engine state is shared, so a respawn (or
+the degraded in-process serial fallback) cannot observe, or corrupt,
+another thread's scratch.  Re-executed chunks are bit-identical because
+every chunk's samples are a pure function of the roots and world seeds
+it carries, through the hash-based worlds — no engine instance, thread,
+or process identity leaks into the draw.
 """
 
 from .batch import SamplingEngine, STATUS_NAMES

@@ -102,10 +102,10 @@ STATUS_NAMES = (ACTIVATED, HOPELESS, BOOSTABLE)
 _FOR_GRAPH_LOCK = threading.Lock()
 
 # Per-thread engine cache for non-main threads (id(graph) -> (engine,
-# version)): the overlapped serving path runs several queries' sampling
-# phases on session lane threads, and the engine's stamp buffers are
-# shared mutable scratch — so every lane thread gets (and keeps, across
-# batches) a private engine per graph.  Holding the engine keeps its
+# version)): HTTP handler threads and callers' own threads sample off the
+# main thread, and the engine's stamp buffers are shared mutable scratch
+# — so every such thread gets (and keeps, across calls) a private engine
+# per graph.  Holding the engine keeps its
 # graph alive, so the id key cannot be reused while the entry is live;
 # the identity check below guards the eviction race anyway.
 _THREAD_ENGINES = threading.local()
@@ -218,10 +218,10 @@ class SamplingEngine:
         * the **main thread** uses the graph's ``_engine_cache`` slot (one
           engine per graph process-wide, exactly the pre-serving
           behaviour; a process-wide lock guards creation),
-        * **other threads** — the session's overlap lanes — each keep a
-          private thread-local engine per graph, built on first use and
-          reused across batches, so a persistent lane pool pays each
-          graph's engine warm-up once per lane.
+        * **other threads** — HTTP handler threads, callers' own
+          threads — each keep a private thread-local engine per graph,
+          built on first use and reused for the thread's lifetime, so a
+          long-lived thread pays each graph's engine warm-up once.
 
         :meth:`repro.graphs.DiGraph.update_probabilities` clears the slot
         cache directly and bumps :attr:`~repro.graphs.DiGraph.version`;

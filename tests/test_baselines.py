@@ -190,3 +190,37 @@ class TestMoreSeeds:
         assert 0 < sum(met) < count
         for row, rr, hit in zip(rows, expected, met):
             assert row == (frozenset() if hit else rr)
+
+    def test_budget_workers_reach_the_rr_draws(self, monkeypatch):
+        """A ``more_seeds`` query draws its RR sets at its budget's worker
+        count, and answers as it does at ``workers=1``."""
+        from repro.api import BoostQuery, SamplingBudget, Session
+        from repro.core import parallel
+
+        real = parallel.parallel_rr_csr
+        calls = []
+
+        def spy(graph, count, rng=0, workers=None):
+            calls.append((count, workers))
+            return real(graph, count, rng, workers)
+
+        monkeypatch.setattr(parallel, "parallel_rr_csr", spy)
+        rng = np.random.default_rng(8)
+        graph = learned_like(preferential_attachment(300, 3, rng), rng, 0.2)
+        envelopes = {}
+        for workers in (1, 2):
+            calls.clear()
+            query = BoostQuery(
+                seeds=[0, 1, 2], k=5, algorithm="more_seeds", rng_seed=3,
+                budget=SamplingBudget(max_samples=3000, mc_runs=50,
+                                      workers=workers),
+            )
+            with Session(graph) as session:
+                envelope = session.run(query).to_dict()
+            assert {w for _count, w in calls} == {workers}
+            for key in ("timings", "query"):
+                envelope.pop(key)
+            envelopes[workers] = envelope
+        # The last draws were big enough to leave the process.
+        assert max(count for count, _w in calls) >= parallel.PARALLEL_MIN_SAMPLES
+        assert envelopes[2] == envelopes[1]

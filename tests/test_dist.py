@@ -633,6 +633,43 @@ class TestHostAnswers:
             host.join()
 
 
+    @pytest.mark.parametrize("workers, frames", [
+        (1, [2] + [1] * 14),  # a two-chunk window, then one per answer
+        (2, [2] * 8),         # full frames only, one chunk per worker
+    ])
+    def test_host_gets_a_chunk_per_worker_in_each_frame(
+        self, graph, monkeypatch, workers, frames
+    ):
+        from repro.dist import worker
+
+        real_decode, real_run = worker._decode_chunks, worker.run_chunks_local
+        sizes = []
+
+        def decode(header, arrays, n):
+            decoded = real_decode(header, arrays, n)
+            sizes.append(len(decoded[3]))
+            return decoded
+
+        def run_serially(host_graph, kind, jobs, params, _workers):
+            # Stands in for the host's own pool, which would fork here.
+            return real_run(host_graph, kind, jobs, params, 1)
+
+        monkeypatch.setattr(worker, "_decode_chunks", decode)
+        monkeypatch.setattr(worker, "run_chunks_local", run_serially)
+        host = WorkerHost(workers=workers)
+        rt = DistributedRuntime(graph, [host.addr], fallback_workers=1)
+        parallel.bind_distributed_runtime(graph, rt)
+        try:
+            got = parallel.parallel_rr_csr(graph, 4096, 7)  # 16 chunks
+        finally:
+            parallel.unbind_distributed_runtime(graph)
+            rt.shutdown()
+            host.join()
+        assert sizes == frames
+        for g, w in zip(got, local_reference(fresh_graph(), "rr", 4096, 7)):
+            assert np.array_equal(g, w)
+
+
 class TestMalformedFrames:
     @pytest.mark.parametrize("header, arrays", [
         ({k: v for k, v in CHUNKS.items() if k != "jobs"}, rr_job_arrays([1])),

@@ -9,15 +9,17 @@ Covers the contracts the tier promises:
   invalidates, snapshots with retired key shapes are dropped,
 * **admission** — cost model ordering, reject/queue/caps,
   structured rejection envelopes,
-* **overlapped run_many** — results bit-identical to the serial path,
-  in input order, with non-seeded queries still consuming the ambient
-  RNG in batch order,
+* **run_many** — a batch answers exactly as a loop of ``Session.run``
+  over its admitted queries, then its queued ones: envelopes, input
+  positions, ambient-RNG order, and deadlines counted from batch
+  submission,
 * **serve front ends** — NDJSON line protocol and the HTTP endpoint.
 """
 
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -59,6 +61,43 @@ def envelope_sans_timings(result):
     data = result.to_dict()
     data.pop("timings")
     return data
+
+
+def run_loop(session, queries, rng=None, order=None):
+    """What ``run_many`` must equal: each query answered by
+    ``Session.run`` in ``order`` (default: batch order), each result in
+    its query's batch position."""
+    results = [None] * len(queries)
+    for i in range(len(queries)) if order is None else order:
+        results[i] = session.run(queries[i], rng=rng)
+    return results
+
+
+def assert_same_answers(got, want, queries):
+    """Envelopes equal position by position, timings aside, and each
+    answer sits in its own query's position."""
+    assert [r.query for r in got] == [q.to_dict() for q in queries]
+    assert [envelope_sans_timings(r) for r in got] == [
+        envelope_sans_timings(r) for r in want
+    ]
+
+
+@pytest.fixture()
+def probe(monkeypatch):
+    """A test algorithm, ``"probe"``: it sleeps ``params["sleep_ms"]``,
+    logs its query's ``k`` and picks one node with its RNG.  The
+    returned log is the order a batch ran its probes in."""
+    from repro.api import QueryResult, registry
+
+    ran = []
+
+    def handler(session, query, rng):
+        time.sleep(query.param_dict.get("sleep_ms", 0) / 1000.0)
+        ran.append(query.k)
+        return QueryResult(query.algorithm, [int(rng.integers(session.graph.n))])
+
+    monkeypatch.setitem(registry._REGISTRY, "probe", handler)
+    return ran
 
 
 class TestFingerprintStability:
@@ -179,6 +218,47 @@ class TestResultCache:
         cache.clear()
         assert len(cache) == 0 and cache.hits == 1
 
+    # The cached stream must be at least this much faster than the
+    # uncached one: 70% of the 2.196x recorded on this stream by the
+    # smoke run of the serving benchmark this test replaced, and never
+    # below 1.5x.
+    MIN_STREAM_SPEEDUP = max(1.5, 0.7 * 2.196)
+
+    def test_cached_stream_speedup(self):
+        """A mixed stream of eight distinct seeded queries, repeated for
+        four rounds: with the cache on, rounds two to four are hits."""
+        rng = np.random.default_rng(11)
+        graph = learned_like(preferential_attachment(3000, 5, rng), rng, 0.1)
+        seeds = tuple(int(v) for v in np.random.default_rng(2).choice(
+            graph.n, size=5, replace=False))
+        sampled = SamplingBudget(max_samples=512)
+        mc = SamplingBudget(mc_runs=10)
+        stream = [
+            BoostQuery(seeds=seeds, k=5, algorithm="prr_boost_lb",
+                       budget=sampled, rng_seed=1),
+            SeedQuery(k=5, algorithm="imm", budget=sampled, rng_seed=2),
+            BoostQuery(seeds=seeds, k=8, algorithm="prr_boost_lb",
+                       budget=sampled, rng_seed=3),
+            EvalQuery(seeds=seeds, boost=(1, 2, 3), budget=mc, rng_seed=4),
+            SeedQuery(k=8, algorithm="ssa", budget=sampled, rng_seed=5),
+            BoostQuery(seeds=seeds, k=5, algorithm="prr_boost_lb",
+                       budget=sampled, rng_seed=6),
+            EvalQuery(seeds=seeds, boost=(4, 5), metric="sigma",
+                      budget=mc, rng_seed=7),
+            SeedQuery(k=5, algorithm="imm", budget=sampled, rng_seed=8),
+        ]
+
+        def seconds(cache):
+            with Session(graph, cache=cache) as session:
+                start = time.perf_counter()
+                for _ in range(4):
+                    session.run_many(stream)
+                return time.perf_counter() - start
+
+        uncached = min(seconds(None) for _ in range(3))
+        cached = min(seconds(ResultCache()) for _ in range(3))
+        assert uncached / cached >= self.MIN_STREAM_SPEEDUP
+
 
 class TestAdmission:
     def test_cost_ordering(self, graph):
@@ -259,6 +339,8 @@ class TestAdmission:
 
 
 class TestOverlappedRunMany:
+    """``run_many`` answers a batch as a loop of ``Session.run`` would."""
+
     QUERIES = [
         BoostQuery(seeds=[1, 2, 3], k=4, rng_seed=s) for s in range(4)
     ] + [
@@ -268,11 +350,10 @@ class TestOverlappedRunMany:
 
     def test_matches_serial_path(self, graph):
         with Session(graph, budget=BUDGET) as session:
-            serial = session.run_many(self.QUERIES, overlap=False)
+            serial = run_loop(session, self.QUERIES)
         with Session(graph, budget=BUDGET) as session:
-            overlapped = session.run_many(self.QUERIES)
-        for a, b in zip(serial, overlapped):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+            batched = session.run_many(self.QUERIES)
+        assert_same_answers(batched, serial, self.QUERIES)
 
     def test_matches_serial_path_with_workers(self, graph):
         budget = SamplingBudget(max_samples=600, mc_runs=100, workers=2)
@@ -281,31 +362,25 @@ class TestOverlappedRunMany:
             for s in range(3)
         ]
         with Session(graph) as session:
-            serial = session.run_many(queries, overlap=False)
+            serial = run_loop(session, queries)
         with Session(graph) as session:
-            overlapped = session.run_many(queries)
-        for a, b in zip(serial, overlapped):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+            batched = session.run_many(queries)
+        assert_same_answers(batched, serial, queries)
 
     def test_ambient_rng_order_preserved(self, graph):
-        # Non-seeded queries consume the ambient stream in batch order
-        # whether or not seeded queries overlap around them.
+        # Unseeded queries consume the ambient stream in batch order;
+        # seeded ones never touch it.
         mixed = [
             BoostQuery(seeds=[1, 2], k=3, rng_seed=1),
-            SeedQuery(algorithm="degree", k=3),
-            BoostQuery(seeds=[1, 2], k=3, rng_seed=2),
-            SeedQuery(algorithm="degree", k=4),
+            SeedQuery(algorithm="random", k=3),
+            BoostQuery(seeds=[1, 2], k=3),
+            SeedQuery(algorithm="random", k=4),
         ]
         with Session(graph, budget=BUDGET) as session:
-            serial = session.run_many(
-                mixed, rng=np.random.default_rng(9), overlap=False
-            )
+            serial = run_loop(session, mixed, rng=np.random.default_rng(9))
         with Session(graph, budget=BUDGET) as session:
-            overlapped = session.run_many(
-                mixed, rng=np.random.default_rng(9)
-            )
-        for a, b in zip(serial, overlapped):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+            batched = session.run_many(mixed, rng=np.random.default_rng(9))
+        assert_same_answers(batched, serial, mixed)
 
     def test_duplicate_queries_share_computation(self, graph):
         cache = ResultCache()
@@ -325,11 +400,22 @@ class TestOverlappedRunMany:
 
     def test_run_iter_streams_in_order(self, graph):
         with Session(graph, budget=BUDGET) as session:
-            reference = session.run_many(self.QUERIES[:3], overlap=False)
+            reference = run_loop(session, self.QUERIES[:3])
         with Session(graph, budget=BUDGET) as session:
             streamed = list(session.run_iter(self.QUERIES[:3]))
-        for a, b in zip(reference, streamed):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+        assert_same_answers(streamed, reference, self.QUERIES[:3])
+
+    def test_deadline_counts_from_batch_submission(self, graph, probe):
+        slow = SeedQuery(algorithm="probe", k=1, rng_seed=1,
+                         params={"sleep_ms": 200})
+        timed = SeedQuery(algorithm="probe", k=2, rng_seed=2, deadline_ms=100)
+        with Session(graph) as session:
+            assert session.run(timed).selected  # alone, it is in time
+            results = session.run_many([slow, timed], on_error="envelope")
+        assert results[0].selected
+        assert results[1].extra["error"] == "timeout"
+        assert results[1].extra["elapsed_ms"] >= 200
+        assert probe == [2, 1]  # behind the slow query, it never started
 
 
 class TestWireShapes:
@@ -660,62 +746,83 @@ class TestServeHTTPStatusCodes:
 
 
 class TestAdmissionDrain:
-    """Queued-but-admitted work drains through the overlap lanes.
+    """Queue-classed queries run after the admitted ones, in batch order.
 
-    ``run_many(overlap=True)`` no longer parks every queued query behind
-    the whole admitted batch: seeded deferred queries are submitted to
-    the lane pool as it drains, and only unseeded ones (which must
-    consume the ambient RNG in batch order) stay at the serial tail.
-    Either way the envelopes must match the serial reference run.
+    Each batch must answer as a loop of ``Session.run`` over its
+    admitted queries, then its queued ones, with every answer in its
+    query's position.
     """
 
     MIXED = [
         BoostQuery(seeds=[1, 2, 3], k=4, rng_seed=s) for s in range(3)
     ] + [SeedQuery(algorithm="imm", k=3, rng_seed=9)]
 
+    HEAVY = SamplingBudget(max_samples=600, mc_runs=100)
+    LIGHT = SamplingBudget(mc_runs=1)
+
+    @staticmethod
+    def queue_heavy(graph, batch, queued):
+        """A policy that queues exactly the queries at ``queued``."""
+        with Session(graph, budget=BUDGET) as session:
+            costs = [estimate_cost(session, q).units for q in batch]
+            limit = max(costs[i] for i in range(len(batch)) if i not in queued)
+            policy = AdmissionPolicy(queue_units=limit * 1.01)
+            actions = [policy.decide(session, q).action for q in batch]
+        assert [i for i, a in enumerate(actions) if a == "queue"] == queued
+        return policy
+
     def test_queued_seeded_envelopes_match_serial(self, graph):
         policy = AdmissionPolicy(queue_units=1.0)  # everything queues
         with Session(graph, budget=BUDGET, admission=policy) as session:
-            serial = session.run_many(self.MIXED, overlap=False)
+            serial = run_loop(session, self.MIXED)
         with Session(graph, budget=BUDGET, admission=policy) as session:
             drained = session.run_many(self.MIXED)
-        for a, b in zip(serial, drained):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+        assert_same_answers(drained, serial, self.MIXED)
 
     def test_mixed_admit_and_queue_keeps_positions(self, graph):
-        # Half the batch admits, half queues; positions and envelopes
-        # are preserved regardless of which lane ran each query.
-        light = SeedQuery(algorithm="degree", k=3, rng_seed=4)
-        heavy = BoostQuery(
-            seeds=[1, 2], k=3, rng_seed=5,
-            budget=SamplingBudget(max_samples=600, mc_runs=100),
-        )
-        with Session(graph, budget=BUDGET) as session:
-            cost = estimate_cost(session, heavy).units
-        policy = AdmissionPolicy(queue_units=cost * 0.5)
-        batch = [heavy, light, heavy, light]
+        batch = [
+            BoostQuery(seeds=[1, 2], k=3, rng_seed=5, budget=self.HEAVY),
+            SeedQuery(algorithm="degree", k=3, rng_seed=4, budget=self.LIGHT),
+            BoostQuery(seeds=[1, 2], k=3, rng_seed=6, budget=self.HEAVY),
+            SeedQuery(algorithm="degree", k=2, rng_seed=4, budget=self.LIGHT),
+        ]
+        policy = self.queue_heavy(graph, batch, queued=[0, 2])
         with Session(graph, budget=BUDGET, admission=policy) as session:
-            serial = session.run_many(batch, overlap=False)
+            serial = run_loop(session, batch, order=[1, 3, 0, 2])
         with Session(graph, budget=BUDGET, admission=policy) as session:
             drained = session.run_many(batch)
-        for a, b in zip(serial, drained):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+        assert_same_answers(drained, serial, batch)
 
     def test_unseeded_queued_queries_stay_in_ambient_order(self, graph):
         policy = AdmissionPolicy(queue_units=1.0)
         mixed = [
-            SeedQuery(algorithm="degree", k=3),
+            SeedQuery(algorithm="random", k=3),
             BoostQuery(seeds=[1, 2], k=3, rng_seed=1),
-            SeedQuery(algorithm="degree", k=4),
+            BoostQuery(seeds=[1, 2], k=3),
+            SeedQuery(algorithm="random", k=4),
         ]
         with Session(graph, budget=BUDGET, admission=policy) as session:
-            serial = session.run_many(
-                mixed, rng=np.random.default_rng(3), overlap=False
-            )
+            serial = run_loop(session, mixed, rng=np.random.default_rng(3))
         with Session(graph, budget=BUDGET, admission=policy) as session:
             drained = session.run_many(mixed, rng=np.random.default_rng(3))
-        for a, b in zip(serial, drained):
-            assert envelope_sans_timings(a) == envelope_sans_timings(b)
+        assert_same_answers(drained, serial, mixed)
+
+    def test_queued_queries_run_after_admitted_ones(self, graph):
+        # Every query here is unseeded, so the ambient stream they share
+        # shows the order they ran in.
+        batch = [
+            BoostQuery(seeds=[1, 2], k=3, budget=self.HEAVY),
+            SeedQuery(algorithm="random", k=3, budget=self.LIGHT),
+            BoostQuery(seeds=[1, 2], k=2, budget=self.HEAVY),
+            SeedQuery(algorithm="random", k=4, budget=self.LIGHT),
+        ]
+        policy = self.queue_heavy(graph, batch, queued=[0, 2])
+        with Session(graph, budget=BUDGET, admission=policy) as session:
+            serial = run_loop(session, batch, np.random.default_rng(5),
+                              order=[1, 3, 0, 2])
+        with Session(graph, budget=BUDGET, admission=policy) as session:
+            drained = session.run_many(batch, rng=np.random.default_rng(5))
+        assert_same_answers(drained, serial, batch)
 
     def test_queued_duplicates_share_computation(self, graph):
         policy = AdmissionPolicy(queue_units=1.0)
