@@ -58,6 +58,10 @@ _SAMPLING_ALGORITHMS = frozenset(
 _STRUCTURAL_ALGORITHMS = frozenset(
     {"degree", "random", "degree_global", "degree_local", "pagerank", "ppr"}
 )
+# The structural boost baselines, which rank their candidate sets by
+# Monte Carlo unless their ``evaluate`` param is false; the ``degree`` and
+# ``random`` seed strategies run no simulation.
+_RANKED_BASELINES = frozenset({"degree_global", "degree_local", "pagerank", "ppr"})
 # Exact tree algorithms (Section VI): deterministic, sampling-free, priced
 # from their table/DP dimensions instead of a sample budget.
 _TREE_ALGORITHMS = frozenset({"tree_dp", "tree_greedy"})
@@ -159,7 +163,9 @@ def estimate_cost(session, query) -> QueryCost:
         units = float(n + m)
         if algorithm in ("pagerank", "ppr"):
             units += 100.0 * m
-        if dict(query.params).get("evaluate", True):
+        if algorithm in _RANKED_BASELINES and dict(query.params).get(
+            "evaluate", True
+        ):
             samples = int(budget.mc_runs)
             units += samples * float(m)
         edges = float(m)

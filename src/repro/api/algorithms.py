@@ -173,7 +173,7 @@ def _register_baseline(name: str, generate) -> None:
     def handler(session, query, rng) -> QueryResult:
         _require_ic(query)
         budget = session.resolve_budget(query)
-        candidate_sets = generate(session.graph, query, rng, budget)
+        candidate_sets = generate(session, query, rng, budget)
         extra = {"candidate_sets": [list(c) for c in candidate_sets]}
         selected: List[int] = []
         estimates = {}
@@ -199,35 +199,36 @@ def _register_baseline(name: str, generate) -> None:
 
 _register_baseline(
     "degree_global",
-    lambda graph, query, rng, budget: high_degree_global(
-        graph, set(query.seeds), query.k
+    lambda session, query, rng, budget: high_degree_global(
+        session.graph, set(query.seeds), query.k
     ),
 )
 _register_baseline(
     "degree_local",
-    lambda graph, query, rng, budget: high_degree_local(
-        graph, set(query.seeds), query.k
+    lambda session, query, rng, budget: high_degree_local(
+        session.graph, set(query.seeds), query.k
     ),
 )
 _register_baseline(
     "pagerank",
-    lambda graph, query, rng, budget: [
-        pagerank_baseline(graph, set(query.seeds), query.k)
+    lambda session, query, rng, budget: [
+        pagerank_baseline(session.graph, set(query.seeds), query.k)
     ],
 )
 _register_baseline(
     "ppr",
-    lambda graph, query, rng, budget: [
-        ppr_baseline(graph, set(query.seeds), query.k)
+    lambda session, query, rng, budget: [
+        ppr_baseline(session.graph, set(query.seeds), query.k)
     ],
 )
 _register_baseline(
     "more_seeds",
-    lambda graph, query, rng, budget: [
+    lambda session, query, rng, budget: [
         more_seeds_baseline(
-            graph, set(query.seeds), query.k, rng,
+            session.graph, set(query.seeds), query.k, rng,
             epsilon=budget.epsilon, ell=budget.ell,
             max_samples=budget.max_samples, workers=budget.workers,
+            candidates=session.candidates_for(query.seeds),
         )
     ],
 )

@@ -26,12 +26,16 @@ differ.  Entries are bounded LRU; hits move an entry to the back, and
 inserting past ``capacity`` evicts the front.  Hit/miss/eviction
 counters are exposed for the serving front end's ``/stats``.
 
-The cache stores (and returns) the original ``QueryResult`` object —
-envelope-identical to the uncached run by construction, including its
-recorded timings.  Treat results as read-only, which every consumer of
-the session API already does.  Thread-safe: the HTTP front end reads
-the counters on one thread while another runs queries, and one cache
-may back several sessions.
+The cache stores (and returns) the envelope of the original
+``QueryResult`` object, including its recorded timings: entering the
+cache drops the object's :attr:`~repro.api.result.QueryResult.raw`
+field, which for ``imm`` and ``ssa`` answers holds a view over the
+query's whole sample collection and would keep every cached answer's
+samples alive.  So the first answer and every hit are the same
+``raw``-less object, as a snapshot reload returns them too.  Treat
+results as read-only, which every consumer of the session API already
+does.  Thread-safe: the HTTP front end reads the counters on one thread
+while another runs queries, and one cache may back several sessions.
 """
 
 from __future__ import annotations
@@ -100,9 +104,11 @@ class ResultCache:
             return result
 
     def put(self, key: Optional[CacheKey], result: QueryResult) -> None:
-        """Insert ``result`` under ``key`` (no-op for uncacheable keys)."""
+        """Insert ``result`` under ``key``, dropping its ``raw`` field
+        (no-op for uncacheable keys)."""
         if key is None:
             return
+        result.raw = None
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)

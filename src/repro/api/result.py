@@ -93,7 +93,8 @@ class QueryResult:
         candidate sets, SSA rounds, ...).
     raw:
         The legacy result object (``BoostResult``/``IMMResult``/...),
-        excluded from serialization.
+        excluded from serialization; ``None`` once the result enters a
+        :class:`~repro.api.cache.ResultCache`.
     """
 
     algorithm: str

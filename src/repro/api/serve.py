@@ -16,9 +16,10 @@ Two thin transports expose the serving tier (result cache, admission,
       GET  /stats    session + cache + serve counters
       GET  /healthz  liveness probe
 
-  Requests are handled on server threads; query execution is serialized
-  per request through a session lock, which keeps the shared warm
-  scratch single-writer without a second queueing layer.
+  Requests are handled on server threads; their query work runs on one
+  long-lived worker thread, one request at a time.  That keeps the
+  shared warm scratch single-writer, and the thread's warm sampling
+  engine (engines are cached per thread) serves every request.
 
 Error contract (both transports): every non-result outcome is a
 structured envelope carrying one class of the error taxonomy
@@ -204,10 +205,12 @@ def serve_http(
     ``/healthz`` answers 503 with the supervision counters while the
     runtime is degraded.
     """
+    from concurrent.futures import ThreadPoolExecutor
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     stats = ServeStats()
-    session_lock = threading.Lock()
+    # Every request's query work runs on this one thread, in arrival order.
+    worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
 
     class Handler(BaseHTTPRequestHandler):
         # Quiet by default: serving stderr is for the exit summary.
@@ -261,10 +264,9 @@ def serve_http(
                 stats.count("errors")
                 self._send(400, _bad_request(f"invalid JSON: {exc}"))
                 return
-            with session_lock:
-                envelopes = _answer(
-                    session, payload, stats, default_deadline_ms
-                )
+            envelopes = worker.submit(
+                _answer, session, payload, stats, default_deadline_ms
+            ).result()
             if isinstance(payload, list):
                 # A malformed batch is the client's fault: 400.  A clean
                 # batch answers 200 with the envelopes inline — unless
@@ -295,6 +297,7 @@ def serve_http(
         pass
     finally:
         server.server_close()
+        worker.shutdown(wait=True)
     summary = dict(session.stats())
     summary["serve"] = stats.to_dict()
     return summary

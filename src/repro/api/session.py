@@ -50,8 +50,8 @@ pool's processes (when this session's graph owns them), and any later
 :meth:`run` raises ``RuntimeError``.  A session answers one query at a
 time — the warm scratch is shared mutable state — so threads that share
 one serialize their calls, as :func:`~repro.api.serve.serve_http` does
-with its session lock.  Sampling parallelism lives below the session,
-in the host pool.
+by running all query work on one thread.  Sampling parallelism lives
+below the session, in the host pool.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..engine import SamplingEngine
-from ..engine.coverage import CoverageIndex
+from ..engine.coverage import CoverageIndex, non_seed_mask
 from ..graphs.digraph import DiGraph
 from .admission import (
     QUEUE,
@@ -344,21 +344,21 @@ class Session:
         """
         return SamplingEngine.for_graph(self.graph_for(model))
 
-    def candidates_for(self, seeds) -> set:
-        """The non-seed candidate pool for ``seeds``, cached per seed set.
+    def candidates_for(self, seeds) -> np.ndarray:
+        """The non-seed candidate pool for ``seeds`` as a read-only
+        ``n``-sized bool mask, cached per seed set.
 
         Serving traffic repeats queries against a handful of seed sets;
-        deriving ``{0..n-1} - seeds`` is O(n) per call, so the warm
-        session memoizes it.  Consumers treat the pool as read-only
-        (mask building and membership tests), so sharing one set object
-        is safe and output-identical.
+        the mask is built on the first query for a seed set (never at
+        session start), and every later query passes the same object, so
+        the selection kernels take it as it is and
+        :meth:`CoverageIndex.greedy` can recognize a repeated pick.
         """
         self._check_open()
         key = tuple(seeds)
         pool = self._candidates_cache.get(key)
         if pool is None:
-            seed_set = set(key)
-            pool = {v for v in range(self.graph.n) if v not in seed_set}
+            pool = non_seed_mask(self.graph.n, key)
             if len(self._candidates_cache) >= 16:
                 self._candidates_cache.clear()
             self._candidates_cache[key] = pool

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
-from ..engine.coverage import CoverageIndex
+from ..engine.coverage import CoverageIndex, non_seed_mask
 from ..graphs.digraph import DiGraph
 from ..im.imm import imm_sampling
 from ..im.rr import RRSampler
@@ -59,13 +59,17 @@ def more_seeds_baseline(
     ell: float = 1.0,
     max_samples: int = 100_000,
     workers: Optional[int] = None,
+    candidates: Optional[np.ndarray] = None,
 ) -> List[int]:
     """Select ``k`` extra-seed nodes via IMM on marginal RR coverage.
 
     ``workers`` is where RR draws run (see :class:`~repro.im.rr.RRSampler`);
-    the chosen nodes are the same at any worker count."""
+    the chosen nodes are the same at any worker count.  ``candidates`` is
+    the non-seed mask of ``seeds`` when the caller already holds it (a
+    session caches one per seed set); it is derived otherwise."""
     seed_set = set(seeds)
-    candidates = {v for v in range(graph.n) if v not in seed_set}
+    if candidates is None:
+        candidates = non_seed_mask(graph.n, seed_set)
     index = CoverageIndex(graph.n)
     imm_sampling(
         _MarginalRRSampler(graph, seed_set, workers), k, epsilon, ell, rng,

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..engine.coverage import CoverageIndex
+from ..engine.coverage import CoverageIndex, candidate_mask, non_seed_mask
 from ..graphs.digraph import DiGraph
 from ..im.imm import imm_sampling
 from . import parallel
@@ -159,14 +159,19 @@ class BoostResult:
 
 
 def _validate(graph: DiGraph, seeds, k: int, candidates=None):
+    """``(seed set, candidate mask, k)``: the pool defaults to the
+    non-seed nodes, and a given ``n``-sized mask is taken as it is."""
     seed_set = set(int(s) for s in seeds)
     if not seed_set:
         raise ValueError("seed set must be non-empty")
     if k <= 0:
         raise ValueError("k must be positive")
     if candidates is None:
-        candidates = {v for v in range(graph.n) if v not in seed_set}
-    k = min(k, max(len(candidates), 1))  # budgets beyond the pool are moot
+        candidates = non_seed_mask(graph.n, seed_set)
+    else:
+        candidates = candidate_mask(graph.n, candidates)
+    # Budgets beyond the pool are moot.
+    k = min(k, max(int(np.count_nonzero(candidates)), 1))
     return seed_set, candidates, k
 
 
@@ -181,7 +186,7 @@ def prr_boost_core(
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
     arena: Optional[PRRArena] = None,
-    candidates: Optional[Set[int]] = None,
+    candidates=None,
 ) -> BoostResult:
     """Run PRR-Boost (Algorithm 2) and return the sandwich solution.
 
@@ -213,9 +218,10 @@ def prr_boost_core(
         :class:`repro.api.Session` passes recycled ones so repeated
         queries skip allocation; results are identical either way.
     candidates:
-        Optional precomputed candidate pool (all non-seed nodes) — the
-        session caches it per seed set.  Content must equal the derived
-        pool; it is never mutated.
+        Optional precomputed candidate pool (all non-seed nodes): an
+        ``n``-sized bool mask, which the session caches per seed set, or
+        any pool :func:`~repro.engine.coverage.candidate_mask` takes.
+        Content must equal the derived pool; it is never mutated.
     """
     start = time.perf_counter()
     seed_set, candidates, k = _validate(graph, seeds, k, candidates)
@@ -266,7 +272,7 @@ def prr_boost_lb_core(
     max_samples: int = 200_000,
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
-    candidates: Optional[Set[int]] = None,
+    candidates=None,
 ) -> BoostResult:
     """Run PRR-Boost-LB: maximize only the lower bound ``μ``.
 

@@ -31,6 +31,7 @@ from typing import AbstractSet, Iterable, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..engine.coverage import candidate_mask
 from ..engine.traversal import grow_reachable
 from .prr import PRRArena, PRRGraph
 
@@ -136,7 +137,7 @@ def greedy_delta_selection(
     prr_graphs: Collection,
     n: int,
     k: int,
-    candidates: Set[int] | None = None,
+    candidates=None,
 ) -> Tuple[List[int], float]:
     """Greedily build ``B`` maximizing ``Δ̂_R(B)`` (NodeSelection, Line 4).
 
@@ -152,9 +153,11 @@ def greedy_delta_selection(
     (forward region → anywhere unreached) instead, so multi-step chains
     stay completable — identical to the legacy per-graph logic.
 
-    Returns the chosen boost set and its ``Δ̂`` estimate; output is pinned
-    to :func:`legacy_greedy_delta_selection` (same picks, same
-    smallest-id tie-breaks, same estimate).
+    ``candidates`` is any pool :func:`~repro.engine.coverage.candidate_mask`
+    takes; an ``n``-sized bool mask (the session's per-seed-set pool) is
+    used as it is.  Returns the chosen boost set and its ``Δ̂`` estimate;
+    output is pinned to :func:`legacy_greedy_delta_selection` (same
+    picks, same smallest-id tie-breaks, same estimate).
     """
     arena = _as_arena(prr_graphs, n)
     total = len(arena)
@@ -175,10 +178,7 @@ def greedy_delta_selection(
     bwd = np.zeros(flat["total_nodes"], dtype=bool)
     bwd[roots_pos] = True
     boosted = np.zeros(n, dtype=bool)
-    allowed = None
-    if candidates is not None:
-        allowed = np.zeros(n, dtype=bool)
-        allowed[[int(c) for c in candidates if 0 <= int(c) < n]] = True
+    allowed = candidate_mask(n, candidates)
 
     traversable = ~eboost
     grow_reachable(src, dst, fwd, traversable)
@@ -192,14 +192,14 @@ def greedy_delta_selection(
         eligible = eboost & ~boosted[head] & fwd[src] & ~fwd[root_arena[gid]]
         counts = _distinct_graph_counts(gid, head, eligible & bwd[dst], n)
         if allowed is not None:
-            counts[~allowed] = 0
+            counts *= allowed
         if not counts.any():
             # Supermodular stall: no single node finishes any root.  Expand
             # reachability instead — boost the node that unlocks the most
             # frontier edges, so multi-step chains become completable.
             counts = _distinct_graph_counts(gid, head, eligible & ~fwd[dst], n)
             if allowed is not None:
-                counts[~allowed] = 0
+                counts *= allowed
         if not counts.any():
             break
         # argmax breaks ties toward the smallest node id.

@@ -47,9 +47,10 @@ main thread gets the per-graph cached engine (one instance process-wide,
 creation guarded by a lock), while every other thread gets — and keeps
 across calls — a private thread-local engine for the graph.  The engine
 *itself* is never thread-safe (its stamp buffers are shared mutable
-scratch), so this keying is what lets code off the main thread — an
-HTTP handler thread of ``repro serve``, a caller's own threads — sample
-over one graph through the ordinary sampler entry points.
+scratch), so this keying is what lets code off the main thread — the
+query thread of ``repro serve --http``, a caller's own threads — sample
+over one graph through the ordinary sampler entry points.  That query
+thread is one long-lived thread, so one engine serves every request.
 Process-based parallelism (:mod:`repro.core.parallel`) is unaffected:
 every local host is a forked process that inherits the graph
 (copy-on-write) and builds its own engine and scratch buffers.

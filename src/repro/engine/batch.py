@@ -102,8 +102,8 @@ STATUS_NAMES = (ACTIVATED, HOPELESS, BOOSTABLE)
 _FOR_GRAPH_LOCK = threading.Lock()
 
 # Per-thread engine cache for non-main threads (id(graph) -> (engine,
-# version)): HTTP handler threads and callers' own threads sample off the
-# main thread, and the engine's stamp buffers are shared mutable scratch
+# version)): the HTTP server's query thread and callers' own threads
+# sample off the main thread, and the engine's stamp buffers are shared mutable scratch
 # — so every such thread gets (and keeps, across calls) a private engine
 # per graph.  Holding the engine keeps its
 # graph alive, so the id key cannot be reused while the entry is live;
@@ -218,8 +218,8 @@ class SamplingEngine:
         * the **main thread** uses the graph's ``_engine_cache`` slot (one
           engine per graph process-wide, exactly the pre-serving
           behaviour; a process-wide lock guards creation),
-        * **other threads** — HTTP handler threads, callers' own
-          threads — each keep a private thread-local engine per graph,
+        * **other threads** — the HTTP server's query thread, callers'
+          own threads — each keep a private thread-local engine per graph,
           built on first use and reused for the thread's lifetime, so a
           long-lived thread pays each graph's engine warm-up once.
 

@@ -9,13 +9,27 @@ this module keeps the whole collection in two flat int32 CSR arrays
 
 * set → members (``indptr`` / ``values``), appended to incrementally as
   samples arrive, and
-* node → containing sets (the inverted index), rebuilt lazily by one
-  counting sort when stale,
+* node → containing sets (the inverted index), rebuilt lazily when stale
+  by one counting sort: :func:`~repro.graphs.digraph.stable_order`
+  radix-sorts the member ids as 16-bit digits (one pass up to 65,536
+  nodes, two above), so a rebuild is linear in the collection,
 
 so each greedy run is a dense-gain argmax loop with decrement-on-cover
-updates (``gain -= bincount(members of newly covered sets)``).  The index
-survives across IMM doubling rounds — a warm restart appends the new
-samples and re-runs the kernel instead of rebuilding from Python sets.
+updates.  The gains start as the member counts of the prefix, the
+non-candidates' are zeroed once per call, and each pick subtracts the
+members of the sets it newly covers (``np.subtract.at``), so a pick makes
+no n-sized pass but its argmax.  A non-candidate's gain stays ≤ 0, so the
+argmax is still the smallest-id best candidate whenever any candidate
+gains.  The index survives across IMM doubling rounds — a warm restart
+appends the new samples and re-runs the kernel instead of rebuilding from
+Python sets — and it remembers its last pick: a capped IMM run ends with
+a pick on the collection its last doubling round already picked on, and
+that pick is returned again instead of recomputed.
+
+The candidate pool is an n-sized bool mask (:func:`candidate_mask`); a
+warm :class:`repro.api.Session` builds one read-only mask per seed set
+(:func:`non_seed_mask`) and every query on that seed set passes the same
+object, which is also what the remembered pick is keyed on.
 
 The kernel is pinned to the exact outputs of the legacy heap greedy
 (:func:`repro.im.greedy.legacy_greedy_max_coverage`): both choose, per
@@ -33,9 +47,16 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graphs.digraph import stable_order
 from .traversal import frontier_edge_positions
 
-__all__ = ["CoverageIndex", "SetsView", "csr_to_frozensets"]
+__all__ = [
+    "CoverageIndex",
+    "SetsView",
+    "candidate_mask",
+    "csr_to_frozensets",
+    "non_seed_mask",
+]
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -54,6 +75,40 @@ def csr_to_frozensets(counts: np.ndarray, values: np.ndarray) -> List[frozenset]
         frozenset(values[offsets[i] : offsets[i + 1]].tolist())
         for i in range(counts.size)
     ]
+
+
+def candidate_mask(n: int, candidates) -> Optional[np.ndarray]:
+    """A candidate pool as an ``n``-sized bool mask (``None``: every node).
+
+    A bool array of size ``n`` is the mask itself and is returned as it
+    is; any other pool (a set, a sequence or an array of ids, or a bool
+    array of another size) is converted, dropping ids outside ``[0, n)``.
+    """
+    if candidates is None:
+        return None
+    if isinstance(candidates, np.ndarray):
+        if candidates.dtype == bool:
+            if candidates.size == n:
+                return candidates
+            ids = np.flatnonzero(candidates)
+        else:
+            ids = candidates.astype(np.int64, copy=False)
+    else:
+        try:
+            ids = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
+        except (TypeError, ValueError):
+            ids = np.fromiter((int(c) for c in candidates), dtype=np.int64)
+    mask = np.zeros(n, dtype=bool)
+    mask[ids[(ids >= 0) & (ids < n)]] = True
+    return mask
+
+
+def non_seed_mask(n: int, seeds: Iterable[int]) -> np.ndarray:
+    """The read-only ``n``-sized candidate mask of every node not in
+    ``seeds`` (ids outside ``[0, n)`` are ignored)."""
+    mask = ~candidate_mask(n, tuple(seeds))
+    mask.flags.writeable = False
+    return mask
 
 
 class CoverageIndex:
@@ -76,6 +131,7 @@ class CoverageIndex:
         "_flat",
         "_inv_version",
         "_inv",
+        "_pick",
     )
 
     def __init__(self, n: int) -> None:
@@ -103,14 +159,15 @@ class CoverageIndex:
         Warm facades (:class:`repro.api.Session`) recycle one index across
         queries instead of re-allocating; a cleared index is
         indistinguishable from a new one to every kernel — the version
-        bump invalidates the cached consolidated/inverted views — so
-        selection outputs are unaffected by recycling.
+        bump invalidates the cached consolidated/inverted views and the
+        remembered pick — so selection outputs are unaffected by recycling.
         """
         self._chunks: List[np.ndarray] = []
         self._chunk_counts: List[int] = []  # per-set sizes (plain ints)
         self._num_sets = 0
         self._total_members = 0
         self._version += 1
+        self._pick = None
 
     # ------------------------------------------------------------------
     # Appends
@@ -196,29 +253,9 @@ class CoverageIndex:
             counts = np.bincount(values, minlength=self.n)
             inv_indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(counts, out=inv_indptr[1:])
-            order = np.argsort(values, kind="stable")
-            self._inv = (inv_indptr, set_ids[order])
+            self._inv = (inv_indptr, set_ids[stable_order(values, self.n)])
             self._inv_version = self._version
         return self._inv
-
-    def _allowed_mask(self, candidates) -> Optional[np.ndarray]:
-        if candidates is None:
-            return None
-        mask = np.zeros(self.n, dtype=bool)
-        if isinstance(candidates, np.ndarray):
-            ids = candidates.astype(np.int64, copy=False)
-        else:
-            try:
-                ids = np.fromiter(
-                    candidates, dtype=np.int64, count=len(candidates)
-                )
-            except (TypeError, ValueError):
-                ids = np.fromiter(
-                    (int(c) for c in candidates), dtype=np.int64
-                )
-        ids = ids[(ids >= 0) & (ids < self.n)]
-        mask[ids] = True
-        return mask
 
     # ------------------------------------------------------------------
     # Kernels
@@ -233,33 +270,48 @@ class CoverageIndex:
 
         Returns ``(chosen, covered)`` exactly like the legacy heap greedy:
         per round the maximum-gain node (smallest id on ties), stopping
-        early when no candidate covers a fresh set.
+        early when no candidate covers a fresh set.  ``candidates`` is
+        any pool :func:`candidate_mask` takes; an ``n``-sized bool mask
+        is used as it is.
+
+        The last pick is remembered, keyed on the index version, ``k``,
+        the prefix length and the pool object: asking again before the
+        next append or :meth:`clear` returns it without recomputing.  A
+        pool must therefore not be mutated between two calls.
         """
         m = self._num_sets if limit is None else min(int(limit), self._num_sets)
         if k <= 0 or m == 0:
             return [], 0
+        key = (self._version, k, m)
+        if self._pick is not None:
+            pick_key, pick_pool, chosen, total = self._pick
+            if pick_key == key and pick_pool is candidates:
+                return list(chosen), total
         values, indptr, _set_ids = self._consolidated()
         inv_indptr, inv_sets = self._inverted()
         gain = np.bincount(values[: indptr[m]], minlength=self.n)
-        allowed = self._allowed_mask(candidates)
+        allowed = candidate_mask(self.n, candidates)
+        if allowed is not None:
+            gain *= allowed  # from here on a non-candidate's gain is <= 0
         covered = np.zeros(m, dtype=bool)
         chosen: List[int] = []
         total = 0
         for _ in range(k):
-            masked = gain if allowed is None else np.where(allowed, gain, 0)
-            best = int(np.argmax(masked))
-            if masked[best] <= 0:
+            best = int(np.argmax(gain))
+            if gain[best] <= 0:
                 break
             chosen.append(best)
             sids = inv_sets[inv_indptr[best] : inv_indptr[best + 1]]
-            sids = sids[sids < m]
+            if m < self._num_sets:
+                sids = sids[sids < m]
             new = sids[~covered[sids]]
             covered[new] = True
             total += int(new.size)
             pos, _counts = frontier_edge_positions(indptr, new.astype(np.int64))
             if pos.size:
-                gain -= np.bincount(values[pos], minlength=self.n)
-        return chosen, total
+                np.subtract.at(gain, values[pos], 1)
+        self._pick = (key, candidates, chosen, total)
+        return list(chosen), total
 
     def coverage_count(
         self, nodes: Iterable[int], start: int = 0, stop: Optional[int] = None

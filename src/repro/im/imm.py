@@ -108,7 +108,7 @@ def imm_sampling(
     epsilon: float,
     ell: float,
     rng: np.random.Generator,
-    candidates: Set[int] | None = None,
+    candidates=None,
     max_samples: int = 2_000_000,
     index: CoverageIndex | None = None,
 ) -> Sequence[FrozenSet[int]]:
@@ -119,10 +119,14 @@ def imm_sampling(
     reproduction stays laptop-friendly; the cap is far above what the
     benchmark workloads need.
 
+    ``candidates`` restricts every round's picks (any pool
+    :meth:`CoverageIndex.greedy` takes; callers pass a node mask).
     ``index`` (optional, must be empty) receives every sample; callers that
     run further selections over the collection — e.g. the final
     max-coverage pick of :func:`imm` or PRR-Boost's μ arm — pass one in
-    and reuse it, skipping any rebuild.
+    and reuse it, skipping any rebuild.  When the sample cap ends the
+    doubling rounds, that final pick is the last round's, and the index
+    returns it without recomputing.
     """
     if k <= 0:
         raise ValueError("k must be positive")

@@ -25,8 +25,9 @@ from repro.core import (
     sample_prr_batch,
 )
 from repro.core.boost import prr_boost_core, prr_boost_lb_core
-from repro.engine.coverage import CoverageIndex
+from repro.engine.coverage import CoverageIndex, candidate_mask, non_seed_mask
 from repro.graphs import GraphBuilder, learned_like, preferential_attachment
+from repro.graphs.digraph import stable_order
 from repro.im import greedy_max_coverage, legacy_greedy_max_coverage
 from repro.im.imm import imm_core
 
@@ -139,6 +140,132 @@ class TestCoverageIndexParity:
         assert greedy_max_coverage(sets, 2) == legacy_greedy_max_coverage(sets, 2)
 
 
+def spread_set_family(rng, n, count, max_size):
+    """Random sets whose ids span ``[0, n)``, so both 16-bit digits of an
+    id vary when ``n`` is above 65,536, plus duplicates to force ties."""
+    sets = [
+        frozenset(rng.choice(n, size=int(rng.integers(0, max_size + 1)),
+                             replace=False).tolist())
+        for _ in range(count)
+    ]
+    hubs = rng.choice(n, size=4, replace=False).tolist()
+    sets.extend(frozenset(s | {hubs[i % 4]}) for i, s in enumerate(sets[:count // 2]))
+    return sets
+
+
+def argsort_inverted(index):
+    """The inverted index rebuilt from scratch with a stable merge sort."""
+    values, _indptr, set_ids = index._consolidated()
+    indptr = np.zeros(index.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(values, minlength=index.n), out=indptr[1:])
+    return indptr, set_ids[np.argsort(values, kind="stable")]
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("bound", [10, 65_536, 65_537, 10**6, 2**31 - 1])
+    def test_equals_stable_argsort(self, bound):
+        rng = np.random.default_rng(bound % 1000)
+        ids = rng.integers(0, bound, size=5000)
+        # Repeat ids so the sort's stability is what decides the order,
+        # and include both ends of the range.
+        ids = np.concatenate([ids, ids[:1000], [0, bound - 1, bound - 1]])
+        for dtype in (np.int32, np.int64):
+            keys = ids.astype(dtype)
+            assert np.array_equal(
+                stable_order(keys, bound), np.argsort(keys, kind="stable")
+            )
+
+
+class TestSelectionPaths:
+    """The radix-built inverted index, the remembered pick and the
+    candidate masks give the picks the from-scratch paths give."""
+
+    @pytest.mark.parametrize("n", [500, 70_000])
+    def test_inverted_index_equals_argsort_build(self, n):
+        rng = np.random.default_rng(n)
+        index = CoverageIndex(n)
+        for _round in range(2):
+            for _ in range(4):
+                index.extend(spread_set_family(rng, n, 30, 6))
+                got = index._inverted()
+                want = argsort_inverted(index)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+            index.clear()
+            got = index._inverted()
+            assert got[1].size == 0 and not got[0].any()
+
+    @pytest.mark.parametrize("n", [300, 70_000])
+    def test_greedy_equals_legacy_with_appends_limits_and_pools(self, n):
+        rng = np.random.default_rng(n + 1)
+        index = CoverageIndex(n)
+        sets = []
+        pool = set(rng.choice(n, size=n // 2, replace=False).tolist())
+        mask = np.zeros(n, dtype=bool)
+        mask[list(pool)] = True
+        for _ in range(4):
+            chunk = spread_set_family(rng, n, 40, 5)
+            sets.extend(chunk)
+            index.extend(chunk)
+            for k in (1, 4, 12):
+                for limit in (None, len(sets) // 2):
+                    prefix = sets if limit is None else sets[:limit]
+                    assert index.greedy(k, limit=limit) == (
+                        legacy_greedy_max_coverage(prefix, k)
+                    )
+                    want = legacy_greedy_max_coverage(prefix, k, pool)
+                    assert index.greedy(k, pool, limit=limit) == want
+                    assert index.greedy(k, mask, limit=limit) == want
+
+    def test_repeated_pick_is_reused_until_the_index_changes(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        sets = random_set_family(rng, 50, 60, 5)
+        index = CoverageIndex(50)
+        index.extend(sets)
+        mask = np.ones(50, dtype=bool)
+        mask[:3] = False
+        builds = []
+        inverted = CoverageIndex._inverted
+
+        def counting_inverted(self):
+            builds.append(self._version)
+            return inverted(self)
+
+        monkeypatch.setattr(CoverageIndex, "_inverted", counting_inverted)
+        chosen, _covered = index.greedy(5, mask)
+        chosen[0] = -1  # callers own the returned list
+        again = index.greedy(5, mask)
+        assert again == legacy_greedy_max_coverage(sets, 5, set(range(3, 50)))
+        assert len(builds) == 1
+        # Another pool object, another k or another prefix is a new pick.
+        index.greedy(5, mask.copy())
+        index.greedy(4, mask)
+        index.greedy(5, mask, limit=30)
+        assert len(builds) == 4
+        extra = [{0, 7}, {7, 8}, {7}]
+        index.extend(extra)
+        assert index.greedy(5, mask) == legacy_greedy_max_coverage(
+            sets + extra, 5, set(range(3, 50))
+        )
+        assert len(builds) == 5
+        index.clear()
+        assert index.greedy(5, mask) == ([], 0)
+        index.extend(sets)
+        assert index.greedy(5, mask) == again
+        assert len(builds) == 6
+
+    def test_candidate_masks(self):
+        mask = non_seed_mask(6, [1, 4, 9, -2])
+        assert mask.tolist() == [True, False, True, True, False, True]
+        assert not mask.flags.writeable
+        assert candidate_mask(6, mask) is mask
+        assert candidate_mask(6, None) is None
+        for pool in ({0, 2, 3, 5, 8}, [5, 3, 2, 0], np.array([0, 2, 3, 5, -1])):
+            assert np.array_equal(candidate_mask(6, pool), mask)
+        short = np.array([True, False, True])
+        assert np.flatnonzero(candidate_mask(6, short)).tolist() == [0, 2]
+
+
 @pytest.fixture(scope="module")
 def collections():
     """Seeded PRR collections on three random graphs: (objects, arena)."""
@@ -247,11 +374,16 @@ def greedy_calls(monkeypatch):
 
 def assert_picks_match_legacy(calls, index, k, candidates):
     """Each doubling-round pick, and the final one, equals the legacy heap
-    greedy over the same prefix of the collection the run drew."""
+    greedy over the same prefix of the collection the run drew.  The runs
+    pass their pool as a node mask; it must hold exactly ``candidates``."""
     sets = list(index.sets_view())
     assert len(calls) >= 2
     for owner, k_call, candidates_call, num_sets, result in calls:
-        assert (owner, k_call, candidates_call) == (index, k, candidates)
+        pool = (
+            None if candidates_call is None
+            else set(np.flatnonzero(candidates_call).tolist())
+        )
+        assert (owner, k_call, pool) == (index, k, candidates)
         assert result == legacy_greedy_max_coverage(sets[:num_sets], k, candidates)
     assert calls[-1][3] == len(sets)
 

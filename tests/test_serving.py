@@ -210,6 +210,41 @@ class TestResultCache:
         assert again is first
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_cached_answers_keep_no_sample_collection(self, graph):
+        """Entering the cache drops ``raw``: no coverage index or PRR
+        arena stays reachable from the cache after distinct seed queries."""
+        import gc
+        import types
+
+        from repro.core.prr import PRRArena
+        from repro.engine.coverage import CoverageIndex
+
+        cache = ResultCache()
+        queries = [
+            query
+            for seed in (1, 2, 3)
+            for query in (
+                SeedQuery(algorithm="imm", k=3, rng_seed=seed),
+                SeedQuery(algorithm="ssa", k=3, rng_seed=seed),
+                BoostQuery(seeds=[1, 2, 3], k=3, rng_seed=seed),
+            )
+        ]
+        with Session(graph, budget=BUDGET, cache=cache) as session:
+            results = [session.run(query) for query in queries]
+        assert len(cache) == len(queries)
+        assert all(result.raw is None for result in results)
+        # Follow object references from the cache, not into code.
+        skip = (type, types.ModuleType, types.FunctionType,
+                types.BuiltinFunctionType, types.MethodType)
+        seen, stack = set(), [cache]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, skip):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (CoverageIndex, PRRArena))
+            stack.extend(gc.get_referents(obj))
+
     def test_clear_keeps_counters(self, graph):
         cache = ResultCache()
         with Session(graph, budget=BUDGET, cache=cache) as session:
@@ -279,6 +314,19 @@ class TestAdmission:
         assert c_small.units < c_big.units
         assert c_eval.units > c_small.units
         assert c_small.to_dict()["units"] > 0
+
+    def test_seed_strategies_priced_without_monte_carlo(self, graph):
+        # The degree and random seed handlers simulate nothing, so their
+        # price is one pass over the graph whatever mc_runs says.
+        with Session(graph) as session:
+            for mc_runs in (1, 100, 10_000):
+                budget = SamplingBudget(mc_runs=mc_runs)
+                for algorithm in ("degree", "random"):
+                    cost = estimate_cost(
+                        session, SeedQuery(algorithm=algorithm, k=5, budget=budget)
+                    )
+                    assert cost.units == graph.n + graph.m
+                    assert cost.samples == 0
 
     def test_reject_raises_with_envelope(self, graph):
         policy = AdmissionPolicy(max_samples=10)
@@ -569,6 +617,27 @@ class TestServeHTTP:
             stats = json.loads(resp.read())
         assert stats["serve"]["requests"] == 2
         assert stats["cache"]["hits"] >= 1
+
+    def test_posts_share_one_warm_engine(self, server, monkeypatch):
+        # Query work runs on one long-lived thread, so its thread-local
+        # engine serves every POST instead of one engine per request.
+        from repro.engine import SamplingEngine
+
+        built = []
+        init = SamplingEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(threading.current_thread().name)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SamplingEngine, "__init__", counting_init)
+        for seed in range(5):
+            answer = self._post(server, {
+                "type": "boost", "algorithm": "prr_boost_lb",
+                "seeds": [1, 2, 3], "k": 2, "rng_seed": seed,
+            })
+            assert answer["num_samples"] > 0
+        assert len(built) <= 1
 
     def test_malformed_body_is_400(self, server):
         request = urllib.request.Request(server + "/query", data=b"{broken")
