@@ -58,10 +58,12 @@ _SAMPLING_ALGORITHMS = frozenset(
 _STRUCTURAL_ALGORITHMS = frozenset(
     {"degree", "random", "degree_global", "degree_local", "pagerank", "ppr"}
 )
-# The structural boost baselines, which rank their candidate sets by
-# Monte Carlo unless their ``evaluate`` param is false; the ``degree`` and
-# ``random`` seed strategies run no simulation.
-_RANKED_BASELINES = frozenset({"degree_global", "degree_local", "pagerank", "ppr"})
+# The boost baselines, which rank their candidate sets by Monte Carlo
+# unless their ``evaluate`` param is false; the ``degree`` and ``random``
+# seed strategies run no simulation.
+_RANKED_BASELINES = frozenset(
+    {"degree_global", "degree_local", "pagerank", "ppr", "more_seeds"}
+)
 # Exact tree algorithms (Section VI): deterministic, sampling-free, priced
 # from their table/DP dimensions instead of a sample budget.
 _TREE_ALGORITHMS = frozenset({"tree_dp", "tree_greedy"})
@@ -106,6 +108,9 @@ def estimate_cost(session, query) -> QueryCost:
     budget = session.resolve_budget(query)
     avg_deg = m / n
     algorithm = query.algorithm
+    ranked = algorithm in _RANKED_BASELINES and dict(query.params).get(
+        "evaluate", True
+    )
     # Sampling capacity the session can actually bring to bear: remote
     # host×worker capacity for a distributed session, the budget's local
     # worker count otherwise (1 for plain serial sessions, so the
@@ -133,6 +138,10 @@ def estimate_cost(session, query) -> QueryCost:
         # absorb (the selection phase stays local, hence the floor of
         # one fully-serial sample's worth below).
         units = max(units / parallelism, edges)
+        if ranked:
+            # MoreSeeds' Monte Carlo ranking runs in this process, at any
+            # sampling capacity.
+            units += budget.mc_runs * float(m)
     elif algorithm == "evaluate":
         samples = int(budget.mc_runs)
         edges = float(m)  # a forward cascade can test every edge
@@ -163,9 +172,7 @@ def estimate_cost(session, query) -> QueryCost:
         units = float(n + m)
         if algorithm in ("pagerank", "ppr"):
             units += 100.0 * m
-        if algorithm in _RANKED_BASELINES and dict(query.params).get(
-            "evaluate", True
-        ):
+        if ranked:
             samples = int(budget.mc_runs)
             units += samples * float(m)
         edges = float(m)

@@ -103,11 +103,11 @@ _FOR_GRAPH_LOCK = threading.Lock()
 
 # Per-thread engine cache for non-main threads (id(graph) -> (engine,
 # version)): the HTTP server's query thread and callers' own threads
-# sample off the main thread, and the engine's stamp buffers are shared mutable scratch
-# — so every such thread gets (and keeps, across calls) a private engine
-# per graph.  Holding the engine keeps its
-# graph alive, so the id key cannot be reused while the entry is live;
-# the identity check below guards the eviction race anyway.
+# sample off the main thread, and the engine's stamp buffers are shared
+# mutable scratch — so every such thread gets (and keeps, across calls) a
+# private engine per graph.  Holding the engine keeps its graph alive, so
+# the id key cannot be reused while the entry is live; the identity check
+# below guards the eviction race anyway.
 _THREAD_ENGINES = threading.local()
 _THREAD_ENGINE_CAP = 8
 

@@ -18,6 +18,7 @@ Covers the contracts the tier promises:
 
 import io
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -36,6 +37,7 @@ from repro.api import (
     SeedQuery,
     Session,
     estimate_cost,
+    query_from_dict,
     serve_http,
     serve_ndjson,
 )
@@ -327,6 +329,28 @@ class TestAdmission:
                     )
                     assert cost.units == graph.n + graph.m
                     assert cost.samples == 0
+
+    def test_boost_baselines_priced_with_their_ranking(self, graph):
+        # Every boost baseline, MoreSeeds included, ranks its candidate
+        # sets by Monte Carlo unless its evaluate param is false: that is
+        # mc_runs x m units on top of its own price.
+        def units(session, algorithm, mc_runs, **params):
+            query = BoostQuery(
+                seeds=[1, 2, 3], k=3, algorithm=algorithm, params=params,
+                budget=SamplingBudget(mc_runs=mc_runs),
+            )
+            return estimate_cost(session, query).units
+
+        with Session(graph) as session:
+            for algorithm in ("degree_global", "degree_local", "pagerank",
+                              "ppr", "more_seeds"):
+                ranked = units(session, algorithm, 300)
+                unranked = units(session, algorithm, 300, evaluate=False)
+                assert ranked - units(session, algorithm, 100) == (
+                    pytest.approx(200 * graph.m)
+                )
+                assert ranked - unranked == pytest.approx(300 * graph.m)
+                assert unranked == units(session, algorithm, 100, evaluate=False)
 
     def test_reject_raises_with_envelope(self, graph):
         policy = AdmissionPolicy(max_samples=10)
@@ -638,6 +662,36 @@ class TestServeHTTP:
             })
             assert answer["num_samples"] > 0
         assert len(built) <= 1
+
+    def test_concurrent_posts_answer_like_serial_runs(self, server, graph):
+        # Concurrent requests queue for the one query thread, so the warm
+        # scratch they share sees one query at a time: every answer equals
+        # the same query run alone.  A short switch interval makes the
+        # request threads interleave as often as the interpreter allows.
+        from concurrent.futures import ThreadPoolExecutor
+
+        payloads = [
+            {"type": "boost", "algorithm": algorithm, "seeds": [1, 2, 3],
+             "k": 2, "rng_seed": seed}
+            for seed in range(4)
+            for algorithm in ("prr_boost", "prr_boost_lb")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as clients:
+                answers = list(clients.map(
+                    lambda payload: self._post(server, payload), payloads,
+                    timeout=120,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        with Session(graph, budget=BUDGET) as session:
+            for payload, answer in zip(payloads, answers):
+                alone = session.run(query_from_dict(payload)).to_dict()
+                answer.pop("timings")
+                alone.pop("timings")
+                assert answer == alone
 
     def test_malformed_body_is_400(self, server):
         request = urllib.request.Request(server + "/query", data=b"{broken")
