@@ -105,7 +105,6 @@ def _run_prr_boost(session, query, rng) -> QueryResult:
         max_samples=budget.max_samples,
         workers=budget.workers,
         index=session.scratch_index(), arena=session.scratch_arena(),
-        candidates=session.candidates_for(query.seeds),
     )
     return _boost_envelope(query, res, {
         "boost": res.estimated_boost,
@@ -124,7 +123,6 @@ def _run_prr_boost_lb(session, query, rng) -> QueryResult:
         max_samples=budget.max_samples,
         workers=budget.workers,
         index=session.scratch_index(),
-        candidates=session.candidates_for(query.seeds),
     )
     # Δ̂ is never computed here: the LB arm estimates only μ.
     return _boost_envelope(
@@ -173,7 +171,7 @@ def _register_baseline(name: str, generate) -> None:
     def handler(session, query, rng) -> QueryResult:
         _require_ic(query)
         budget = session.resolve_budget(query)
-        candidate_sets = generate(session, query, rng, budget)
+        candidate_sets = generate(session.graph, query, rng, budget)
         extra = {"candidate_sets": [list(c) for c in candidate_sets]}
         selected: List[int] = []
         estimates = {}
@@ -199,36 +197,35 @@ def _register_baseline(name: str, generate) -> None:
 
 _register_baseline(
     "degree_global",
-    lambda session, query, rng, budget: high_degree_global(
-        session.graph, set(query.seeds), query.k
+    lambda graph, query, rng, budget: high_degree_global(
+        graph, set(query.seeds), query.k
     ),
 )
 _register_baseline(
     "degree_local",
-    lambda session, query, rng, budget: high_degree_local(
-        session.graph, set(query.seeds), query.k
+    lambda graph, query, rng, budget: high_degree_local(
+        graph, set(query.seeds), query.k
     ),
 )
 _register_baseline(
     "pagerank",
-    lambda session, query, rng, budget: [
-        pagerank_baseline(session.graph, set(query.seeds), query.k)
+    lambda graph, query, rng, budget: [
+        pagerank_baseline(graph, set(query.seeds), query.k)
     ],
 )
 _register_baseline(
     "ppr",
-    lambda session, query, rng, budget: [
-        ppr_baseline(session.graph, set(query.seeds), query.k)
+    lambda graph, query, rng, budget: [
+        ppr_baseline(graph, set(query.seeds), query.k)
     ],
 )
 _register_baseline(
     "more_seeds",
-    lambda session, query, rng, budget: [
+    lambda graph, query, rng, budget: [
         more_seeds_baseline(
-            session.graph, set(query.seeds), query.k, rng,
+            graph, set(query.seeds), query.k, rng,
             epsilon=budget.epsilon, ell=budget.ell,
             max_samples=budget.max_samples, workers=budget.workers,
-            candidates=session.candidates_for(query.seeds),
         )
     ],
 )

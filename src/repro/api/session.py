@@ -62,7 +62,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..engine import SamplingEngine
-from ..engine.coverage import CoverageIndex, non_seed_mask
+from ..engine.coverage import CoverageIndex
 from ..graphs.digraph import DiGraph
 from .admission import (
     QUEUE,
@@ -150,7 +150,6 @@ class Session:
         SamplingEngine.for_graph(graph)
         self._scratch_index: Optional[CoverageIndex] = None
         self._scratch_arena = None  # repro.core.prr.PRRArena, built lazily
-        self._candidates_cache: dict = {}
         self._tree_cache: dict = {}
         # Per-diffusion-model graph views, keyed by canonical model name.
         # IC-family models run on the session graph itself; the LT model
@@ -211,7 +210,6 @@ class Session:
         self._closed = True
         self._scratch_index = None
         self._scratch_arena = None
-        self._candidates_cache.clear()
         self._tree_cache.clear()
         self._model_graphs.clear()
         if self._dist is not None:
@@ -343,26 +341,6 @@ class Session:
         mixed query stream pays each model's warm-up exactly once.
         """
         return SamplingEngine.for_graph(self.graph_for(model))
-
-    def candidates_for(self, seeds) -> np.ndarray:
-        """The non-seed candidate pool for ``seeds`` as a read-only
-        ``n``-sized bool mask, cached per seed set.
-
-        Serving traffic repeats queries against a handful of seed sets;
-        the mask is built on the first query for a seed set (never at
-        session start), and every later query passes the same object, so
-        the selection kernels take it as it is and
-        :meth:`CoverageIndex.greedy` can recognize a repeated pick.
-        """
-        self._check_open()
-        key = tuple(seeds)
-        pool = self._candidates_cache.get(key)
-        if pool is None:
-            pool = non_seed_mask(self.graph.n, key)
-            if len(self._candidates_cache) >= 16:
-                self._candidates_cache.clear()
-            self._candidates_cache[key] = pool
-        return pool
 
     def tree_for(self, seeds, root: int = 0):
         """The rooted :class:`~repro.trees.BidirectedTree` view for

@@ -59,17 +59,13 @@ def more_seeds_baseline(
     ell: float = 1.0,
     max_samples: int = 100_000,
     workers: Optional[int] = None,
-    candidates: Optional[np.ndarray] = None,
 ) -> List[int]:
     """Select ``k`` extra-seed nodes via IMM on marginal RR coverage.
 
     ``workers`` is where RR draws run (see :class:`~repro.im.rr.RRSampler`);
-    the chosen nodes are the same at any worker count.  ``candidates`` is
-    the non-seed mask of ``seeds`` when the caller already holds it (a
-    session caches one per seed set); it is derived otherwise."""
+    the chosen nodes are the same at any worker count."""
     seed_set = set(seeds)
-    if candidates is None:
-        candidates = non_seed_mask(graph.n, seed_set)
+    candidates = non_seed_mask(graph.n, seed_set)
     index = CoverageIndex(graph.n)
     imm_sampling(
         _MarginalRRSampler(graph, seed_set, workers), k, epsilon, ell, rng,

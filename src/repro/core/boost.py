@@ -218,10 +218,9 @@ def prr_boost_core(
         :class:`repro.api.Session` passes recycled ones so repeated
         queries skip allocation; results are identical either way.
     candidates:
-        Optional precomputed candidate pool (all non-seed nodes): an
-        ``n``-sized bool mask, which the session caches per seed set, or
-        any pool :func:`~repro.engine.coverage.candidate_mask` takes.
-        Content must equal the derived pool; it is never mutated.
+        Optional candidate pool (all non-seed nodes when ``None``): any
+        pool :func:`~repro.engine.coverage.candidate_mask` takes; an
+        ``n``-sized bool mask is used as it is.  It is never mutated.
     """
     start = time.perf_counter()
     seed_set, candidates, k = _validate(graph, seeds, k, candidates)
@@ -279,8 +278,9 @@ def prr_boost_lb_core(
     Same approximation factor as PRR-Boost but faster generation and far
     lower memory, because each sample is just a (typically tiny) critical
     node set.  ``workers > 1`` dispatches sampling to the local host
-    pool like :func:`prr_boost`; ``index``/``candidates`` are the
-    optional warm-session scratch (see :func:`prr_boost_core`).
+    pool like :func:`prr_boost`; ``index`` is the optional warm-session
+    scratch and ``candidates`` the optional pool (see
+    :func:`prr_boost_core`).
     :func:`prr_boost_lb` is the legacy-shaped wrapper.
     """
     start = time.perf_counter()

@@ -154,8 +154,8 @@ def greedy_delta_selection(
     stay completable — identical to the legacy per-graph logic.
 
     ``candidates`` is any pool :func:`~repro.engine.coverage.candidate_mask`
-    takes; an ``n``-sized bool mask (the session's per-seed-set pool) is
-    used as it is.  Returns the chosen boost set and its ``Δ̂`` estimate;
+    takes; an ``n``-sized bool mask (the query's non-seed pool) is used as
+    it is.  Returns the chosen boost set and its ``Δ̂`` estimate;
     output is pinned to :func:`legacy_greedy_delta_selection` (same
     picks, same smallest-id tie-breaks, same estimate).
     """

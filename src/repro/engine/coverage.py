@@ -26,10 +26,12 @@ Python sets — and it remembers its last pick: a capped IMM run ends with
 a pick on the collection its last doubling round already picked on, and
 that pick is returned again instead of recomputed.
 
-The candidate pool is an n-sized bool mask (:func:`candidate_mask`); a
-warm :class:`repro.api.Session` builds one read-only mask per seed set
-(:func:`non_seed_mask`) and every query on that seed set passes the same
-object, which is also what the remembered pick is keyed on.
+The candidate pool is an n-sized bool mask (:func:`candidate_mask`).  A
+query builds its read-only non-seed mask once (:func:`non_seed_mask`,
+microseconds at 20,000 nodes) and passes that one object to every pick
+it makes, which is also what the remembered pick is keyed on: a pick is
+remembered only for a pool that cannot change between two calls, every
+node (``None``) or a read-only mask.
 
 The kernel is pinned to the exact outputs of the legacy heap greedy
 (:func:`repro.im.greedy.legacy_greedy_max_coverage`): both choose, per
@@ -80,19 +82,22 @@ def csr_to_frozensets(counts: np.ndarray, values: np.ndarray) -> List[frozenset]
 def candidate_mask(n: int, candidates) -> Optional[np.ndarray]:
     """A candidate pool as an ``n``-sized bool mask (``None``: every node).
 
-    A bool array of size ``n`` is the mask itself and is returned as it
-    is; any other pool (a set, a sequence or an array of ids, or a bool
-    array of another size) is converted, dropping ids outside ``[0, n)``.
+    A bool array is the mask itself and is returned as it is; its size
+    must be ``n``.  Any other pool (a set, a sequence or an array of ids)
+    is converted into a new read-only mask, dropping ids outside
+    ``[0, n)``.
     """
     if candidates is None:
         return None
     if isinstance(candidates, np.ndarray):
         if candidates.dtype == bool:
-            if candidates.size == n:
-                return candidates
-            ids = np.flatnonzero(candidates)
-        else:
-            ids = candidates.astype(np.int64, copy=False)
+            if candidates.size != n:
+                raise ValueError(
+                    f"candidate mask has {candidates.size} entries, "
+                    f"expected {n}"
+                )
+            return candidates
+        ids = candidates.astype(np.int64, copy=False)
     else:
         try:
             ids = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
@@ -100,6 +105,7 @@ def candidate_mask(n: int, candidates) -> Optional[np.ndarray]:
             ids = np.fromiter((int(c) for c in candidates), dtype=np.int64)
     mask = np.zeros(n, dtype=bool)
     mask[ids[(ids >= 0) & (ids < n)]] = True
+    mask.flags.writeable = False
     return mask
 
 
@@ -274,16 +280,20 @@ class CoverageIndex:
         any pool :func:`candidate_mask` takes; an ``n``-sized bool mask
         is used as it is.
 
-        The last pick is remembered, keyed on the index version, ``k``,
-        the prefix length and the pool object: asking again before the
-        next append or :meth:`clear` returns it without recomputing.  A
-        pool must therefore not be mutated between two calls.
+        When the pool is ``None`` or a read-only mask, which cannot change
+        between two calls, the pick is remembered, keyed on the index
+        version, ``k``, the prefix length and the pool object: asking
+        again before the next append or :meth:`clear` returns it without
+        recomputing.  Any other pool is picked on afresh every call.
         """
         m = self._num_sets if limit is None else min(int(limit), self._num_sets)
         if k <= 0 or m == 0:
             return [], 0
         key = (self._version, k, m)
-        if self._pick is not None:
+        remember = candidates is None or (
+            isinstance(candidates, np.ndarray) and not candidates.flags.writeable
+        )
+        if remember and self._pick is not None:
             pick_key, pick_pool, chosen, total = self._pick
             if pick_key == key and pick_pool is candidates:
                 return list(chosen), total
@@ -310,7 +320,7 @@ class CoverageIndex:
             pos, _counts = frontier_edge_positions(indptr, new.astype(np.int64))
             if pos.size:
                 np.subtract.at(gain, values[pos], 1)
-        self._pick = (key, candidates, chosen, total)
+        self._pick = (key, candidates, chosen, total) if remember else None
         return list(chosen), total
 
     def coverage_count(

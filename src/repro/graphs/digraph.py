@@ -48,19 +48,18 @@ class CSRView(NamedTuple):
 
 
 def stable_order(ids: np.ndarray, n: int) -> np.ndarray:
-    """``np.argsort(ids, kind="stable")`` for integer ids in ``[0, n)``.
+    """``np.argsort(ids, kind="stable")`` for integer ids in ``[0, n)``,
+    ``n <= 2**32`` (node ids and lane ids are int32).
 
     A stable sort has one answer, and numpy radix-sorts 16-bit keys, so
     the ids are sorted as 16-bit digits.  For ``n`` up to 65,536 that is
-    one pass, about 9x faster than the merge sort int64 keys get.  For
-    ``n`` up to 2**32 it is two: the low halves, then a stable pass over
-    the high halves in that order (2.5-3.5x faster than the merge sort
-    on 400,000 to 5,000,000 ids).
+    one pass, about 9x faster than the merge sort int64 keys get.  Above
+    that it is two: the low halves, then a stable pass over the high
+    halves in that order (2.5-3.5x faster than the merge sort on 400,000
+    to 5,000,000 ids).
     """
     if n <= 1 << 16:
         return np.argsort(ids.astype(np.uint16), kind="stable")
-    if n > 1 << 32:
-        return np.argsort(ids, kind="stable")
     order = np.argsort(ids.astype(np.uint16), kind="stable")
     high = (ids[order] >> 16).astype(np.uint16)
     return order[np.argsort(high, kind="stable")]

@@ -224,6 +224,7 @@ class TestSelectionPaths:
         index.extend(sets)
         mask = np.ones(50, dtype=bool)
         mask[:3] = False
+        mask.flags.writeable = False
         builds = []
         inverted = CoverageIndex._inverted
 
@@ -253,6 +254,30 @@ class TestSelectionPaths:
         index.extend(sets)
         assert index.greedy(5, mask) == again
         assert len(builds) == 6
+        # Every node as the pool is remembered too.
+        index.greedy(5)
+        index.greedy(5)
+        assert len(builds) == 7
+
+    def test_pools_that_can_change_are_picked_afresh(self):
+        rng = np.random.default_rng(6)
+        sets = random_set_family(rng, 40, 50, 5)
+        index = CoverageIndex(40)
+        index.extend(sets)
+        view = index.sets_view()
+        pool = set(range(40))
+        first, _covered = greedy_max_coverage(view, 3, pool)
+        pool.difference_update(first)
+        again = greedy_max_coverage(view, 3, pool)
+        assert again == legacy_greedy_max_coverage(sets, 3, pool)
+        assert not set(again[0]) & set(first)
+        mask = np.ones(40, dtype=bool)  # writable, so it can change too
+        first, _covered = greedy_max_coverage(view, 3, mask)
+        mask[first] = False
+        again = greedy_max_coverage(view, 3, mask)
+        left = set(np.flatnonzero(mask).tolist())
+        assert again == legacy_greedy_max_coverage(sets, 3, left)
+        assert not set(again[0]) & set(first)
 
     def test_candidate_masks(self):
         mask = non_seed_mask(6, [1, 4, 9, -2])
@@ -261,9 +286,11 @@ class TestSelectionPaths:
         assert candidate_mask(6, mask) is mask
         assert candidate_mask(6, None) is None
         for pool in ({0, 2, 3, 5, 8}, [5, 3, 2, 0], np.array([0, 2, 3, 5, -1])):
-            assert np.array_equal(candidate_mask(6, pool), mask)
-        short = np.array([True, False, True])
-        assert np.flatnonzero(candidate_mask(6, short)).tolist() == [0, 2]
+            converted = candidate_mask(6, pool)
+            assert np.array_equal(converted, mask)
+            assert not converted.flags.writeable
+        with pytest.raises(ValueError):
+            candidate_mask(6, np.array([True, False, True]))
 
 
 @pytest.fixture(scope="module")
