@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..engine.coverage import CoverageIndex, candidate_mask, non_seed_mask
+from ..engine.coverage import CoverageIndex, non_seed_mask
 from ..graphs.digraph import DiGraph
 from ..im.imm import imm_sampling
 from . import parallel
@@ -158,18 +158,15 @@ class BoostResult:
     elapsed_seconds: float = 0.0
 
 
-def _validate(graph: DiGraph, seeds, k: int, candidates=None):
-    """``(seed set, candidate mask, k)``: the pool defaults to the
-    non-seed nodes, and a given ``n``-sized mask is taken as it is."""
+def _validate(graph: DiGraph, seeds, k: int):
+    """``(seed set, non-seed candidate mask, k)``; the one read-only mask
+    goes to every pick of the query."""
     seed_set = set(int(s) for s in seeds)
     if not seed_set:
         raise ValueError("seed set must be non-empty")
     if k <= 0:
         raise ValueError("k must be positive")
-    if candidates is None:
-        candidates = non_seed_mask(graph.n, seed_set)
-    else:
-        candidates = candidate_mask(graph.n, candidates)
+    candidates = non_seed_mask(graph.n, seed_set)
     # Budgets beyond the pool are moot.
     k = min(k, max(int(np.count_nonzero(candidates)), 1))
     return seed_set, candidates, k
@@ -186,7 +183,6 @@ def prr_boost_core(
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
     arena: Optional[PRRArena] = None,
-    candidates=None,
 ) -> BoostResult:
     """Run PRR-Boost (Algorithm 2) and return the sandwich solution.
 
@@ -217,13 +213,9 @@ def prr_boost_core(
         Optional *empty* scratch containers to run on — a warm
         :class:`repro.api.Session` passes recycled ones so repeated
         queries skip allocation; results are identical either way.
-    candidates:
-        Optional candidate pool (all non-seed nodes when ``None``): any
-        pool :func:`~repro.engine.coverage.candidate_mask` takes; an
-        ``n``-sized bool mask is used as it is.  It is never mutated.
     """
     start = time.perf_counter()
-    seed_set, candidates, k = _validate(graph, seeds, k, candidates)
+    seed_set, candidates, k = _validate(graph, seeds, k)
 
     ell_prime = ell * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = PRRSampler(graph, seed_set, k, workers=workers, arena=arena)
@@ -271,7 +263,6 @@ def prr_boost_lb_core(
     max_samples: int = 200_000,
     workers: int | None = None,
     index: Optional[CoverageIndex] = None,
-    candidates=None,
 ) -> BoostResult:
     """Run PRR-Boost-LB: maximize only the lower bound ``μ``.
 
@@ -279,12 +270,11 @@ def prr_boost_lb_core(
     lower memory, because each sample is just a (typically tiny) critical
     node set.  ``workers > 1`` dispatches sampling to the local host
     pool like :func:`prr_boost`; ``index`` is the optional warm-session
-    scratch and ``candidates`` the optional pool (see
-    :func:`prr_boost_core`).
+    scratch (see :func:`prr_boost_core`).
     :func:`prr_boost_lb` is the legacy-shaped wrapper.
     """
     start = time.perf_counter()
-    seed_set, candidates, k = _validate(graph, seeds, k, candidates)
+    seed_set, candidates, k = _validate(graph, seeds, k)
 
     ell_prime = ell * (1.0 + np.log(3.0) / np.log(max(graph.n, 2)))
     sampler = CriticalSetSampler(graph, seed_set, workers=workers)
